@@ -5,14 +5,13 @@ from .core import (
     DegenerateEnsembleError,
     DegenerateWeightsError,
     Ensemble,
-    Particle,
     RandomSource,
     TargetDensity,
     make_ensemble,
     normalize_weights,
 )
 from .diagnostics import MomentSummary, effective_sample_size, mode_mass, weighted_moments
-from .kde import KdeModel, kde_target, loo_log_density, loo_log_density_all, silverman_bandwidth
+from .kde import kde_target, loo_log_density_all, silverman_bandwidth
 from .kernels import (
     HmcConfig,
     MhConfig,
@@ -48,6 +47,8 @@ from .targets import (
     nonlinear_logit_loglik,
     powered,
     rosenbrock,
+    sample_dropwave_data,
+    sample_smiley_data,
     simulate_logit_data,
     smiley,
 )

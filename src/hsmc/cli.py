@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,22 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "generate_data", "
 ALGORITHMS = ("mh", "hmc", "smc", "hsmc")
 DATA_KINDS = ("smiley", "dropwave", "logit")
 GRID_RESOLUTION = 101
+
+# fields each recipe mapping may hold, per value of its type/name/kind tag
+TOP_LEVEL_KEYS = (
+    "algorithm", "seed", "output", "kernel", "threads", "record_all", "resampling",
+    "target", "sequence", "initial", "grid", "iterations", "groups", "start",
+    "particles", "mutation_steps",
+)
+KERNEL_KEYS = {"hmc": ("mass_diag", "leapfrog_steps", "step_size"), "mh": ("proposal_scale",)}
+TARGET_KEYS = {"rosenbrock": (), "smiley": (), "dropwave": (),
+               "gaussian": ("mean", "cov_diag"), "logit": ("data",)}
+SEQUENCE_KEYS = {
+    "kde-blocks": ("data", "block_size", "constraints"),
+    "loglik-blocks": ("data", "block_size"),
+    "tempering": ("phis",),
+    "annealing": ("gammas",),
+}
 
 
 class ConfigError(ValueError):
@@ -97,6 +113,27 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _check_keys(spec, allowed, context: str) -> dict:
+    """``spec`` itself, once it is a mapping holding only ``allowed`` fields."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{context[:-1]}: expected a mapping")
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"{context}{key}: unknown field")
+    return spec
+
+
+def _tagged(spec, context: str, tag: str, fields: dict):
+    """Validate a mapping whose allowed fields depend on its ``tag`` value."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{context[:-1]}: expected a mapping")
+    value = _require(spec, tag, context)
+    if not isinstance(value, str) or value not in fields:
+        raise ConfigError(f"{context}{tag}: unknown {tag} {value!r}")
+    _check_keys(spec, (tag,) + fields[value], context)
+    return value
+
+
 def _as_int(value, field: str, minimum: int | None = None) -> int:
     try:
         out = int(value)
@@ -118,9 +155,7 @@ def _as_vector(value, field: str) -> np.ndarray:
 
 
 def _build_kernel(spec, context: str = "kernel.") -> HmcConfig | MhConfig:
-    if not isinstance(spec, dict):
-        raise ConfigError("kernel: expected a mapping")
-    ktype = _require(spec, "type", context)
+    ktype = _tagged(spec, context, "type", KERNEL_KEYS)
     try:
         if ktype == "hmc":
             return HmcConfig(
@@ -128,13 +163,11 @@ def _build_kernel(spec, context: str = "kernel.") -> HmcConfig | MhConfig:
                 leapfrog_steps=_as_int(spec.get("leapfrog_steps", 20), context + "leapfrog_steps"),
                 step_size=float(spec.get("step_size", 0.05)),
             )
-        if ktype == "mh":
-            return MhConfig(proposal_scale=float(spec.get("proposal_scale", 1.0)))
+        return MhConfig(proposal_scale=float(spec.get("proposal_scale", 1.0)))
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{context}{err}") from err
-    raise ConfigError(f"{context}type: unknown kernel type {ktype!r}")
 
 
 def parse_config(path) -> RunConfig:
@@ -150,6 +183,7 @@ def parse_config(path) -> RunConfig:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a mapping at the top level")
+    _check_keys(raw, TOP_LEVEL_KEYS, "")
     base_dir = path.parent
 
     algorithm = _require(raw, "algorithm", "")
@@ -162,7 +196,9 @@ def parse_config(path) -> RunConfig:
     kernel = _build_kernel(_require(raw, "kernel", ""))
 
     threads = _as_int(raw.get("threads", 1), "threads", minimum=1)
-    record_all = bool(raw.get("record_all", False))
+    record_all = raw.get("record_all", False)
+    if not isinstance(record_all, bool):
+        raise ConfigError(f"record_all: expected true or false, got {record_all!r}")
     resampling = raw.get("resampling", "multinomial")
     if resampling not in ("multinomial", "systematic"):
         raise ConfigError(f"resampling: unknown scheme {resampling!r}")
@@ -171,6 +207,7 @@ def parse_config(path) -> RunConfig:
     sequence_spec = raw.get("sequence")
     initial_spec = raw.get("initial")
     grid_spec = raw.get("grid")
+    _grid_override(grid_spec)
 
     if algorithm in ("mh", "hmc"):
         if target_spec is None:
@@ -218,10 +255,10 @@ def parse_config(path) -> RunConfig:
     # fail fast on malformed specs and missing data files
     if target_spec is not None:
         _build_target(config)
-    if initial_spec is not None:
-        _build_initial(config)
     if sequence_spec is not None:
-        _check_sequence_spec(config)
+        _build_sequence(config)
+    elif initial_spec is not None:
+        _build_initial(config)
     return config
 
 
@@ -236,9 +273,7 @@ def _resolve_data_path(config: RunConfig, value, field: str) -> Path:
 
 def _build_target(config: RunConfig) -> TargetDensity:
     spec = config.target_spec
-    if not isinstance(spec, dict):
-        raise ConfigError("target: expected a mapping")
-    name = _require(spec, "name", "target.")
+    name = _tagged(spec, "target.", "name", TARGET_KEYS)
     if name == "rosenbrock":
         return rosenbrock()
     if name == "smiley":
@@ -252,18 +287,16 @@ def _build_target(config: RunConfig) -> TargetDensity:
             return gaussian(mean, cov)
         except ValueError as err:
             raise ConfigError(f"target.cov_diag: {err}") from err
-    if name == "logit":
-        data_path = _resolve_data_path(config, _require(spec, "data", "target."), "target.data")
-        return nonlinear_logit_loglik(LogitData.from_csv(data_path))
-    raise ConfigError(f"target.name: unknown target {name!r}")
+    data_path = _resolve_data_path(config, _require(spec, "data", "target."), "target.data")
+    return nonlinear_logit_loglik(LogitData.from_csv(data_path))
 
 
 def _build_initial(config: RunConfig) -> InitialDistribution:
     spec = config.initial_spec
-    if not isinstance(spec, dict):
-        raise ConfigError("initial: expected a mapping")
+    gaussian_form = isinstance(spec, dict) and "mean" in spec
+    _check_keys(spec, ("mean", "sigma") if gaussian_form else ("lower", "upper"), "initial.")
     try:
-        if "mean" in spec:
+        if gaussian_form:
             return diag_gaussian_initial(
                 _as_vector(_require(spec, "mean", "initial."), "initial.mean"),
                 _as_vector(_require(spec, "sigma", "initial."), "initial.sigma"),
@@ -280,67 +313,42 @@ def _build_initial(config: RunConfig) -> InitialDistribution:
     raise ConfigError("initial: expected either mean/sigma or lower/upper")
 
 
-def _check_sequence_spec(config: RunConfig) -> None:
-    spec = config.sequence_spec
-    if not isinstance(spec, dict):
-        raise ConfigError("sequence: expected a mapping")
-    kind = _require(spec, "kind", "sequence.")
-    if kind in ("kde-blocks", "loglik-blocks"):
-        _resolve_data_path(config, _require(spec, "data", "sequence."), "sequence.data")
-        _as_int(_require(spec, "block_size", "sequence."), "sequence.block_size", minimum=1)
-    elif kind == "tempering":
-        _as_vector(_require(spec, "phis", "sequence."), "sequence.phis")
-        if config.target_spec is None:
-            raise ConfigError("target: required for tempering sequences")
-    elif kind == "annealing":
-        _as_vector(_require(spec, "gammas", "sequence."), "sequence.gammas")
-        if config.target_spec is None:
-            raise ConfigError("target: required for annealing sequences")
-    else:
-        raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
-
-
 def _build_sequence(config: RunConfig):
     spec = config.sequence_spec
-    kind = spec["kind"]
+    kind = _tagged(spec, "sequence.", "kind", SEQUENCE_KEYS)
     initial = _build_initial(config)
     try:
+        if kind in ("kde-blocks", "loglik-blocks"):
+            data = _require(spec, "data", "sequence.")
+            data_path = _resolve_data_path(config, data, "sequence.data")
+            block_size = _require(spec, "block_size", "sequence.")
+            block_size = _as_int(block_size, "sequence.block_size", minimum=1)
         if kind == "kde-blocks":
-            data_path = _resolve_data_path(config, spec["data"], "sequence.data")
             rows = np.genfromtxt(data_path, delimiter=",", names=True)
             points = np.column_stack([np.atleast_1d(rows["x"]), np.atleast_1d(rows["y"])])
             constraints = None
             if "constraints" in spec:
-                cons = spec["constraints"]
+                context = "sequence.constraints."
+                cons = _check_keys(spec["constraints"], ("lower", "upper"), context)
                 constraints = BoxConstraints(
-                    _as_vector(_require(cons, "lower", "sequence.constraints."),
-                               "sequence.constraints.lower"),
-                    _as_vector(_require(cons, "upper", "sequence.constraints."),
-                               "sequence.constraints.upper"),
+                    _as_vector(_require(cons, "lower", context), context + "lower"),
+                    _as_vector(_require(cons, "upper", context), context + "upper"),
                 )
-            return blockwise_sequence(
-                "kde", points, int(spec["block_size"]),
-                constraints=constraints, initial=initial,
-            )
+            return blockwise_sequence("kde", points, block_size, constraints, initial)
         if kind == "loglik-blocks":
-            data_path = _resolve_data_path(config, spec["data"], "sequence.data")
-            return blockwise_sequence(
-                "loglik", LogitData.from_csv(data_path), int(spec["block_size"]),
-                initial=initial,
-            )
+            data = LogitData.from_csv(data_path)
+            return blockwise_sequence("loglik", data, block_size, initial=initial)
+        field = "phis" if kind == "tempering" else "gammas"
+        ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
+        if config.target_spec is None:
+            raise ConfigError(f"target: required for {kind} sequences")
         if kind == "tempering":
-            return tempering_sequence(
-                initial, _build_target(config), [float(p) for p in spec["phis"]]
-            )
-        if kind == "annealing":
-            return annealing_sequence(
-                _build_target(config), [float(g) for g in spec["gammas"]], initial=initial
-            )
+            return tempering_sequence(initial, _build_target(config), list(ladder))
+        return annealing_sequence(_build_target(config), list(ladder), initial=initial)
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(f"sequence: {err}") from err
-    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
 
 
 def _float_repr(x: float) -> str:
@@ -378,12 +386,20 @@ def _write_grid(path: Path, target: TargetDensity, lower, upper, resolution: int
             writer.writerow([_float_repr(x), _float_repr(y), _float_repr(v)])
 
 
-def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray):
-    spec = config.grid_spec or {}
+def _grid_override(spec):
+    """The grid section as (lower, upper, resolution); bounds are None if unset."""
+    spec = _check_keys({} if spec is None else spec, ("resolution", "lower", "upper"), "grid.")
     resolution = _as_int(spec.get("resolution", GRID_RESOLUTION), "grid.resolution", minimum=2)
-    if "lower" in spec or "upper" in spec:
-        lower = _as_vector(_require(spec, "lower", "grid."), "grid.lower")
-        upper = _as_vector(_require(spec, "upper", "grid."), "grid.upper")
+    if "lower" not in spec and "upper" not in spec:
+        return None, None, resolution
+    lower = _as_vector(_require(spec, "lower", "grid."), "grid.lower")
+    upper = _as_vector(_require(spec, "upper", "grid."), "grid.upper")
+    return lower, upper, resolution
+
+
+def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray):
+    lower, upper, resolution = _grid_override(config.grid_spec)
+    if lower is not None:
         return lower, upper, resolution
     box = target.constraints
     if box is not None and np.all(np.isfinite(box.lower)) and np.all(np.isfinite(box.upper)):
@@ -395,16 +411,12 @@ def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray
 
 
 def _report_jsonable(config: RunConfig, report: RunReport) -> dict:
-    out = {
+    return {
         "algorithm": config.algorithm,
         "seed": config.seed,
-        "n_particles": report.n_particles,
-        "n_groups": report.n_groups,
-        "n_iterations": report.n_iterations,
-        "rows": [r.to_jsonable() for r in report.rows],
+        **report.to_jsonable(),
+        "group_divergence": compare_groups(report) if report.n_groups >= 2 else None,
     }
-    out["group_divergence"] = compare_groups(report) if report.n_groups >= 2 else None
-    return out
 
 
 def _run_mcmc(config: RunConfig) -> int:
@@ -419,7 +431,7 @@ def _run_mcmc(config: RunConfig) -> int:
 
     particle_rows = []
     report_rows = []
-    final_positions = []
+    chains = []
     for j in range(config.n_groups):
         gen = root.derive(j).generator()
         pos = start
@@ -433,11 +445,11 @@ def _run_mcmc(config: RunConfig) -> int:
             accepted_flags.append(out.accepted)
             acc += out.accepted
         samples = np.array(chain)
-        final_positions.append(pos)
-        for i, (p, a) in enumerate(zip(samples, accepted_flags)):
-            particle_rows.append((j, i, 0, p, 1.0, a))
+        chains.append(samples)
         mean = samples.mean(axis=0)
         cov = samples.var(axis=0)
+        for i, (p, a) in enumerate(zip(samples, accepted_flags)):
+            particle_rows.append((j, i, 0, p, 1.0, a))
         report_rows.append(
             IterationRecord(
                 group=j,
@@ -450,7 +462,6 @@ def _run_mcmc(config: RunConfig) -> int:
                 cov_diag=cov,
             )
         )
-        all_samples = samples if j == 0 else np.vstack([all_samples, samples])
 
     report = RunReport(
         n_particles=config.iterations + 1,
@@ -458,7 +469,7 @@ def _run_mcmc(config: RunConfig) -> int:
         n_iterations=config.iterations,
         rows=tuple(report_rows),
     )
-    _write_outputs(config, target, particle_rows, report, all_samples)
+    _write_outputs(config, target, particle_rows, report, np.vstack(chains))
     return 0
 
 
@@ -510,8 +521,7 @@ def run(config: RunConfig) -> int:
             return _run_mcmc(config)
         return _run_sequential(config)
     except DegenerateWeightsError as err:
-        stage = err.stage if err.stage is not None else "?"
-        print(f"error: degenerate weights at stage {stage}: {err}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 
@@ -568,11 +578,7 @@ def main(argv=None) -> int:
                 threads = _as_int(env_threads, "HSMC_THREADS", minimum=1)
             if threads is not None:
                 overrides["threads"] = threads
-            if overrides:
-                from dataclasses import replace
-
-                config = replace(config, **overrides)
-            return run(config)
+            return run(replace(config, **overrides))
         if args.command == "gen-data":
             return generate_data(args.kind, args.n, args.seed, args.out)
     except (ConfigError, FileNotFoundError, OSError) as err:

@@ -10,7 +10,7 @@ order or thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "DegenerateEnsembleError",
     "DegenerateWeightsError",
     "Ensemble",
-    "Particle",
     "RandomSource",
     "TargetDensity",
     "as_generator",
@@ -122,22 +121,6 @@ class TargetDensity:
 
 
 @dataclass(frozen=True)
-class Particle:
-    """A position with a nonnegative importance weight."""
-
-    position: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        position = _readonly(np.atleast_1d(self.position))
-        if position.ndim != 1:
-            raise ValueError("particle position must be a 1-d vector")
-        if not np.isfinite(self.weight) or self.weight < 0:
-            raise ValueError("particle weight must be finite and nonnegative")
-        object.__setattr__(self, "position", position)
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """A set of N particles sharing one dimension.
 
@@ -173,11 +156,6 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-    @property
-    def particles(self) -> Iterator[Particle]:
-        for pos, w in zip(self.positions, self.weights):
-            yield Particle(pos, float(w))
 
 
 def make_ensemble(

@@ -13,18 +13,10 @@ __all__ = ["MomentSummary", "weighted_moments", "effective_sample_size", "mode_m
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Weighted mean, diagonal covariance and the effective sample size."""
+    """Weighted mean and diagonal covariance."""
 
     mean: np.ndarray
     covariance_diag: np.ndarray
-    n_effective: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "cov_diag": [float(v) for v in self.covariance_diag],
-            "n_effective": float(self.n_effective),
-        }
 
 
 def weighted_moments(ensemble: Ensemble) -> MomentSummary:
@@ -37,7 +29,7 @@ def weighted_moments(ensemble: Ensemble) -> MomentSummary:
     mean = w @ ensemble.positions
     centered = ensemble.positions - mean
     cov_diag = w @ (centered**2)
-    return MomentSummary(mean, cov_diag, effective_sample_size(ensemble.weights))
+    return MomentSummary(mean, cov_diag)
 
 
 def effective_sample_size(weights) -> float:

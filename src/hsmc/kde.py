@@ -8,20 +8,12 @@ of kernels cannot underflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity
 from .targets import _make_target
 
-__all__ = [
-    "KdeModel",
-    "kde_target",
-    "loo_log_density",
-    "loo_log_density_all",
-    "silverman_bandwidth",
-]
+__all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -35,30 +27,6 @@ def _as_bandwidth(bandwidth, dim: int) -> np.ndarray:
     if np.any(h <= 0) or not np.all(np.isfinite(h)):
         raise ValueError("bandwidth components must be strictly positive")
     return h
-
-
-@dataclass(frozen=True)
-class KdeModel:
-    """A Gaussian product-kernel density estimate over a point set."""
-
-    points: np.ndarray
-    bandwidth: np.ndarray
-    constraints: BoxConstraints | None = None
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if points.ndim != 2 or points.shape[0] < 1:
-            raise ValueError("points must be a nonempty (n, dim) array")
-        bandwidth = _as_bandwidth(self.bandwidth, points.shape[1])
-        points = points.copy()
-        points.setflags(write=False)
-        bandwidth.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "bandwidth", bandwidth)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def _kde_parts(positions: np.ndarray, points: np.ndarray, h: np.ndarray):
@@ -88,10 +56,12 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     the gradient is analytic.  ``constraints`` are attached unmodified, so
     the kernel itself is untouched and samplers simply bounce off the box.
     """
-    model = KdeModel(points, bandwidth, constraints)
-    pts, h = model.points, model.bandwidth
-    n = pts.shape[0]
-    const = -np.log(n) - np.log(h).sum() - 0.5 * model.dim * _LOG_2PI
+    pts = np.atleast_2d(np.array(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("points must be a nonempty (n, dim) array")
+    n, dim = pts.shape
+    h = _as_bandwidth(bandwidth, dim)
+    const = -np.log(n) - np.log(h).sum() - 0.5 * dim * _LOG_2PI
 
     def batch_log_f(pos):
         shift, w = _kde_parts(pos, pts, h)
@@ -103,7 +73,7 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
         # sum_m w_m (p_m - t) / h^2 collapses to one matrix product
         return ((w @ pts) / total[:, None] - pos) / (h * h)
 
-    return _make_target(model.dim, batch_log_f, batch_grad, constraints=constraints)
+    return _make_target(dim, batch_log_f, batch_grad, constraints=constraints)
 
 
 def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
@@ -147,24 +117,6 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
     shift = sq.max(axis=-1)
     s = np.exp(sq - shift[:, None]).sum(axis=-1)
     return shift + np.log(s) - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
-
-
-def loo_log_density(ensemble: Ensemble, index: int, bandwidth) -> float:
-    """Log-density at particle ``index`` of the KDE over the other particles.
-
-    Independent of the particle's own weight by construction.
-    """
-    n = ensemble.n_particles
-    if not 0 <= index < n:
-        raise IndexError(f"particle index {index} out of range for n={n}")
-    h = _as_bandwidth(bandwidth, ensemble.dim)
-    others = np.delete(ensemble.positions, index, axis=0)
-    z = (ensemble.positions[index] - others) / h
-    sq = -0.5 * (z * z).sum(axis=-1)
-    shift = sq.max()
-    s = np.exp(sq - shift).sum()
-    const = -np.log(n - 1) - np.log(h).sum() - 0.5 * ensemble.dim * _LOG_2PI
-    return float(shift + np.log(s) + const)
 
 
 def silverman_bandwidth(ensemble: Ensemble | np.ndarray) -> np.ndarray:

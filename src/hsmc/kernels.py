@@ -35,8 +35,6 @@ __all__ = [
     "mutate_ensemble",
 ]
 
-_MAX_FOLDS = 1024
-
 
 @dataclass(frozen=True)
 class HmcConfig:
@@ -109,31 +107,30 @@ def _reflect_box(
 ):
     """Fold coordinates back into the box, flipping momentum once per fold.
 
-    Applies the upper fold then the lower fold, repeating until every
-    finite coordinate satisfies both bounds.  Coordinates that fail to
-    settle within the fold budget are marked NaN so the proposal is
-    auto-rejected downstream.
+    Repeated folds at the two walls trace a triangle wave: a coordinate
+    that overshoots a wall by e, with w = upper - lower and r = e mod 2w,
+    lands at that wall minus r after an odd number of folds when r <= w
+    (momentum flips), and otherwise at the opposite wall plus r - w
+    (momentum keeps its sign).  Non-finite coordinates pass through
+    unchanged, so the proposal is rejected downstream.
     """
-    q = positions.copy()
-    p = momenta.copy()
-    has_l = np.isfinite(lower)
-    has_u = np.isfinite(upper)
-    for _ in range(_MAX_FOLDS):
-        over = has_u & np.isfinite(q) & (q > upper)
-        if over.any():
-            q = np.where(over, upper - (q - upper), q)
-            p = np.where(over, -p, p)
-        under = has_l & np.isfinite(q) & (q < lower)
-        if under.any():
-            q = np.where(under, lower + (lower - q), q)
-            p = np.where(under, -p, p)
-        if not (over.any() or under.any()):
-            break
-    else:
-        unsettled = (has_u & np.isfinite(q) & (q > upper)) | (
-            has_l & np.isfinite(q) & (q < lower)
+    above = positions > upper
+    below = positions < lower
+    if not (above.any() or below.any()):
+        return positions, momenta
+    width = upper - lower
+    inward = np.where(above, -1.0, 1.0)
+    with np.errstate(invalid="ignore"):
+        r = np.fmod(np.where(above, positions - upper, lower - positions), 2.0 * width)
+        odd = r <= width
+        landed = np.where(
+            odd,
+            np.where(above, upper, lower) + inward * r,
+            np.where(above, lower, upper) - inward * (r - width),
         )
-        q = np.where(unsettled, np.nan, q)
+    folded = (above | below) & np.isfinite(positions)
+    q = np.where(folded, np.clip(landed, lower, upper), positions)
+    p = np.where(folded & odd, -momenta, momenta)
     return q, p
 
 
@@ -142,9 +139,9 @@ def reflect_into_box(
 ) -> tuple[float, float]:
     """Reflect one coordinate into [lower_d, upper_d].
 
-    Repeats the two wall folds (fold at the upper wall, then at the lower
-    wall) until the coordinate satisfies both bounds; each fold flips the
-    momentum sign, so |momentum| is preserved exactly.
+    Equivalent to repeating the two wall folds until the coordinate
+    satisfies both bounds; each fold flips the momentum sign, so
+    |momentum| is preserved exactly.
     """
     if not (np.isfinite(position_d) and np.isfinite(momentum_d)):
         raise ValueError("position and momentum must be finite")
@@ -154,8 +151,6 @@ def reflect_into_box(
         np.array([position_d]), np.array([momentum_d]),
         np.array([lower_d]), np.array([upper_d]),
     )
-    if not np.isfinite(q[0]):
-        raise ValueError("position too far outside the box to fold back")
     return float(q[0]), float(p[0])
 
 
@@ -287,7 +282,6 @@ def mutate_ensemble(
     kernel: KernelConfig,
     steps: int,
     rng: RandomSource,
-    stream_indices=None,
 ) -> MutationResult:
     """Advance every particle by ``steps`` kernel steps.
 
@@ -303,11 +297,9 @@ def mutate_ensemble(
     if not isinstance(rng, RandomSource):
         raise TypeError("mutate_ensemble needs a RandomSource to derive particle streams")
     n, dim = ensemble.n_particles, ensemble.dim
-    if stream_indices is None:
-        stream_indices = range(n)
     gens = [
-        rng.derive(MUTATION_STREAM, ensemble.iteration_index, int(idx)).generator()
-        for idx in stream_indices
+        rng.derive(MUTATION_STREAM, ensemble.iteration_index, idx).generator()
+        for idx in range(n)
     ]
 
     positions = ensemble.positions.copy()

@@ -33,7 +33,9 @@ from .core import (
 from .diagnostics import effective_sample_size, weighted_moments
 from .kde import kde_target, loo_log_density_all, silverman_bandwidth
 from .kernels import HmcConfig, KernelConfig, MhConfig, mutate_ensemble
-from .targets import LogitData, gaussian, geometric_bridge, nonlinear_logit_loglik, powered
+from .targets import (
+    LogitData, _make_target, gaussian, geometric_bridge, nonlinear_logit_loglik, powered,
+)
 
 __all__ = [
     "InitialDistribution",
@@ -87,24 +89,7 @@ def uniform_box_initial(lower, upper) -> InitialDistribution:
     if not (np.all(np.isfinite(box.lower)) and np.all(np.isfinite(box.upper))):
         raise ValueError("uniform initial distribution needs finite bounds")
     dim = box.dim
-
-    def batch_log_f(pos):
-        return np.where(box.contains(pos), 0.0, -np.inf)
-
-    def batch_grad(pos):
-        return np.zeros_like(pos)
-
-    def log_f(position):
-        pos = np.asarray(position, dtype=float)
-        out = batch_log_f(np.atleast_2d(pos))
-        return float(out[0]) if pos.ndim == 1 else out
-
-    def grad_log_f(position):
-        pos = np.asarray(position, dtype=float)
-        out = batch_grad(np.atleast_2d(pos))
-        return out[0] if pos.ndim == 1 else out
-
-    density = TargetDensity(dim, log_f, grad_log_f, constraints=box)
+    density = _make_target(dim, lambda pos: np.zeros(len(pos)), np.zeros_like, constraints=box)
 
     def sample(n: int, gen: np.random.Generator) -> np.ndarray:
         return gen.uniform(box.lower, box.upper, size=(n, dim))
@@ -137,9 +122,6 @@ class TargetSequence:
     @property
     def dim(self) -> int:
         return self.stages[0].dim
-
-    def with_initial(self, initial: InitialDistribution) -> "TargetSequence":
-        return TargetSequence(self.stages, initial)
 
 
 @dataclass(frozen=True)
@@ -215,9 +197,6 @@ class RunReport:
     n_iterations: int
     rows: tuple[IterationRecord, ...]
 
-    def group_rows(self, group: int) -> list[IterationRecord]:
-        return [r for r in self.rows if r.group == group]
-
     def final_rows(self) -> list[IterationRecord]:
         return [r for r in self.rows if r.iteration == self.n_iterations]
 
@@ -249,13 +228,12 @@ def blockwise_sequence(
     block_size: int,
     constraints: BoxConstraints | None = None,
     initial: InitialDistribution | None = None,
-    bandwidth_factor: Callable[[int], float] | None = None,
 ) -> TargetSequence:
     """Stage t uses the first t blocks of the data; the last block may be short.
 
     kind "kde": data is an (n, d) point array and stage t is a Gaussian KDE
     of the revealed points, with per-dimension bandwidth
-    sd(revealed) * n_t^(-1/5) (override the rate via ``bandwidth_factor``).
+    sd(revealed) * n_t^(-1/5).
     kind "loglik": data is LogitData and stage t is the log-likelihood of
     the revealed observations.
     """
@@ -274,9 +252,6 @@ def blockwise_sequence(
     if total == 0:
         raise ValueError("data must be nonempty")
 
-    if bandwidth_factor is None:
-        bandwidth_factor = lambda n: float(n) ** (-0.2)
-
     stages = []
     cut = block_size
     while True:
@@ -286,7 +261,7 @@ def blockwise_sequence(
             sd = revealed.std(axis=0, ddof=1) if cut > 1 else np.ones(data.shape[1])
             if np.any(sd <= 0):
                 raise ValueError("revealed data has zero spread in some dimension")
-            stages.append(kde_target(revealed, sd * bandwidth_factor(cut), constraints))
+            stages.append(kde_target(revealed, sd * float(cut) ** (-0.2), constraints))
         else:
             stages.append(nonlinear_logit_loglik(data.subset(cut)))
         if cut == total:

@@ -297,15 +297,12 @@ def powered(target: TargetDensity, gamma: float) -> TargetDensity:
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be strictly positive")
     gamma = float(gamma)
-    base_log_f, base_grad = target.log_f, target.grad_log_f
-
-    def log_f(position):
-        return gamma * base_log_f(position)
-
-    def grad_log_f(position):
-        return gamma * base_grad(position)
-
-    return TargetDensity(target.dim, log_f, grad_log_f, constraints=target.constraints)
+    return _make_target(
+        target.dim,
+        lambda pos: gamma * target.log_f(pos),
+        lambda pos: gamma * target.grad_log_f(pos),
+        constraints=target.constraints,
+    )
 
 
 def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetDensity:
@@ -323,27 +320,18 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
         constraints = f.constraints.intersect(f1.constraints)
     else:
         constraints = f1.constraints
+    if phi in (0.0, 1.0):
+        end = f if phi == 1.0 else f1
+        return TargetDensity(f.dim, end.log_f, end.grad_log_f, constraints=constraints)
 
-    def log_f(position):
-        if phi == 0.0:
-            return f1.log_f(position)
-        if phi == 1.0:
-            return f.log_f(position)
-        la = np.asarray(f.log_f(position), dtype=float)
-        lb = np.asarray(f1.log_f(position), dtype=float)
-        out = np.where(
-            np.isneginf(la) | np.isneginf(lb), -np.inf, phi * la + (1.0 - phi) * lb
-        )
-        return float(out) if out.ndim == 0 else out
+    def batch_log_f(pos):
+        la, lb = f.log_f(pos), f1.log_f(pos)
+        return np.where(np.isneginf(la) | np.isneginf(lb), -np.inf, phi * la + (1.0 - phi) * lb)
 
-    def grad_log_f(position):
-        if phi == 0.0:
-            return f1.grad_log_f(position)
-        if phi == 1.0:
-            return f.grad_log_f(position)
-        return phi * f.grad_log_f(position) + (1.0 - phi) * f1.grad_log_f(position)
+    def batch_grad(pos):
+        return phi * f.grad_log_f(pos) + (1.0 - phi) * f1.grad_log_f(pos)
 
-    return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints)
+    return _make_target(f.dim, batch_log_f, batch_grad, constraints=constraints)
 
 
 def rejection_sample(

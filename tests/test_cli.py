@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -138,6 +139,77 @@ class TestParseConfig:
             parse_config(path)
 
 
+def strict_recipe(tmp_path):
+    """A small hsmc recipe touching every recipe mapping."""
+    data_path = tmp_path / "points.csv"
+    generate_data("dropwave", 100, 3, data_path)
+    return {
+        "algorithm": "hsmc", "seed": 1, "output": "out", "particles": 16,
+        "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+        "target": {"name": "dropwave"},
+        "initial": {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
+        "sequence": {"kind": "kde-blocks", "data": str(data_path), "block_size": 50,
+                     "constraints": {"lower": [-2.5, -2.5], "upper": [2.5, 2.5]}},
+        "grid": {"resolution": 11},
+    }
+
+
+def assert_rejected_before_output(tmp_path, path, capsys, field):
+    assert main(["run", str(path)]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("field", [
+        "mutation_step",
+        "kernel.leapfrog_step",
+        "kernel.proposal_scale",  # a field of mh kernels, under an hmc kernel
+        "target.scale",
+        "initial.sd",
+        "sequence.blocksize",
+        "sequence.constraints.lo",
+        "grid.res",
+    ])
+    def test_unknown_key_named(self, tmp_path, capsys, field):
+        mapping = strict_recipe(tmp_path)
+        *sections, key = field.split(".")
+        holder = mapping
+        for section in sections:
+            holder = holder[section]
+        holder[key] = 5
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert_rejected_before_output(tmp_path, path, capsys, field)
+
+    def test_record_all_must_be_boolean(self, tmp_path, capsys):
+        mapping = strict_recipe(tmp_path)
+        mapping["record_all"] = "false"
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert_rejected_before_output(tmp_path, path, capsys, "record_all")
+
+    def test_grid_checked_before_the_run(self, tmp_path, capsys):
+        path = write_config(tmp_path / "mh.yaml", {
+            "algorithm": "mh", "seed": 5, "output": "out", "iterations": 100,
+            "kernel": {"type": "mh", "proposal_scale": 0.2},
+            "target": {"name": "rosenbrock"},
+            "grid": {"resolution": 1, "lower": [-4.0, -2.0], "upper": [4.0, 8.0]},
+        })
+        assert_rejected_before_output(tmp_path, path, capsys, "grid.resolution")
+
+    def test_shipped_recipes_validate(self, tmp_path):
+        for kind, n, seed in (("smiley", 2048, 2024), ("dropwave", 4096, 31), ("logit", 400, 0)):
+            assert generate_data(kind, n, seed, tmp_path / "data" / f"{kind}.csv") == 0
+        recipes = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.yaml"))
+        assert recipes
+        (tmp_path / "experiments").mkdir()
+        for recipe in recipes:
+            # same layout as the repository, so ../data and ../out resolve under tmp_path
+            copy = tmp_path / "experiments" / recipe.name
+            copy.write_text(recipe.read_text())
+            config = parse_config(copy)
+            assert config.output.parent.resolve() == (tmp_path / "out").resolve()
+
+
 class TestGenerateData:
     def test_smiley_rows(self, tmp_path):
         out = tmp_path / "smiley.csv"
@@ -259,10 +331,11 @@ class TestRunOutputs:
         lines = (tmp_path / "out" / "particles.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 51  # header + (iterations + start) per chain
 
-    def test_degenerate_weights_exit_code(self, tmp_path, capsys):
+    @staticmethod
+    def degenerate_config(tmp_path):
         data_path = tmp_path / "points.csv"
         generate_data("dropwave", 100, 3, data_path)
-        path = write_config(tmp_path / "c.yaml", {
+        return write_config(tmp_path / "c.yaml", {
             "algorithm": "smc", "seed": 1, "output": "out",
             "particles": 16, "groups": 1, "mutation_steps": 1,
             "kernel": {"type": "mh", "proposal_scale": 0.1},
@@ -272,9 +345,15 @@ class TestRunOutputs:
                          "block_size": 100,
                          "constraints": {"lower": [-2.5, -2.5], "upper": [2.5, 2.5]}},
         })
-        status = run(parse_config(path))
+
+    def test_degenerate_weights_exit_code(self, tmp_path, capsys):
+        status = run(parse_config(self.degenerate_config(tmp_path)))
         assert status == 2
         assert "stage 1" in capsys.readouterr().err
+
+    def test_degenerate_weights_message_printed_once(self, tmp_path, capsys):
+        assert main(["run", str(self.degenerate_config(tmp_path))]) == 2
+        assert capsys.readouterr().err.count("degenerate weights at stage") == 1
 
     def test_missing_logit_data_main_exit(self, tmp_path):
         path = write_config(tmp_path / "c.yaml", {

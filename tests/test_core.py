@@ -7,7 +7,6 @@ from hsmc.core import (
     BoxConstraints,
     DegenerateWeightsError,
     Ensemble,
-    Particle,
     RandomSource,
     make_ensemble,
     normalize_weights,
@@ -36,12 +35,6 @@ class TestMakeEnsemble:
     def test_too_few_draws(self):
         with pytest.raises(ValueError, match="at least 2"):
             make_ensemble([[0.0, 1.0]])
-
-    def test_particles_view(self):
-        ens = make_ensemble([[1.0], [2.0]])
-        particles = list(ens.particles)
-        assert all(isinstance(p, Particle) for p in particles)
-        assert particles[1].position[0] == 2.0
 
 
 class TestEnsembleInvariants:

@@ -4,14 +4,8 @@ from scipy.integrate import quad
 
 from conftest import assert_gradient_matches
 
-from hsmc.core import BoxConstraints, DegenerateEnsembleError, Ensemble, make_ensemble
-from hsmc.kde import (
-    KdeModel,
-    kde_target,
-    loo_log_density,
-    loo_log_density_all,
-    silverman_bandwidth,
-)
+from hsmc.core import BoxConstraints, DegenerateEnsembleError, make_ensemble
+from hsmc.kde import kde_target, loo_log_density_all, silverman_bandwidth
 
 
 def gaussian_kernel_density(x, points, h):
@@ -79,22 +73,14 @@ class TestKdeTarget:
 
 class TestLeaveOneOut:
     def test_two_coincident_particles(self):
-        ens = make_ensemble([[0.3], [0.3]])
         # one term: log phi(0) = -log(sqrt(2 pi))
-        assert loo_log_density(ens, 0, [1.0]) == pytest.approx(
+        assert loo_log_density_all(np.array([[0.3], [0.3]]), [1.0])[0] == pytest.approx(
             -0.5 * np.log(2 * np.pi), abs=1e-14
         )
-
-    def test_independent_of_own_weight(self):
-        positions = np.array([[0.0], [1.0], [2.0]])
-        a = Ensemble(positions, np.array([1.0, 1.0, 1.0]))
-        b = Ensemble(positions, np.array([100.0, 1.0, 1.0]))
-        assert loo_log_density(a, 0, [0.7]) == loo_log_density(b, 0, [0.7])
 
     def test_matches_bruteforce_double_loop(self, rng):
         positions = rng.standard_normal((50, 2))
         h = np.array([0.6, 0.9])
-        ens = make_ensemble(positions)
         for i in range(50):
             total = 0.0
             for m in range(50):
@@ -105,23 +91,17 @@ class TestLeaveOneOut:
                     / (np.sqrt(2 * np.pi) * h)
                 )
             expected = np.log(total / 49)
-            assert loo_log_density(ens, i, h) == pytest.approx(expected, abs=1e-12)
             assert loo_log_density_all(positions, h)[i] == pytest.approx(expected, abs=1e-12)
 
     def test_equals_kde_over_other_particles(self, rng):
         positions = rng.standard_normal((20, 3))
-        ens = make_ensemble(positions)
         h = [0.5, 0.7, 1.0]
+        loo = loo_log_density_all(positions, h)
         for i in (0, 7, 19):
             others = np.delete(positions, i, axis=0)
-            assert loo_log_density(ens, i, h) == pytest.approx(
+            assert loo[i] == pytest.approx(
                 kde_target(others, h).log_f(positions[i]), abs=1e-12
             )
-
-    def test_index_out_of_range(self):
-        ens = make_ensemble([[0.0], [1.0]])
-        with pytest.raises(IndexError):
-            loo_log_density(ens, 2, [1.0])
 
     def test_needs_two_particles(self):
         with pytest.raises(ValueError):
@@ -160,10 +140,12 @@ class TestSilvermanBandwidth:
 class TestKdeModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            KdeModel(np.empty((0, 1)), [1.0])
+            kde_target(np.empty((0, 1)), [1.0])
         with pytest.raises(ValueError):
-            KdeModel([[0.0, 1.0]], [1.0, -1.0])
+            kde_target([[0.0, 1.0]], [1.0, -1.0])
 
-    def test_scalar_bandwidth_broadcast(self):
-        model = KdeModel([[0.0, 1.0]], 0.5)
-        np.testing.assert_array_equal(model.bandwidth, [0.5, 0.5])
+    def test_scalar_bandwidth_broadcast(self, rng):
+        pts = rng.standard_normal((5, 2))
+        scalar = kde_target([[0.0, 1.0]], 0.5)
+        vector = kde_target([[0.0, 1.0]], [0.5, 0.5])
+        np.testing.assert_array_equal(scalar.log_f(pts), vector.log_f(pts))

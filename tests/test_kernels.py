@@ -15,8 +15,24 @@ from hsmc.kernels import (
     mutate_ensemble,
     reflect_into_box,
 )
-from hsmc.kernels import _mh_batch
+from hsmc.kernels import _mh_batch, _reflect_box
 from hsmc.targets import dropwave, gaussian, rosenbrock
+
+
+def fold_loop(q, p, lower, upper, max_folds=1024):
+    """Reference reflection: fold at the upper wall, then at the lower wall,
+    until the coordinate is inside.  Returns (q, p, number of folds)."""
+    folds = 0
+    for _ in range(max_folds):
+        over = q > upper
+        if over:
+            q, p, folds = upper - (q - upper), -p, folds + 1
+        under = q < lower
+        if under:
+            q, p, folds = lower + (lower - q), -p, folds + 1
+        if not (over or under):
+            break
+    return q, p, folds
 
 
 def flat_target(dim=2):
@@ -115,6 +131,43 @@ class TestReflectIntoBox:
         q2, p2 = reflect_into_box(q, p, lo, hi)
         assert lo <= q2 <= hi
         assert abs(p2) == abs(p)  # exact sign flips only
+
+    @given(
+        q=st.floats(-30.0, 30.0),
+        p=st.floats(-5.0, 5.0),
+        lo=st.floats(-3.0, 0.0),
+        span=st.floats(0.5, 4.0),
+        sides=st.sampled_from(["both", "upper only", "lower only"]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_fold_loop(self, q, p, lo, span, sides):
+        hi = lo + span
+        if sides == "upper only":
+            lo = -np.inf
+        elif sides == "lower only":
+            hi = np.inf
+        ref_q, ref_p, folds = fold_loop(q, p, lo, hi)
+        q2, p2 = reflect_into_box(q, p, lo, hi)
+        if folds <= 1:
+            assert (q2, p2) == (ref_q, ref_p)
+        else:
+            assert abs(q2 - ref_q) <= 1e-12
+            # on a wall the loop's fold count depends on rounding
+            assert np.sign(p2) == np.sign(ref_p) or min(abs(ref_q - lo), abs(ref_q - hi)) <= 1e-12
+
+    def test_far_overshoot_folds_back(self):
+        # 999,999.25 past the top wall of [0, 1]: an even number of folds
+        q, p = reflect_into_box(1e6 + 0.25, 1.0, 0.0, 1.0)
+        assert q == pytest.approx(0.25, abs=1e-9)
+        assert p == 1.0
+
+    def test_nonfinite_coordinates_stay_nonfinite(self):
+        q, p = _reflect_box(
+            np.array([[np.inf, np.nan, 2.5]]), np.ones((1, 3)), np.zeros(3), np.ones(3)
+        )
+        assert np.isposinf(q[0, 0]) and np.isnan(q[0, 1])
+        assert q[0, 2] == 0.5  # two folds: 2.5 -> -0.5 -> 0.5
+        np.testing.assert_array_equal(p, np.ones((1, 3)))
 
 
 class TestHmcStep:
@@ -309,20 +362,6 @@ class TestMutateEnsemble:
         assert result.ensemble.iteration_index == 4
         assert result.ensemble.group_id == 2
         assert 0 <= result.acceptance_count <= 6
-
-    def test_stream_indices_relabel_particles(self, rng):
-        # permuting positions together with their stream labels permutes
-        # the mutated output correspondingly
-        target = rosenbrock()
-        cfg = HmcConfig(1.0, 8, 0.05)
-        positions = rng.standard_normal((10, 2))
-        root = RandomSource(7)
-        fwd = mutate_ensemble(target, make_ensemble(positions), cfg, 1, root)
-        perm = np.arange(9, -1, -1)
-        rev = mutate_ensemble(
-            target, make_ensemble(positions[perm]), cfg, 1, root, stream_indices=perm
-        )
-        np.testing.assert_array_equal(rev.ensemble.positions, fwd.ensemble.positions[perm])
 
     def test_requires_random_source(self, rng):
         ens = make_ensemble(rng.standard_normal((4, 2)))
