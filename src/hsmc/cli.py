@@ -135,9 +135,15 @@ def _tagged(spec, context: str, tag: str, fields: dict):
 
 
 def _as_int(value, field: str, minimum: int | None = None) -> int:
+    # YAML reads `true` as a bool, which int() would take as 1, and `2.7` as
+    # a float, which int() would truncate; only integral values pass
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
         out = int(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{field}: expected an integer, got {value!r}") from None
     if minimum is not None and out < minimum:
         raise ConfigError(f"{field}: must be at least {minimum}")
@@ -252,13 +258,22 @@ def parse_config(path) -> RunConfig:
         initial_spec=initial_spec,
         grid_spec=grid_spec,
     )
-    # fail fast on malformed specs and missing data files
+    # fail fast on malformed specs, missing data files and a mass that does
+    # not fit the dimension of what the run samples
+    dim = None
     if target_spec is not None:
-        _build_target(config)
+        dim = _build_target(config).dim
     if sequence_spec is not None:
-        _build_sequence(config)
+        sequence = _build_sequence(config)
+        if algorithm in ("smc", "hsmc"):
+            dim = sequence.dim
     elif initial_spec is not None:
         _build_initial(config)
+    if isinstance(kernel, HmcConfig):
+        try:
+            kernel.mass_for(dim)
+        except ValueError as err:
+            raise ConfigError(f"kernel.{err}") from err
     return config
 
 

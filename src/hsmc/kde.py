@@ -3,7 +3,10 @@
 Provides KDE-backed target densities (with optional box support) and the
 leave-one-out density estimate that drives kernel-based correction
 weights.  All log-densities are computed through log-sum-exp so thousands
-of kernels cannot underflow.
+of kernels cannot underflow.  Every kernel sum runs over blocks of rows
+small enough to stay in a core's cache, and each block is reduced to what
+the caller needs before the next one is formed, so no full
+(positions x points) array is ever built.
 """
 
 from __future__ import annotations
@@ -17,6 +20,18 @@ __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Kernel terms per block of rows.  A block (1 MB of float64) stays in a
+# core's L2 cache, and each numpy call on it holds the GIL released long
+# enough for a second group thread to overlap: on a 2-core Xeon VM, blocks
+# of 2^15 terms left two threads no faster than one.  A block's matrix
+# products make 2^17 multiply-adds per inner coordinate: k + 1 of them for
+# k dimensions (k for the gradient, 2k with per-particle bandwidths).
+# OpenBLAS 0.3.31 keeps products of up to 6 * 2^17 multiply-adds on the
+# calling thread (it splits those of 2^20), so for k <= 5 (k <= 3 with
+# per-particle bandwidths) and up to 2^17 points the group pool keeps the
+# cores and the bits do not depend on the BLAS thread setting.
+_BLOCK_TERMS = 1 << 17
+
 
 def _as_bandwidth(bandwidth, dim: int) -> np.ndarray:
     h = np.atleast_1d(np.asarray(bandwidth, dtype=float))
@@ -29,32 +44,81 @@ def _as_bandwidth(bandwidth, dim: int) -> np.ndarray:
     return h
 
 
-def _kde_parts(positions: np.ndarray, points: np.ndarray, h: np.ndarray):
-    """Stabilized kernel sums: row shifts and scaled weights exp(sq - shift).
+def _half_sq_rows(x: np.ndarray):
+    """Row factors a, c of -|x_i - y_j|^2 / 2 = (a @ b)[i, j] + c[i].
 
-    positions (n, d) against points (m, d); the density at row i equals
-    exp(shift_i) * w_i.sum() / (count * prod(h) * (2 pi)^(d/2)).  The
-    squared distances are expanded through a matrix product so large
-    clouds evaluate at BLAS speed.
+    b comes from :func:`_half_sq_cols`: the column term -|y_j|^2 / 2 rides
+    in the product as one more coordinate.  The row term c is constant
+    along a row, so it stays out of the exponent and is added to the row's
+    log-sum afterwards.
     """
-    zp = positions / h
-    zk = points / h
-    sq = zp @ zk.T
-    sq *= 2.0
-    sq -= (zp * zp).sum(axis=1)[:, None]
-    sq -= (zk * zk).sum(axis=1)[None, :]
-    sq *= 0.5
-    shift = sq.max(axis=-1)
-    w = np.exp(sq - shift[:, None])
-    return shift, w
+    return np.column_stack([x, np.ones(len(x))]), -0.5 * (x * x).sum(axis=1)
+
+
+def _half_sq_cols(y: np.ndarray) -> np.ndarray:
+    """Column factor b of -|x_i - y_j|^2 / 2, see :func:`_half_sq_rows`."""
+    return np.ascontiguousarray(np.column_stack([y, -0.5 * (y * y).sum(axis=1)]).T)
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
+    """Yield (rows, s) with s = a[rows] @ b, about _BLOCK_TERMS entries at a time.
+
+    ``exclude_self`` sets s[i, i] to -inf, for a and b built from the same
+    points.  The block's array is reused, so reduce s before the next block.
+    """
+    n, m = a.shape[0], b.shape[1]
+    step = max(1, _BLOCK_TERMS // m)
+    buf = np.empty((min(step, n), m))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        s = np.matmul(a[start:stop], b, out=buf[: stop - start])
+        if exclude_self:
+            i = np.arange(stop - start)
+            s[i, start + i] = -np.inf
+        yield slice(start, stop), s
+
+
+def _log_kernel_sums(a, b, values=None, exclude_self: bool = False):
+    """Row-wise log sum_j exp(s_ij) of s = a @ b, block by block.
+
+    Given ``values`` (m, k), also returns the (n, k) means of its rows
+    under each row's weights exp(s_ij); otherwise the second result is None.
+    """
+    n = a.shape[0]
+    log_sums = np.empty(n)
+    means = None if values is None else np.empty((n, values.shape[1]))
+    for rows, s in _row_blocks(a, b, exclude_self):
+        shift = s.max(axis=1)
+        s -= shift[:, None]
+        np.exp(s, out=s)
+        total = s.sum(axis=1)
+        log_sums[rows] = shift + np.log(total)
+        if means is not None:
+            means[rows] = (s @ values) / total[:, None]
+    return log_sums, means
+
+
+def _kth_neighbour_distance(positions: np.ndarray, scale: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row to its k-th nearest other row, in units of ``scale``."""
+    z = positions / scale
+    a, c = _half_sq_rows(z)
+    b = _half_sq_cols(z)
+    n = len(z)
+    kth = np.empty(n)
+    for rows, s in _row_blocks(a, b, exclude_self=True):
+        # the k-th nearest neighbour has the k-th largest -|z_i - z_j|^2 / 2
+        kth[rows] = np.partition(s, n - k, axis=1)[:, n - k]
+    return np.sqrt(np.maximum(-2.0 * (kth + c), 0.0))
 
 
 def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> TargetDensity:
     """Gaussian KDE over ``points`` as a normalized target density.
 
     log f(t) = log [ (1 / (n prod h)) sum_m prod_d phi((t_d - p_md) / h_d) ];
-    the gradient is analytic.  ``constraints`` are attached unmodified, so
-    the kernel itself is untouched and samplers simply bounce off the box.
+    the gradient is analytic: (kernel-weighted mean of the points - t) / h^2.
+    Both are reduced block by block from one matrix product per block of
+    positions.  ``constraints`` are attached unmodified, so the kernel
+    itself is untouched and samplers simply bounce off the box.
     """
     pts = np.atleast_2d(np.array(points, dtype=float))
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -62,16 +126,17 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     n, dim = pts.shape
     h = _as_bandwidth(bandwidth, dim)
     const = -np.log(n) - np.log(h).sum() - 0.5 * dim * _LOG_2PI
+    b = _half_sq_cols(pts / h)
 
     def batch_log_f(pos):
-        shift, w = _kde_parts(pos, pts, h)
-        return shift + np.log(w.sum(axis=-1)) + const
+        a, c = _half_sq_rows(pos / h)
+        log_sums, _ = _log_kernel_sums(a, b)
+        return log_sums + c + const
 
     def batch_grad(pos):
-        _, w = _kde_parts(pos, pts, h)
-        total = w.sum(axis=-1)
-        # sum_m w_m (p_m - t) / h^2 collapses to one matrix product
-        return ((w @ pts) / total[:, None] - pos) / (h * h)
+        a, _ = _half_sq_rows(pos / h)
+        _, means = _log_kernel_sums(a, b, values=pts)
+        return (means - pos) / (h * h)
 
     return _make_target(dim, batch_log_f, batch_grad, constraints=constraints)
 
@@ -92,31 +157,23 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
     if h.ndim <= 1:
         h = _as_bandwidth(bandwidth, dim)
         z = positions / h
-        sq = z @ z.T
-        sq *= 2.0
-        norms = (z * z).sum(axis=1)
-        sq -= norms[:, None]
-        sq -= norms[None, :]
-        sq *= 0.5
+        a, c = _half_sq_rows(z)
+        b = _half_sq_cols(z)
         log_h_sum = np.log(h).sum()
     else:
         if h.shape != (n, dim):
             raise ValueError(f"per-particle bandwidth must have shape {(n, dim)}")
         if np.any(h <= 0) or not np.all(np.isfinite(h)):
             raise ValueError("bandwidth components must be strictly positive")
-        # (theta_i - theta_m)^2 / h_i^2 expanded with row-wise scalings
+        # -sum_d (x_id - x_jd)^2 / (2 h_id^2): the row's own 1/h^2 scales
+        # both x_j and x_j^2, so the product has 2 dim coordinates
         inv2 = 1.0 / (h * h)
-        scaled = positions * inv2
-        sq = scaled @ positions.T
-        sq *= 2.0
-        sq -= (positions * scaled).sum(axis=1)[:, None]
-        sq -= inv2 @ (positions**2).T
-        sq *= 0.5
+        a = np.column_stack([positions * inv2, -0.5 * inv2])
+        b = np.ascontiguousarray(np.column_stack([positions, positions**2]).T)
+        c = -0.5 * (positions * positions * inv2).sum(axis=1)
         log_h_sum = np.log(h).sum(axis=1)
-    np.fill_diagonal(sq, -np.inf)
-    shift = sq.max(axis=-1)
-    s = np.exp(sq - shift[:, None]).sum(axis=-1)
-    return shift + np.log(s) - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
+    log_sums, _ = _log_kernel_sums(a, b, exclude_self=True)
+    return log_sums + c - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
 
 
 def silverman_bandwidth(ensemble: Ensemble | np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .core import (
     normalize_weights,
 )
 from .diagnostics import effective_sample_size, weighted_moments
-from .kde import kde_target, loo_log_density_all, silverman_bandwidth
+from .kde import _kth_neighbour_distance, kde_target, loo_log_density_all, silverman_bandwidth
 from .kernels import HmcConfig, KernelConfig, MhConfig, mutate_ensemble
 from .targets import (
     LogitData, _make_target, gaussian, geometric_bridge, nonlinear_logit_loglik, powered,
@@ -415,15 +415,8 @@ def _loo_engine_bandwidth(
         base = silverman_bandwidth(ensemble)
     except DegenerateEnsembleError:
         base = fallback
-    z = ensemble.positions / base
-    sq = z @ z.T
-    sq *= -2.0
-    norms = (z * z).sum(axis=1)
-    sq += norms[:, None]
-    sq += norms[None, :]
-    np.fill_diagonal(sq, np.inf)
     k = min(knn, ensemble.n_particles - 1)
-    kth = np.sqrt(np.maximum(np.partition(sq, k - 1, axis=1)[:, k - 1], 0.0))
+    kth = _kth_neighbour_distance(ensemble.positions, base, k)
     widen = np.maximum(1.0, kth / reach)
     return base[None, :] * widen[:, None]
 

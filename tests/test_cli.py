@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
+import hsmc
 from hsmc.cli import ConfigError, generate_data, main, parse_config, run
+
+SRC = str(Path(hsmc.__file__).resolve().parents[1])
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -62,6 +66,22 @@ def smiley_style_config(tmp_path, data_path, **overrides):
     }
     mapping.update(overrides)
     return write_config(tmp_path / "config.yaml", mapping)
+
+
+def cli_process(*args, **env):
+    """Run ``python -m hsmc.cli`` with this checkout's package and ``env`` overrides.
+
+    A None value removes the variable from the environment.
+    """
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for key, value in env.items():
+        environ.pop(key, None)
+        if value is not None:
+            environ[key] = value
+    return subprocess.run(
+        [sys.executable, "-m", "hsmc.cli", *map(str, args)], capture_output=True, env=environ
+    )
 
 
 def tiny_run_config(tmp_path, **overrides):
@@ -154,6 +174,22 @@ def strict_recipe(tmp_path):
     }
 
 
+def chain_recipe():
+    """A small hmc chain recipe on the two-dimensional rosenbrock target."""
+    return {
+        "algorithm": "hmc", "seed": 5, "output": "out", "iterations": 20,
+        "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+        "target": {"name": "rosenbrock"},
+    }
+
+
+def set_field(mapping, field, value):
+    *sections, key = field.split(".")
+    for section in sections:
+        mapping = mapping[section]
+    mapping[key] = value
+
+
 def assert_rejected_before_output(tmp_path, path, capsys, field):
     assert main(["run", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -173,13 +209,37 @@ class TestStrictInputs:
     ])
     def test_unknown_key_named(self, tmp_path, capsys, field):
         mapping = strict_recipe(tmp_path)
-        *sections, key = field.split(".")
-        holder = mapping
-        for section in sections:
-            holder = holder[section]
-        holder[key] = 5
+        set_field(mapping, field, 5)
         path = write_config(tmp_path / "c.yaml", mapping)
         assert_rejected_before_output(tmp_path, path, capsys, field)
+
+    @pytest.mark.parametrize("recipe, field, value", [
+        ("sequential", "seed", True),
+        ("sequential", "seed", 2.7),
+        ("sequential", "particles", 16.5),
+        ("sequential", "groups", True),
+        ("sequential", "kernel.leapfrog_steps", 2.7),
+        ("sequential", "sequence.block_size", 50.5),
+        ("sequential", "grid.resolution", 11.5),
+        ("sequential", "kernel.mass_diag", [1.0, 1.0, 1.0]),
+        ("chain", "seed", True),
+        ("chain", "iterations", 2.7),
+        ("chain", "iterations", True),
+        ("chain", "kernel.mass_diag", [1.0, 1.0, 1.0]),
+    ])
+    def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
+        mapping = strict_recipe(tmp_path) if recipe == "sequential" else chain_recipe()
+        set_field(mapping, field, value)
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert_rejected_before_output(tmp_path, path, capsys, field)
+
+    def test_integral_numbers_accepted(self, tmp_path):
+        mapping = chain_recipe()
+        mapping.update(seed=3.0, iterations=20.0)
+        mapping["kernel"]["mass_diag"] = 2.0
+        config = parse_config(write_config(tmp_path / "c.yaml", mapping))
+        assert (config.seed, config.iterations) == (3, 20)
+        assert type(config.seed) is int
 
     def test_record_all_must_be_boolean(self, tmp_path, capsys):
         mapping = strict_recipe(tmp_path)
@@ -266,6 +326,26 @@ class TestRunOutputs:
 
         run(replace(config, threads=4))
         assert (tmp_path / "out" / "particles.csv").read_bytes() == baseline
+
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        # 512 particles against 1000 points: a whole-array kernel sum of this
+        # size would be split across the BLAS thread pool
+        data_path = tmp_path / "smiley.csv"
+        generate_data("smiley", 1000, 2024, data_path)
+        path = smiley_style_config(
+            tmp_path, data_path, seed=2025, groups=2,
+            kernel={"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+            sequence={"kind": "kde-blocks", "data": str(data_path), "block_size": 500},
+        )
+        reports = []
+        for blas_threads, threads in (("1", 1), (None, 2)):
+            proc = cli_process(
+                "run", path, "--threads", threads, OPENBLAS_NUM_THREADS=blas_threads,
+                GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None, HSMC_THREADS=None,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            reports.append((tmp_path / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_env_var_overrides_threads(self, tmp_path, monkeypatch):
         path = tiny_run_config(tmp_path)
@@ -367,9 +447,6 @@ class TestRunOutputs:
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "d.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hsmc.cli", "gen-data", "dropwave", "16", "2", str(out)],
-            capture_output=True,
-        )
+        proc = cli_process("gen-data", "dropwave", 16, 2, out)
         assert proc.returncode == 0
         assert out.exists()

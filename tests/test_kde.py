@@ -1,20 +1,49 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import assert_gradient_matches
 
+from hsmc import kde
 from hsmc.core import BoxConstraints, DegenerateEnsembleError, make_ensemble
-from hsmc.kde import kde_target, loo_log_density_all, silverman_bandwidth
+from hsmc.kde import (
+    _BLOCK_TERMS,
+    _kth_neighbour_distance,
+    kde_target,
+    loo_log_density_all,
+    silverman_bandwidth,
+)
+
+
+def product_kernels(x, points, h):
+    """Product-kernel values at one position, straight from the differences."""
+    return np.prod(np.exp(-0.5 * ((x - points) / h) ** 2) / (np.sqrt(2 * np.pi) * h), axis=1)
 
 
 def gaussian_kernel_density(x, points, h):
-    """Brute-force product-kernel KDE, one kernel at a time."""
-    x = np.atleast_1d(x)
-    total = 0.0
-    for p in np.atleast_2d(points):
-        total += np.prod(np.exp(-0.5 * ((x - p) / h) ** 2) / (np.sqrt(2 * np.pi) * h))
-    return total / len(np.atleast_2d(points))
+    """Brute-force product-kernel KDE at one position."""
+    return product_kernels(np.atleast_1d(x), np.atleast_2d(points), h).mean()
+
+
+def gaussian_kernel_grad_log(x, points, h):
+    """Brute-force gradient of the log KDE: (kernel-weighted mean - x) / h^2."""
+    k = product_kernels(x, points, h)
+    return (k @ points / k.sum() - x) / h**2
+
+
+def loo_bruteforce(positions, h):
+    """Leave-one-out log-densities; ``h`` is shared (dim,) or per particle (n, dim)."""
+    h = np.broadcast_to(h, positions.shape)
+    return np.array([
+        np.log(product_kernels(x, np.delete(positions, i, axis=0), h[i]).mean())
+        for i, x in enumerate(positions)
+    ])
+
+
+# particles whose n x n kernel sum spans a full block of rows and a partial one
+N_SPLIT = math.isqrt(_BLOCK_TERMS) + 40
 
 
 class TestKdeTarget:
@@ -33,14 +62,27 @@ class TestKdeTarget:
         assert 100 ** (-1.0 / 5.0) == pytest.approx(0.39811, abs=1e-5)
 
     def test_matches_bruteforce_density(self, rng):
-        points = rng.standard_normal((40, 2))
         h = np.array([0.4, 0.8])
-        t = kde_target(points, h)
-        for _ in range(10):
-            x = rng.standard_normal(2)
-            assert t.log_f(x) == pytest.approx(
-                np.log(gaussian_kernel_density(x, points, h)), abs=1e-12
-            )
+        # (kernels, positions): one partial block; two full blocks and a
+        # partial one, at two kernel counts; a single kernel; more kernels
+        # than a block holds, so one row per block
+        cases = [(40, 10), (1, 7), (_BLOCK_TERMS + 3, 3)]
+        cases += [(m, 2 * (_BLOCK_TERMS // m) + 5) for m in (40, 3000)]
+        for m, n in cases:
+            points = rng.standard_normal((m, 2))
+            t = kde_target(points, h)
+            xs = rng.standard_normal((n, 2)) * 1.5
+            log_f = t.log_f(xs)
+            grad = t.grad_log_f(xs)
+            for x, value, g in zip(xs, log_f, grad):
+                assert value == pytest.approx(
+                    np.log(gaussian_kernel_density(x, points, h)), abs=1e-12
+                )
+                np.testing.assert_allclose(
+                    g, gaussian_kernel_grad_log(x, points, h), rtol=1e-10, atol=1e-10
+                )
+            # a single position evaluates as one row of the batch
+            assert t.log_f(xs[-1]) == pytest.approx(log_f[-1], abs=1e-13)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
@@ -78,20 +120,35 @@ class TestLeaveOneOut:
             -0.5 * np.log(2 * np.pi), abs=1e-14
         )
 
-    def test_matches_bruteforce_double_loop(self, rng):
+    def test_matches_bruteforce_double_loop(self, rng, monkeypatch):
+        shared = np.array([0.6, 0.9])
         positions = rng.standard_normal((50, 2))
-        h = np.array([0.6, 0.9])
-        for i in range(50):
-            total = 0.0
-            for m in range(50):
-                if m == i:
-                    continue
-                total += np.prod(
-                    np.exp(-0.5 * ((positions[i] - positions[m]) / h) ** 2)
-                    / (np.sqrt(2 * np.pi) * h)
-                )
-            expected = np.log(total / 49)
-            assert loo_log_density_all(positions, h)[i] == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_allclose(
+            loo_log_density_all(positions, shared), loo_bruteforce(positions, shared),
+            rtol=0, atol=1e-12,
+        )
+        # a full block and a partial one.  The rows on either side of the
+        # block edge coincide, so a self term left in (or a neighbour's
+        # dropped) would move both estimates.
+        n = N_SPLIT
+        edge = _BLOCK_TERMS // n
+        positions = rng.standard_normal((n, 2))
+        positions[edge] = positions[edge - 1]
+        per_particle = rng.uniform(0.3, 1.2, size=(n, 2))
+        for h in (shared, per_particle):
+            np.testing.assert_allclose(
+                loo_log_density_all(positions, h), loo_bruteforce(positions, h),
+                rtol=0, atol=1e-12,
+            )
+        # more particles than a block holds: one row per block, and the
+        # excluded term is the block's first column offset by its start
+        monkeypatch.setattr(kde, "_BLOCK_TERMS", 16)
+        positions = positions[:20]
+        for h in (shared, per_particle[:20]):
+            np.testing.assert_allclose(
+                loo_log_density_all(positions, h), loo_bruteforce(positions, h),
+                rtol=0, atol=1e-12,
+            )
 
     def test_equals_kde_over_other_particles(self, rng):
         positions = rng.standard_normal((20, 3))
@@ -115,6 +172,38 @@ class TestLeaveOneOut:
         t = kde_target(others, [0.8])
         val, _ = quad(lambda x: np.exp(t.log_f(np.array([x]))), -40, 40, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
+
+
+class TestKthNeighbourDistance:
+    @staticmethod
+    def full_matrix(positions, scale, k):
+        z = positions / scale
+        sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(sq, np.inf)
+        return np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
+
+    def test_matches_full_matrix_partition(self, rng, monkeypatch):
+        # a full block and a partial one; a pair coinciding across the block
+        # edge has a nearest neighbour at distance zero, never itself
+        n = N_SPLIT
+        edge = _BLOCK_TERMS // n
+        positions = rng.standard_normal((n, 2)) * [1.0, 3.0]
+        positions[edge] = positions[edge - 1]
+        scale = np.array([0.5, 1.5])
+        for k in (1, 7, n - 1):
+            np.testing.assert_allclose(
+                _kth_neighbour_distance(positions, scale, k),
+                self.full_matrix(positions, scale, k),
+                rtol=1e-10, atol=1e-7,
+            )
+        assert _kth_neighbour_distance(positions, scale, 1)[edge] < 1e-7
+        monkeypatch.setattr(kde, "_BLOCK_TERMS", 16)
+        for k in (1, 7, 19):
+            np.testing.assert_allclose(
+                _kth_neighbour_distance(positions[:20], scale, k),
+                self.full_matrix(positions[:20], scale, k),
+                rtol=1e-10, atol=1e-7,
+            )
 
 
 class TestSilvermanBandwidth:
