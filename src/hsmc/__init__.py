@@ -18,10 +18,8 @@ from .kernels import (
     MutationResult,
     StepOutcome,
     hmc_step,
-    leapfrog_proposal,
     mh_step,
     mutate_ensemble,
-    reflect_into_box,
 )
 from .smc import (
     InitialDistribution,

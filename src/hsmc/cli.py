@@ -150,8 +150,28 @@ def _as_int(value, field: str, minimum: int | None = None) -> int:
     return out
 
 
+def _as_seed(value) -> int:
+    seed = _as_int(value, "seed", minimum=0)
+    if seed >= 2**64:
+        raise ConfigError(f"seed: must be at most 2**64 - 1, got {seed}")
+    return seed
+
+
+def _as_float(value, field: str) -> float:
+    # float() would take YAML's `true` as 1.0
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+
+
 def _as_vector(value, field: str) -> np.ndarray:
     try:
+        # np.asarray would take YAML's `true` as 1.0
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise ValueError
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{field}: expected a list of numbers") from None
@@ -164,12 +184,17 @@ def _build_kernel(spec, context: str = "kernel.") -> HmcConfig | MhConfig:
     ktype = _tagged(spec, context, "type", KERNEL_KEYS)
     try:
         if ktype == "hmc":
+            mass = spec.get("mass_diag", 1.0)
+            mass_field = context + "mass_diag"
             return HmcConfig(
-                mass_diag=np.asarray(spec.get("mass_diag", 1.0), dtype=float),
+                mass_diag=_as_vector(mass, mass_field) if isinstance(mass, list)
+                else _as_float(mass, mass_field),
                 leapfrog_steps=_as_int(spec.get("leapfrog_steps", 20), context + "leapfrog_steps"),
-                step_size=float(spec.get("step_size", 0.05)),
+                step_size=_as_float(spec.get("step_size", 0.05), context + "step_size"),
             )
-        return MhConfig(proposal_scale=float(spec.get("proposal_scale", 1.0)))
+        return MhConfig(
+            proposal_scale=_as_float(spec.get("proposal_scale", 1.0), context + "proposal_scale")
+        )
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
@@ -195,7 +220,7 @@ def parse_config(path) -> RunConfig:
     algorithm = _require(raw, "algorithm", "")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm: unknown algorithm {algorithm!r}")
-    seed = _as_int(_require(raw, "seed", ""), "seed", minimum=0)
+    seed = _as_seed(_require(raw, "seed", ""))
     output = Path(_require(raw, "output", ""))
     if not output.is_absolute():
         output = base_dir / output
@@ -286,6 +311,13 @@ def _resolve_data_path(config: RunConfig, value, field: str) -> Path:
     return data_path
 
 
+def _read_logit_data(path: Path, field: str) -> LogitData:
+    try:
+        return LogitData.from_csv(path)
+    except ValueError as err:
+        raise ConfigError(f"{field}: {path}: {err}") from err
+
+
 def _build_target(config: RunConfig) -> TargetDensity:
     spec = config.target_spec
     name = _tagged(spec, "target.", "name", TARGET_KEYS)
@@ -303,7 +335,7 @@ def _build_target(config: RunConfig) -> TargetDensity:
         except ValueError as err:
             raise ConfigError(f"target.cov_diag: {err}") from err
     data_path = _resolve_data_path(config, _require(spec, "data", "target."), "target.data")
-    return nonlinear_logit_loglik(LogitData.from_csv(data_path))
+    return nonlinear_logit_loglik(_read_logit_data(data_path, "target.data"))
 
 
 def _build_initial(config: RunConfig) -> InitialDistribution:
@@ -351,7 +383,7 @@ def _build_sequence(config: RunConfig):
                 )
             return blockwise_sequence("kde", points, block_size, constraints, initial)
         if kind == "loglik-blocks":
-            data = LogitData.from_csv(data_path)
+            data = _read_logit_data(data_path, "sequence.data")
             return blockwise_sequence("loglik", data, block_size, initial=initial)
         field = "phis" if kind == "tempering" else "gammas"
         ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
@@ -409,6 +441,11 @@ def _grid_override(spec):
         return None, None, resolution
     lower = _as_vector(_require(spec, "lower", "grid."), "grid.lower")
     upper = _as_vector(_require(spec, "upper", "grid."), "grid.upper")
+    for field, bound in (("grid.lower", lower), ("grid.upper", upper)):
+        if bound.shape != (2,) or not np.all(np.isfinite(bound)):
+            raise ConfigError(f"{field}: expected 2 finite numbers, got {bound.tolist()}")
+    if not np.all(lower < upper):
+        raise ConfigError("grid.upper: every bound must lie above grid.lower")
     return lower, upper, resolution
 
 
@@ -499,18 +536,15 @@ def _run_sequential(config: RunConfig) -> int:
         resampling=config.resampling,
         n_threads=config.threads,
     )
-    result = run_smc(sequence, smc_config, RandomSource(config.seed), keep_history=True)
+    result = run_smc(sequence, smc_config, RandomSource(config.seed))
 
     particle_rows = []
     for j, group_history in enumerate(result.history):
-        recorded = enumerate(group_history) if config.record_all else [
-            (len(group_history) - 1, group_history[-1])
-        ]
-        for t, (ens, accepted) in recorded:
+        first = 0 if config.record_all else len(group_history) - 1
+        for t, (ens, accepted) in enumerate(group_history[first:], start=first):
             for pid in range(ens.n_particles):
                 particle_rows.append(
-                    (j, ens.iteration_index, pid, ens.positions[pid],
-                     ens.weights[pid], bool(accepted[pid]))
+                    (j, t, pid, ens.positions[pid], ens.weights[pid], bool(accepted[pid]))
                 )
     final_target = sequence.stages[-1]
     cloud = np.vstack([ens.positions for ens in result.ensembles])
@@ -546,8 +580,7 @@ def generate_data(kind: str, n: int, seed: int, out) -> int:
         raise ConfigError(f"kind: unknown dataset kind {kind!r}")
     if n < 1:
         raise ConfigError("n: must be at least 1")
-    if seed < 0:
-        raise ConfigError("seed: must be nonnegative")
+    seed = _as_seed(seed)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rng = RandomSource(seed)

@@ -1,10 +1,11 @@
-"""Shared value types: targets, particles, ensembles and reproducible randomness.
+"""Shared value types: targets, ensembles and reproducible randomness.
 
 Everything here is an immutable value that can safely be shared across
 threads.  Randomness is counter-based: a :class:`RandomSource` is a
-(seed, stream) pair, and deriving sub-streams per group / iteration /
+(seed, stream) pair, and deriving sub-streams per group / stage /
 particle makes parallel runs bit-reproducible regardless of execution
-order or thread count.
+order or thread count.  An :class:`Ensemble` holds positions and weights
+only; the stream keys of a stage travel as RandomSources, not inside it.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ class Ensemble:
 
     positions: np.ndarray
     weights: np.ndarray
-    iteration_index: int = 0
-    group_id: int = 0
 
     def __post_init__(self):
         positions = _readonly(np.atleast_2d(self.positions))
@@ -158,11 +157,7 @@ class Ensemble:
         return self.positions.shape[1]
 
 
-def make_ensemble(
-    draws: Sequence[np.ndarray] | np.ndarray,
-    iteration_index: int = 0,
-    group_id: int = 0,
-) -> Ensemble:
+def make_ensemble(draws: Sequence[np.ndarray] | np.ndarray) -> Ensemble:
     """Build an equally weighted ensemble from raw position draws.
 
     Raises ValueError when fewer than two draws are given or when the draws
@@ -177,8 +172,7 @@ def make_ensemble(
         positions = np.array(rows, dtype=float)
     if positions.shape[0] < 2:
         raise ValueError("need at least 2 draws to form an ensemble")
-    weights = np.ones(positions.shape[0])
-    return Ensemble(positions, weights, iteration_index=iteration_index, group_id=group_id)
+    return Ensemble(positions, np.ones(positions.shape[0]))
 
 
 def normalize_weights(weights: "Ensemble | np.ndarray") -> np.ndarray:

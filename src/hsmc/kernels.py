@@ -15,13 +15,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import (
-    MUTATION_STREAM,
-    Ensemble,
-    RandomSource,
-    TargetDensity,
-    as_generator,
-)
+from .core import Ensemble, RandomSource, TargetDensity, as_generator
 
 __all__ = [
     "HmcConfig",
@@ -30,8 +24,6 @@ __all__ = [
     "MutationResult",
     "mh_step",
     "hmc_step",
-    "leapfrog_proposal",
-    "reflect_into_box",
     "mutate_ensemble",
 ]
 
@@ -134,26 +126,6 @@ def _reflect_box(
     return q, p
 
 
-def reflect_into_box(
-    position_d: float, momentum_d: float, lower_d: float, upper_d: float
-) -> tuple[float, float]:
-    """Reflect one coordinate into [lower_d, upper_d].
-
-    Equivalent to repeating the two wall folds until the coordinate
-    satisfies both bounds; each fold flips the momentum sign, so
-    |momentum| is preserved exactly.
-    """
-    if not (np.isfinite(position_d) and np.isfinite(momentum_d)):
-        raise ValueError("position and momentum must be finite")
-    if not lower_d < upper_d:
-        raise ValueError("lower bound must be strictly below upper bound")
-    q, p = _reflect_box(
-        np.array([position_d]), np.array([momentum_d]),
-        np.array([lower_d]), np.array([upper_d]),
-    )
-    return float(q[0]), float(p[0])
-
-
 def _mh_batch(target, positions, noise, log_u, scale):
     """Vectorized symmetric random-walk step; returns (new_q, accepted, log_a)."""
     lf0 = np.atleast_1d(target.log_f(positions))
@@ -168,7 +140,7 @@ def _mh_batch(target, positions, noise, log_u, scale):
 
 
 def _leapfrog_batch(target, positions, momenta, config: HmcConfig):
-    """L leapfrog steps followed by momentum negation (the proposal map)."""
+    """L leapfrog steps, then momentum negation: the proposal map, its own inverse."""
     mass = config.mass_for(positions.shape[1])
     eps = config.step_size
     box = target.constraints
@@ -185,24 +157,6 @@ def _leapfrog_batch(target, positions, momenta, config: HmcConfig):
             p = p + eps * np.asarray(target.grad_log_f(q))
     p = p + 0.5 * eps * np.asarray(target.grad_log_f(q))
     return q, -p
-
-
-def leapfrog_proposal(
-    target: TargetDensity, position: np.ndarray, momentum: np.ndarray, config: HmcConfig
-):
-    """The deterministic trajectory map (position, momentum) -> proposal.
-
-    Ends with the momentum negated, which makes the map its own inverse:
-    applying it twice returns to the starting phase point.  Accepts single
-    phase points or batches.
-    """
-    position = np.asarray(position, dtype=float)
-    momentum = np.asarray(momentum, dtype=float)
-    single = position.ndim == 1
-    q, p = _leapfrog_batch(
-        target, np.atleast_2d(position), np.atleast_2d(momentum), config
-    )
-    return (q[0], p[0]) if single else (q, p)
 
 
 def _hmc_batch(target, positions, momenta, log_u, config: HmcConfig):
@@ -285,22 +239,20 @@ def mutate_ensemble(
 ) -> MutationResult:
     """Advance every particle by ``steps`` kernel steps.
 
-    Each particle consumes its own stream derived from
-    (rng, MUTATION_STREAM, iteration, particle index), so the result does
-    not depend on execution order and matches stepping particles one by
-    one with the same streams.  Weights are untouched; per-particle
-    failures (zero density, divergent trajectories) reject the proposal
-    instead of aborting the ensemble.
+    ``rng`` is the stage's mutation source; the SMC engine passes
+    (seed, group, MUTATION_STREAM, stage).  Particle i consumes its own
+    stream ``rng.derive(i)``, so the result does not depend on execution
+    order and matches stepping particles one by one with the same
+    streams.  Weights are untouched; per-particle failures (zero density,
+    divergent trajectories) reject the proposal instead of aborting the
+    ensemble.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if not isinstance(rng, RandomSource):
         raise TypeError("mutate_ensemble needs a RandomSource to derive particle streams")
     n, dim = ensemble.n_particles, ensemble.dim
-    gens = [
-        rng.derive(MUTATION_STREAM, ensemble.iteration_index, idx).generator()
-        for idx in range(n)
-    ]
+    gens = [rng.derive(idx).generator() for idx in range(n)]
 
     positions = ensemble.positions.copy()
     acceptance_count = 0
@@ -321,10 +273,4 @@ def mutate_ensemble(
             raise TypeError("kernel must be an HmcConfig or MhConfig")
         acceptance_count += int(accepted.sum())
 
-    mutated = Ensemble(
-        positions,
-        ensemble.weights,
-        iteration_index=ensemble.iteration_index,
-        group_id=ensemble.group_id,
-    )
-    return MutationResult(mutated, acceptance_count, accepted)
+    return MutationResult(Ensemble(positions, ensemble.weights), acceptance_count, accepted)

@@ -1,24 +1,32 @@
 """Sequential Monte Carlo engines.
 
 A run walks an ensemble through a sequence of targets f_1 ... f_T by
-repeating correction (importance reweighting), selection (resampling
-with replacement) and mutation (MCMC moves under the current target).
-Two weight rules are supported: the classic ratio f_t / f_{t-1} and the
+repeating, at every stage, correction (importance reweighting),
+selection (resampling with replacement) and mutation (MCMC moves under
+the current target).  Every stage resamples, so each correction starts
+from an unweighted cloud, as the leave-one-out weights assume.  Two
+weight rules are supported: the classic ratio f_t / f_{t-1} and the
 kernel variant f_t / f-hat_{t-1}, where f-hat is a leave-one-out KDE of
 the current particle cloud.  Independent particle groups can run in
 parallel and are compared afterwards as a convergence check.
+
+Stage t of group j draws its selection from the stream
+(seed, j, SELECTION_STREAM, t) and its mutation of particle i from
+(seed, j, MUTATION_STREAM, t, i); the initial draws come from
+(seed, j, INIT_STREAM, 0).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     INIT_STREAM,
+    MUTATION_STREAM,
     SELECTION_STREAM,
     BoxConstraints,
     DegenerateEnsembleError,
@@ -134,7 +142,6 @@ class SmcConfig:
     mutation_steps: int = 1
     weight_mode: str = "theoretical_ratio"
     resampling: str = "multinomial"
-    ess_threshold: float | None = None
     n_threads: int = 1
 
     def __post_init__(self):
@@ -150,14 +157,6 @@ class SmcConfig:
             raise ValueError(f"resampling must be one of {RESAMPLING_SCHEMES}")
         if not isinstance(self.mutation, (HmcConfig, MhConfig)):
             raise ValueError("mutation must be an HmcConfig or MhConfig")
-        if self.ess_threshold is not None:
-            if not 0.0 < self.ess_threshold <= 1.0:
-                raise ValueError("ess_threshold must lie in (0, 1]")
-            if self.weight_mode == "loo_kde_ratio":
-                raise ValueError(
-                    "the leave-one-out weight rule assumes an unweighted cloud; "
-                    "resampling cannot be skipped"
-                )
         if int(self.n_threads) < 1:
             raise ValueError("n_threads must be at least 1")
 
@@ -211,15 +210,19 @@ class RunReport:
 
 @dataclass(frozen=True)
 class SmcRun:
-    """Result of a run: final ensembles per group, report, optional history.
+    """Result of a run: the report and every stage's ensemble per group.
 
-    ``history[j]`` lists (ensemble, accepted flags) per recorded iteration
-    of group j, starting with the initial draws (flags all True there).
+    ``history[j][t]`` is (ensemble, accepted flags) of group j after stage
+    t; ``history[j][0]`` holds the initial draws, with all flags True.
     """
 
-    ensembles: tuple[Ensemble, ...]
     report: RunReport
-    history: tuple[tuple[tuple[Ensemble, np.ndarray], ...], ...] | None = None
+    history: tuple[tuple[tuple[Ensemble, np.ndarray], ...], ...]
+
+    @property
+    def ensembles(self) -> tuple[Ensemble, ...]:
+        """The final ensemble of each group."""
+        return tuple(group[-1][0] for group in self.history)
 
 
 def blockwise_sequence(
@@ -347,8 +350,8 @@ def correction_weights(
 def resample(
     ensemble: Ensemble,
     weights,
-    scheme: str = "multinomial",
-    rng: RandomSource | np.random.Generator | None = None,
+    scheme: str,
+    rng: RandomSource | np.random.Generator,
 ) -> Ensemble:
     """Draw N particles with replacement; the new particles get weight 1.
 
@@ -357,8 +360,6 @@ def resample(
     """
     if scheme not in RESAMPLING_SCHEMES:
         raise ValueError(f"scheme must be one of {RESAMPLING_SCHEMES}")
-    if rng is None:
-        raise ValueError("resampling needs a random source")
     gen = as_generator(rng)
     probs = normalize_weights(np.asarray(weights, dtype=float))
     n = ensemble.n_particles
@@ -371,12 +372,7 @@ def resample(
     else:
         u = (gen.uniform() + np.arange(n)) / n
     idx = np.searchsorted(cum, u, side="left")
-    return Ensemble(
-        ensemble.positions[idx],
-        np.ones(n),
-        iteration_index=ensemble.iteration_index,
-        group_id=ensemble.group_id,
-    )
+    return Ensemble(ensemble.positions[idx], np.ones(n))
 
 
 def _truncate_weights(w: np.ndarray, n: int) -> np.ndarray:
@@ -421,33 +417,23 @@ def _loo_engine_bandwidth(
     return base[None, :] * widen[:, None]
 
 
-def _run_group(
-    group: int,
-    sequence: TargetSequence,
-    config: SmcConfig,
-    rng: RandomSource,
-    keep_history: bool,
-):
+def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource):
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
-    draws = sequence.initial.sample(config.n_particles, gen_init)
-    ens = make_ensemble(draws, iteration_index=0, group_id=group)
+    ens = make_ensemble(sequence.initial.sample(config.n_particles, gen_init))
     bandwidth_fallback = None
     if config.weight_mode == "loo_kde_ratio":
         bandwidth_fallback = silverman_bandwidth(ens)
 
     rows = []
-    history = [(ens, np.ones(config.n_particles, dtype=bool))] if keep_history else None
+    history = [(ens, np.ones(config.n_particles, dtype=bool))]
     f_prev = sequence.initial.density
     for t, f_t in enumerate(sequence.stages, start=1):
         try:
             loo_bw = None
             if bandwidth_fallback is not None:
                 loo_bw = _loo_engine_bandwidth(ens, bandwidth_fallback)
-            # weights carried over skipped resampling steps multiply on top
-            w = ens.weights * correction_weights(
-                ens, f_t, f_prev, config.weight_mode, loo_bandwidth=loo_bw
-            )
+            w = correction_weights(ens, f_t, f_prev, config.weight_mode, loo_bandwidth=loo_bw)
             if config.weight_mode == "loo_kde_ratio":
                 w = _truncate_weights(w, config.n_particles)
             probs = normalize_weights(w)
@@ -455,18 +441,11 @@ def _run_group(
             raise DegenerateWeightsError(
                 f"degenerate weights at stage {t} of group {group}: {err}", stage=t
             ) from err
-        ess = effective_sample_size(w)
-        if config.ess_threshold is None or ess < config.ess_threshold * config.n_particles:
-            ens = resample(
-                ens, w, config.resampling, group_rng.derive(SELECTION_STREAM, t).generator()
-            )
-        else:
-            # carry the weights; the next correction multiplies on top
-            ens = Ensemble(ens.positions, w, iteration_index=ens.iteration_index,
-                           group_id=group)
-        ens = replace(ens, iteration_index=t)
+        selection = group_rng.derive(SELECTION_STREAM, t).generator()
+        ens = resample(ens, w, config.resampling, selection)
         ens, accepted_count, accepted = mutate_ensemble(
-            f_t, ens, config.mutation, config.mutation_steps, group_rng
+            f_t, ens, config.mutation, config.mutation_steps,
+            group_rng.derive(MUTATION_STREAM, t),
         )
         moments = weighted_moments(ens)
         rows.append(
@@ -474,30 +453,25 @@ def _run_group(
                 group=group,
                 iteration=t,
                 acceptance_count=accepted_count,
-                ess=ess,
+                ess=effective_sample_size(w),
                 weight_min=float(probs.min()),
                 weight_max=float(probs.max()),
                 mean=moments.mean,
                 cov_diag=moments.covariance_diag,
             )
         )
-        if keep_history:
-            history.append((ens, accepted))
+        history.append((ens, accepted))
         f_prev = f_t
-    return ens, rows, tuple(history) if keep_history else None
+    return rows, tuple(history)
 
 
-def run_smc(
-    sequence: TargetSequence,
-    config: SmcConfig,
-    rng: RandomSource,
-    keep_history: bool = False,
-) -> SmcRun:
+def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> SmcRun:
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
     derived random stream; with ``n_threads > 1`` groups execute in
-    parallel, with results bit-identical to the sequential run.  Raises
+    parallel, with results bit-identical to the sequential run.  The
+    returned history keeps every stage's ensemble.  Raises
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.
     """
@@ -509,23 +483,17 @@ def run_smc(
     groups = list(range(config.n_groups))
     if config.n_threads > 1:
         with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            results = list(
-                pool.map(
-                    lambda j: _run_group(j, sequence, config, rng, keep_history), groups
-                )
-            )
+            results = list(pool.map(lambda j: _run_group(j, sequence, config, rng), groups))
     else:
-        results = [_run_group(j, sequence, config, rng, keep_history) for j in groups]
+        results = [_run_group(j, sequence, config, rng) for j in groups]
 
     report = RunReport(
         n_particles=config.n_particles,
         n_groups=config.n_groups,
         n_iterations=sequence.n_stages,
-        rows=tuple(row for _, rows, _ in results for row in rows),
+        rows=tuple(row for rows, _ in results for row in rows),
     )
-    ensembles = tuple(ens for ens, _, _ in results)
-    history = tuple(h for _, _, h in results) if keep_history else None
-    return SmcRun(ensembles=ensembles, report=report, history=history)
+    return SmcRun(report=report, history=tuple(h for _, h in results))
 
 
 def compare_groups(report: RunReport) -> float:

@@ -9,20 +9,18 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import assert_gradient_matches
+from conftest import assert_gradient_matches, leapfrog_proposal, reflect_into_box
 
 import hsmc
-from hsmc.core import RandomSource, make_ensemble
+from hsmc.core import MUTATION_STREAM, RandomSource, make_ensemble
 from hsmc.diagnostics import effective_sample_size, mode_mass
 from hsmc.kde import loo_log_density_all, silverman_bandwidth
 from hsmc.kernels import (
     HmcConfig,
     MhConfig,
     hmc_step,
-    leapfrog_proposal,
     mh_step,
     mutate_ensemble,
-    reflect_into_box,
 )
 from hsmc.smc import (
     SmcConfig,
@@ -207,7 +205,7 @@ def test_criterion_5_dropwave_constrained_hsmc():
         mutation_steps=1,
         weight_mode="loo_kde_ratio",
     )
-    result = run_smc(seq, cfg, RandomSource(32), keep_history=True)
+    result = run_smc(seq, cfg, RandomSource(32))
 
     # initialization draws come from the wide f_0 by design; every particle
     # the constrained sampler itself produces (t >= 1) must be in the box
@@ -326,8 +324,7 @@ def test_criterion_7_property_suite():
     root = RandomSource(55)
     samples = []
     for t in range(1100):
-        ens = make_ensemble(ens.positions, iteration_index=t)
-        ens, _, _ = mutate_ensemble(normal, ens, ks_cfg, 1, root)
+        ens, _, _ = mutate_ensemble(normal, ens, ks_cfg, 1, root.derive(MUTATION_STREAM, t))
         if t >= 100:
             samples.append(ens.positions[:, 0])
     pooled = np.concatenate(samples)

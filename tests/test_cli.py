@@ -174,11 +174,13 @@ def strict_recipe(tmp_path):
     }
 
 
-def chain_recipe():
-    """A small hmc chain recipe on the two-dimensional rosenbrock target."""
+def chain_recipe(algorithm="hmc"):
+    """A small hmc or mh chain recipe on the two-dimensional rosenbrock target."""
+    kernels = {"hmc": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+               "mh": {"type": "mh", "proposal_scale": 0.2}}
     return {
-        "algorithm": "hmc", "seed": 5, "output": "out", "iterations": 20,
-        "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+        "algorithm": algorithm, "seed": 5, "output": "out", "iterations": 20,
+        "kernel": kernels[algorithm],
         "target": {"name": "rosenbrock"},
     }
 
@@ -226,12 +228,56 @@ class TestStrictInputs:
         ("chain", "iterations", 2.7),
         ("chain", "iterations", True),
         ("chain", "kernel.mass_diag", [1.0, 1.0, 1.0]),
+        ("sequential", "kernel.step_size", True),
+        ("sequential", "kernel.step_size", "abc"),
+        ("sequential", "kernel.mass_diag", [True, 1.0]),
+        ("chain", "kernel.mass_diag", True),
+        ("chain", "start", [True, 0.0]),
+        ("mh-chain", "kernel.proposal_scale", True),
+        ("mh-chain", "kernel.proposal_scale", "abc"),
+        ("sequential", "seed", 2**64),
+        ("chain", "seed", 2**64 + 5),
     ])
     def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
-        mapping = strict_recipe(tmp_path) if recipe == "sequential" else chain_recipe()
+        if recipe == "sequential":
+            mapping = strict_recipe(tmp_path)
+        else:
+            mapping = chain_recipe("mh" if recipe == "mh-chain" else "hmc")
         set_field(mapping, field, value)
         path = write_config(tmp_path / "c.yaml", mapping)
         assert_rejected_before_output(tmp_path, path, capsys, field)
+
+    @pytest.mark.parametrize("lower, upper, field", [
+        ([0.0], [1.0], "grid.lower"),
+        ([-4.0, -2.0], [4.0], "grid.upper"),
+        ([-4.0, -2.0, 0.0], [4.0, 8.0, 1.0], "grid.lower"),
+        ([4.0, -2.0], [-4.0, 8.0], "grid.upper"),
+        ([-4.0, 8.0], [4.0, 8.0], "grid.upper"),
+        ([-np.inf, -2.0], [4.0, 8.0], "grid.lower"),
+    ])
+    def test_bad_grid_bounds_named(self, tmp_path, capsys, lower, upper, field):
+        mapping = chain_recipe()
+        mapping["grid"] = {"lower": lower, "upper": upper}
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert_rejected_before_output(tmp_path, path, capsys, field)
+
+    @pytest.mark.parametrize("section", ["target", "sequence"])
+    def test_bad_logit_data_named(self, tmp_path, capsys, section):
+        data_path = tmp_path / "logit.csv"
+        data_path.write_text("x,choice\n1.5,1\n2.5,7\n")
+        if section == "target":
+            mapping = chain_recipe()
+            mapping["target"] = {"name": "logit", "data": str(data_path)}
+        else:
+            mapping = {
+                "algorithm": "smc", "seed": 1, "output": "out", "particles": 16,
+                "kernel": {"type": "mh", "proposal_scale": 0.2},
+                "initial": {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
+                "sequence": {"kind": "loglik-blocks", "data": str(data_path),
+                             "block_size": 1},
+            }
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert_rejected_before_output(tmp_path, path, capsys, f"{section}.data")
 
     def test_integral_numbers_accepted(self, tmp_path):
         mapping = chain_recipe()
@@ -301,6 +347,12 @@ class TestGenerateData:
         assert main(["gen-data", "smiley", "32", "5", str(out)]) == 0
         assert out.exists()
         assert main(["gen-data", "smiley", "0", "5", str(out)]) == 1
+
+    def test_seed_beyond_64_bits_rejected(self, tmp_path, capsys):
+        out = tmp_path / "data" / "x.csv"
+        assert main(["gen-data", "smiley", "10", str(2**64), str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestRunOutputs:

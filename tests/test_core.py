@@ -19,13 +19,11 @@ class TestMakeEnsemble:
         assert ens.n_particles == 2
         assert ens.dim == 2
         assert np.all(ens.weights == 1.0)
-        assert ens.iteration_index == 0
 
     def test_many_gaussian_draws(self, rng):
         draws = rng.standard_normal((512, 2))
         ens = make_ensemble(draws)
         assert ens.n_particles == 512
-        assert ens.iteration_index == 0
         assert np.all(ens.weights == 1.0)
 
     def test_mismatched_dimensions(self):

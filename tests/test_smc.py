@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hsmc.core import (
+    MUTATION_STREAM,
+    SELECTION_STREAM,
     BoxConstraints,
     DegenerateWeightsError,
     Ensemble,
@@ -9,7 +11,7 @@ from hsmc.core import (
     make_ensemble,
 )
 from hsmc.diagnostics import weighted_moments
-from hsmc.kernels import HmcConfig, MhConfig
+from hsmc.kernels import HmcConfig, MhConfig, mutate_ensemble
 from hsmc.smc import (
     IterationRecord,
     RunReport,
@@ -277,8 +279,6 @@ class TestRunSmc:
         pre_selection_mean = weighted_moments(weighted).mean[0]
         selected = resample(ens, w, "multinomial", RandomSource(6))
         post_selection_mean = selected.positions.mean()
-        from hsmc.kernels import mutate_ensemble
-
         mutated, _, _ = mutate_ensemble(f1, selected, MhConfig(1.0), 2, RandomSource(7))
         post_mutation_mean = mutated.positions.mean()
         se = 5.0 / np.sqrt(n)
@@ -315,7 +315,7 @@ class TestRunSmc:
                                  initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
         cfg = SmcConfig(n_particles=16, n_groups=3, mutation=MhConfig(0.5),
                         weight_mode="theoretical_ratio")
-        result = run_smc(seq, cfg, RandomSource(21), keep_history=True)
+        result = run_smc(seq, cfg, RandomSource(21))
         assert len(result.report.rows) == 3 * 3
         for row in result.report.rows:
             assert 1.0 <= row.ess <= 16.0
@@ -329,18 +329,31 @@ class TestRunSmc:
         with pytest.raises(ValueError, match="initial"):
             run_smc(seq, cfg, RandomSource(0))
 
-    def test_ess_threshold_skips_resampling(self):
-        # with the threshold at its minimum the no-op sequence never resamples
-        seq = TargetSequence((_noop_sequence().stages[0],), _noop_sequence().initial)
-        cfg = SmcConfig(n_particles=256, mutation=MhConfig(1.0),
-                        weight_mode="theoretical_ratio", ess_threshold=0.01)
-        result = run_smc(seq, cfg, RandomSource(13))
-        assert result.report.rows[0].ess == pytest.approx(256.0)
-
-    def test_loo_mode_forbids_ess_threshold(self):
-        with pytest.raises(ValueError):
-            SmcConfig(n_particles=8, mutation=MhConfig(1.0),
-                      weight_mode="loo_kde_ratio", ess_threshold=0.5)
+    def test_stages_replay_from_the_documented_streams(self, rng):
+        # stage t of group j: correction from history[j][t-1], selection on
+        # (seed, j, SELECTION_STREAM, t), mutation on (seed, j, MUTATION_STREAM, t)
+        points = rng.standard_normal((60, 2))
+        seq = blockwise_sequence("kde", points, 30,
+                                 initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
+        cfg = SmcConfig(n_particles=16, n_groups=2, mutation=HmcConfig(1.0, 5, 0.1),
+                        weight_mode="theoretical_ratio")
+        root = RandomSource(17)
+        result = run_smc(seq, cfg, root)
+        assert [len(h) for h in result.history] == [3, 3]
+        for j in range(2):
+            history = result.history[j]
+            for t in (1, 2):
+                f_prev = seq.initial.density if t == 1 else seq.stages[t - 2]
+                w = correction_weights(history[t - 1][0], seq.stages[t - 1], f_prev)
+                selected = resample(history[t - 1][0], w, "multinomial",
+                                    root.derive(j, SELECTION_STREAM, t))
+                mutated, _, accepted = mutate_ensemble(
+                    seq.stages[t - 1], selected, cfg.mutation, 1,
+                    root.derive(j, MUTATION_STREAM, t),
+                )
+                np.testing.assert_array_equal(mutated.positions, history[t][0].positions)
+                np.testing.assert_array_equal(accepted, history[t][1])
+            assert result.ensembles[j] is history[-1][0]
 
 
 def _report_from_group_stats(stats, n_particles):
