@@ -7,7 +7,6 @@ from .core import (
     Ensemble,
     RandomSource,
     TargetDensity,
-    make_ensemble,
     normalize_weights,
 )
 from .diagnostics import MomentSummary, effective_sample_size, mode_mass, weighted_moments

@@ -55,16 +55,15 @@ from .targets import (
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "generate_data", "main"]
 
-ALGORITHMS = ("mh", "hmc", "smc", "hsmc")
 DATA_KINDS = ("smiley", "dropwave", "logit")
 GRID_RESOLUTION = 101
 
-# fields each recipe mapping may hold, per value of its type/name/kind tag
-TOP_LEVEL_KEYS = (
-    "algorithm", "seed", "output", "kernel", "threads", "record_all", "resampling",
-    "target", "sequence", "initial", "grid", "iterations", "groups", "start",
-    "particles", "mutation_steps",
-)
+# fields each recipe mapping may hold, per value of its algorithm/type/name/kind tag
+_RUN_KEYS = ("seed", "output", "kernel", "threads", "record_all", "grid", "target", "groups")
+_CHAIN_KEYS = _RUN_KEYS + ("iterations", "start")
+_SEQUENTIAL_KEYS = _RUN_KEYS + ("sequence", "initial", "particles", "mutation_steps")
+TOP_LEVEL_KEYS = {"mh": _CHAIN_KEYS, "hmc": _CHAIN_KEYS,
+                  "smc": _SEQUENTIAL_KEYS, "hsmc": _SEQUENTIAL_KEYS}
 KERNEL_KEYS = {"hmc": ("mass_diag", "leapfrog_steps", "step_size"), "mh": ("proposal_scale",)}
 TARGET_KEYS = {"rosenbrock": (), "smiley": (), "dropwave": (),
                "gaussian": ("mean", "cov_diag"), "logit": ("data",)}
@@ -93,7 +92,6 @@ class RunConfig:
     n_groups: int = 1
     mutation_steps: int = 1
     iterations: int = 0
-    resampling: str = "multinomial"
     threads: int = 1
     record_all: bool = False
     start: tuple[float, ...] | None = None
@@ -214,12 +212,9 @@ def parse_config(path) -> RunConfig:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a mapping at the top level")
-    _check_keys(raw, TOP_LEVEL_KEYS, "")
+    algorithm = _tagged(raw, "", "algorithm", TOP_LEVEL_KEYS)
     base_dir = path.parent
 
-    algorithm = _require(raw, "algorithm", "")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm: unknown algorithm {algorithm!r}")
     seed = _as_seed(_require(raw, "seed", ""))
     output = Path(_require(raw, "output", ""))
     if not output.is_absolute():
@@ -230,9 +225,6 @@ def parse_config(path) -> RunConfig:
     record_all = raw.get("record_all", False)
     if not isinstance(record_all, bool):
         raise ConfigError(f"record_all: expected true or false, got {record_all!r}")
-    resampling = raw.get("resampling", "multinomial")
-    if resampling not in ("multinomial", "systematic"):
-        raise ConfigError(f"resampling: unknown scheme {resampling!r}")
 
     target_spec = raw.get("target")
     sequence_spec = raw.get("sequence")
@@ -248,7 +240,7 @@ def parse_config(path) -> RunConfig:
         n_particles = 0
         mutation_steps = 1
         start = raw.get("start")
-        start = tuple(float(v) for v in _as_vector(start, "start")) if start is not None else None
+        start = _as_vector(start, "start") if start is not None else None
         if isinstance(kernel, MhConfig) and algorithm == "hmc":
             raise ConfigError("kernel.type: hmc runs need an hmc kernel")
         if isinstance(kernel, HmcConfig) and algorithm == "mh":
@@ -259,7 +251,6 @@ def parse_config(path) -> RunConfig:
         if initial_spec is None:
             raise ConfigError("initial: required for smc/hsmc runs")
         iterations = 0
-        start = None
         n_particles = _as_int(_require(raw, "particles", ""), "particles", minimum=2)
         n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
         mutation_steps = _as_int(raw.get("mutation_steps", 1), "mutation_steps", minimum=1)
@@ -274,31 +265,33 @@ def parse_config(path) -> RunConfig:
         n_groups=n_groups,
         mutation_steps=mutation_steps,
         iterations=iterations,
-        resampling=resampling,
         threads=threads,
         record_all=record_all,
-        start=start,
         target_spec=target_spec,
         sequence_spec=sequence_spec,
         initial_spec=initial_spec,
         grid_spec=grid_spec,
     )
-    # fail fast on malformed specs, missing data files and a mass that does
-    # not fit the dimension of what the run samples
-    dim = None
-    if target_spec is not None:
-        dim = _build_target(config).dim
-    if sequence_spec is not None:
-        sequence = _build_sequence(config)
-        if algorithm in ("smc", "hsmc"):
-            dim = sequence.dim
-    elif initial_spec is not None:
-        _build_initial(config)
+    # fail fast on malformed specs, missing data files, and a mass, start or
+    # grid that does not fit what the run samples
+    if algorithm in ("mh", "hmc"):
+        target = _build_target(config)
+        dim = target.dim
+        start = np.zeros(dim) if start is None else start
+        if start.shape != (dim,):
+            raise ConfigError(f"start: expected {dim} coordinates")
+        if not np.isfinite(target.log_f(start)):
+            raise ConfigError("start: zero density at the starting position")
+        config = replace(config, start=tuple(float(v) for v in start))
+    else:
+        dim = _build_sequence(config).dim
     if isinstance(kernel, HmcConfig):
         try:
             kernel.mass_for(dim)
         except ValueError as err:
             raise ConfigError(f"kernel.{err}") from err
+    if grid_spec is not None and dim != 2:
+        raise ConfigError(f"grid: grid.csv is written for 2-dim targets only, not {dim}-dim")
     return config
 
 
@@ -366,6 +359,8 @@ def _build_sequence(config: RunConfig):
     initial = _build_initial(config)
     try:
         if kind in ("kde-blocks", "loglik-blocks"):
+            if config.target_spec is not None:
+                raise ConfigError(f"target: not read by {kind} sequences")
             data = _require(spec, "data", "sequence.")
             data_path = _resolve_data_path(config, data, "sequence.data")
             block_size = _require(spec, "block_size", "sequence.")
@@ -409,11 +404,11 @@ def _write_particles(path: Path, dim: int, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for group, iteration, pid, coords, weight, accepted in rows:
+        # sequential rows are recorded after selection and chain states
+        # count once each, so every weight is 1
+        for group, iteration, pid, coords, accepted in rows:
             writer.writerow(
-                [group, iteration, pid]
-                + [_float_repr(c) for c in coords]
-                + [_float_repr(weight), int(accepted)]
+                [group, iteration, pid] + [_float_repr(c) for c in coords] + ["1.0", int(accepted)]
             )
 
 
@@ -473,11 +468,7 @@ def _report_jsonable(config: RunConfig, report: RunReport) -> dict:
 
 def _run_mcmc(config: RunConfig) -> int:
     target = _build_target(config)
-    start = np.array(config.start if config.start is not None else np.zeros(target.dim))
-    if start.shape != (target.dim,):
-        raise ConfigError(f"start: expected {target.dim} coordinates")
-    if not np.isfinite(target.log_f(start)):
-        raise ConfigError("start: zero density at the starting position")
+    start = np.array(config.start)
     step = hmc_step if config.algorithm == "hmc" else mh_step
     root = RandomSource(config.seed)
 
@@ -501,7 +492,7 @@ def _run_mcmc(config: RunConfig) -> int:
         mean = samples.mean(axis=0)
         cov = samples.var(axis=0)
         for i, (p, a) in enumerate(zip(samples, accepted_flags)):
-            particle_rows.append((j, i, 0, p, 1.0, a))
+            particle_rows.append((j, i, 0, p, a))
         report_rows.append(
             IterationRecord(
                 group=j,
@@ -533,7 +524,6 @@ def _run_sequential(config: RunConfig) -> int:
         n_groups=config.n_groups,
         mutation_steps=config.mutation_steps,
         weight_mode=config.weight_mode,
-        resampling=config.resampling,
         n_threads=config.threads,
     )
     result = run_smc(sequence, smc_config, RandomSource(config.seed))
@@ -543,9 +533,7 @@ def _run_sequential(config: RunConfig) -> int:
         first = 0 if config.record_all else len(group_history) - 1
         for t, (ens, accepted) in enumerate(group_history[first:], start=first):
             for pid in range(ens.n_particles):
-                particle_rows.append(
-                    (j, t, pid, ens.positions[pid], ens.weights[pid], bool(accepted[pid]))
-                )
+                particle_rows.append((j, t, pid, ens.positions[pid], bool(accepted[pid])))
     final_target = sequence.stages[-1]
     cloud = np.vstack([ens.positions for ens in result.ensembles])
     _write_outputs(config, final_target, particle_rows, result.report, cloud)

@@ -4,14 +4,15 @@ Everything here is an immutable value that can safely be shared across
 threads.  Randomness is counter-based: a :class:`RandomSource` is a
 (seed, stream) pair, and deriving sub-streams per group / stage /
 particle makes parallel runs bit-reproducible regardless of execution
-order or thread count.  An :class:`Ensemble` holds positions and weights
-only; the stream keys of a stage travel as RandomSources, not inside it.
+order or thread count.  An :class:`Ensemble` holds positions only: every
+stage resamples, which leaves all particles equally weighted, and the
+stream keys of a stage travel as RandomSources, not inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "RandomSource",
     "TargetDensity",
     "as_generator",
-    "make_ensemble",
     "normalize_weights",
     "INIT_STREAM",
     "SELECTION_STREAM",
@@ -123,30 +123,22 @@ class TargetDensity:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A set of N particles sharing one dimension.
+    """A set of N equally weighted particles sharing one dimension.
 
-    Stored columnar: ``positions`` is ``(n, dim)`` and ``weights`` is
-    ``(n,)``.  After every selection phase all weights equal 1.
+    ``positions`` is ``(n, dim)``; a list of ``n`` rows is accepted too.
     """
 
     positions: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         positions = _readonly(np.atleast_2d(self.positions))
-        weights = _readonly(np.atleast_1d(self.weights))
         if positions.ndim != 2:
             raise ValueError("positions must be a (n, dim) array")
-        if weights.shape != (positions.shape[0],):
-            raise ValueError("weights must be a vector with one entry per particle")
         if positions.shape[0] < 2:
             raise ValueError("an ensemble needs at least 2 particles")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ValueError("weights must be finite and nonnegative")
         if not np.all(np.isfinite(positions)):
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def n_particles(self) -> int:
@@ -157,31 +149,13 @@ class Ensemble:
         return self.positions.shape[1]
 
 
-def make_ensemble(draws: Sequence[np.ndarray] | np.ndarray) -> Ensemble:
-    """Build an equally weighted ensemble from raw position draws.
-
-    Raises ValueError when fewer than two draws are given or when the draws
-    do not share a single dimension.
-    """
-    if isinstance(draws, np.ndarray) and draws.ndim == 2:
-        positions = np.array(draws, dtype=float)
-    else:
-        rows = [np.atleast_1d(np.asarray(d, dtype=float)) for d in draws]
-        if len(rows) >= 2 and len({r.shape for r in rows}) > 1:
-            raise ValueError("draws have mismatched dimensions")
-        positions = np.array(rows, dtype=float)
-    if positions.shape[0] < 2:
-        raise ValueError("need at least 2 draws to form an ensemble")
-    return Ensemble(positions, np.ones(positions.shape[0]))
-
-
-def normalize_weights(weights: "Ensemble | np.ndarray") -> np.ndarray:
+def normalize_weights(weights) -> np.ndarray:
     """Return weights divided by their sum (sums to 1 within 1e-12).
 
-    Accepts an ensemble or a raw weight vector.  Raises
-    :class:`DegenerateWeightsError` when the total is zero or non-finite.
+    Raises :class:`DegenerateWeightsError` when the total is zero or
+    non-finite.
     """
-    w = np.asarray(weights.weights if isinstance(weights, Ensemble) else weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateWeightsError("weights sum to zero or are non-finite")

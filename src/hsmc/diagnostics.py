@@ -6,26 +6,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateWeightsError, Ensemble, normalize_weights
+from .core import DegenerateWeightsError, Ensemble
 
 __all__ = ["MomentSummary", "weighted_moments", "effective_sample_size", "mode_mass"]
 
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Weighted mean and diagonal covariance."""
+    """Sample mean and diagonal covariance."""
 
     mean: np.ndarray
     covariance_diag: np.ndarray
 
 
 def weighted_moments(ensemble: Ensemble) -> MomentSummary:
-    """Weighted sample mean and diagonal covariance of an ensemble.
+    """Sample mean and diagonal covariance of an equally weighted ensemble.
 
-    With equal weights this reduces to the plain sample moments
-    (population normalization, i.e. divide by the total weight).
+    Population normalization (divide by N).  The moments are dot products
+    with the weight vector 1/N: a plain ``mean(axis=0)`` rounds differently
+    and would change the last bits of the values a report records.
     """
-    w = normalize_weights(ensemble)
+    w = np.full(ensemble.n_particles, 1.0 / ensemble.n_particles)
     mean = w @ ensemble.positions
     centered = ensemble.positions - mean
     cov_diag = w @ (centered**2)
@@ -43,7 +44,7 @@ def effective_sample_size(weights) -> float:
 
 
 def mode_mass(ensemble: Ensemble, mode_centers) -> np.ndarray:
-    """Fraction of ensemble weight nearest to each mode center.
+    """Fraction of the ensemble's particles nearest to each mode center.
 
     Particles are assigned to their nearest center in Euclidean distance;
     the returned fractions sum to 1 and permuting the centers permutes the
@@ -56,7 +57,4 @@ def mode_mass(ensemble: Ensemble, mode_centers) -> np.ndarray:
         raise ValueError("mode centers must match the ensemble dimension")
     d2 = ((ensemble.positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
     nearest = d2.argmin(axis=1)
-    if not np.all(np.isfinite(ensemble.weights)) or ensemble.weights.sum() <= 0:
-        raise DegenerateWeightsError("mode mass needs normalizable weights")
-    binned = np.bincount(nearest, weights=ensemble.weights, minlength=centers.shape[0])
-    return binned / binned.sum()
+    return np.bincount(nearest, minlength=centers.shape[0]) / ensemble.n_particles

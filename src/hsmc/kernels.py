@@ -243,9 +243,8 @@ def mutate_ensemble(
     (seed, group, MUTATION_STREAM, stage).  Particle i consumes its own
     stream ``rng.derive(i)``, so the result does not depend on execution
     order and matches stepping particles one by one with the same
-    streams.  Weights are untouched; per-particle failures (zero density,
-    divergent trajectories) reject the proposal instead of aborting the
-    ensemble.
+    streams.  Per-particle failures (zero density, divergent trajectories)
+    reject the proposal instead of aborting the ensemble.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -273,4 +272,4 @@ def mutate_ensemble(
             raise TypeError("kernel must be an HmcConfig or MhConfig")
         acceptance_count += int(accepted.sum())
 
-    return MutationResult(Ensemble(positions, ensemble.weights), acceptance_count, accepted)
+    return MutationResult(Ensemble(positions), acceptance_count, accepted)

@@ -35,7 +35,6 @@ from .core import (
     RandomSource,
     TargetDensity,
     as_generator,
-    make_ensemble,
     normalize_weights,
 )
 from .diagnostics import effective_sample_size, weighted_moments
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 WEIGHT_MODES = ("theoretical_ratio", "loo_kde_ratio")
-RESAMPLING_SCHEMES = ("multinomial", "systematic")
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,6 @@ class SmcConfig:
     n_groups: int = 1
     mutation_steps: int = 1
     weight_mode: str = "theoretical_ratio"
-    resampling: str = "multinomial"
     n_threads: int = 1
 
     def __post_init__(self):
@@ -153,8 +150,6 @@ class SmcConfig:
             raise ValueError("mutation_steps must be at least 1")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        if self.resampling not in RESAMPLING_SCHEMES:
-            raise ValueError(f"resampling must be one of {RESAMPLING_SCHEMES}")
         if not isinstance(self.mutation, (HmcConfig, MhConfig)):
             raise ValueError("mutation must be an HmcConfig or MhConfig")
         if int(self.n_threads) < 1:
@@ -348,18 +343,13 @@ def correction_weights(
 
 
 def resample(
-    ensemble: Ensemble,
-    weights,
-    scheme: str,
-    rng: RandomSource | np.random.Generator,
+    ensemble: Ensemble, weights, rng: RandomSource | np.random.Generator
 ) -> Ensemble:
-    """Draw N particles with replacement; the new particles get weight 1.
+    """Multinomial selection: N i.i.d. categorical draws with replacement.
 
-    "multinomial" draws i.i.d. categorical indices; "systematic" uses one
-    uniform offset on a stratified inverse-CDF grid (lower variance).
+    Particle i is picked with probability proportional to ``weights[i]``;
+    the selected particles are equally weighted again.
     """
-    if scheme not in RESAMPLING_SCHEMES:
-        raise ValueError(f"scheme must be one of {RESAMPLING_SCHEMES}")
     gen = as_generator(rng)
     probs = normalize_weights(np.asarray(weights, dtype=float))
     n = ensemble.n_particles
@@ -367,12 +357,8 @@ def resample(
         raise ValueError("weights must have one entry per particle")
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    if scheme == "multinomial":
-        u = gen.uniform(size=n)
-    else:
-        u = (gen.uniform() + np.arange(n)) / n
-    idx = np.searchsorted(cum, u, side="left")
-    return Ensemble(ensemble.positions[idx], np.ones(n))
+    idx = np.searchsorted(cum, gen.uniform(size=n), side="left")
+    return Ensemble(ensemble.positions[idx])
 
 
 def _truncate_weights(w: np.ndarray, n: int) -> np.ndarray:
@@ -420,7 +406,7 @@ def _loo_engine_bandwidth(
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource):
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
-    ens = make_ensemble(sequence.initial.sample(config.n_particles, gen_init))
+    ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
     bandwidth_fallback = None
     if config.weight_mode == "loo_kde_ratio":
         bandwidth_fallback = silverman_bandwidth(ens)
@@ -442,7 +428,7 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
                 f"degenerate weights at stage {t} of group {group}: {err}", stage=t
             ) from err
         selection = group_rng.derive(SELECTION_STREAM, t).generator()
-        ens = resample(ens, w, config.resampling, selection)
+        ens = resample(ens, w, selection)
         ens, accepted_count, accepted = mutate_ensemble(
             f_t, ens, config.mutation, config.mutation_steps,
             group_rng.derive(MUTATION_STREAM, t),

@@ -12,7 +12,7 @@ from scipy.stats import kstest
 from conftest import assert_gradient_matches, leapfrog_proposal, reflect_into_box
 
 import hsmc
-from hsmc.core import MUTATION_STREAM, RandomSource, make_ensemble
+from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource
 from hsmc.diagnostics import effective_sample_size, mode_mass
 from hsmc.kde import loo_log_density_all, silverman_bandwidth
 from hsmc.kernels import (
@@ -167,10 +167,10 @@ def test_criterion_4_smiley_hsmc():
     oracle = _basin_mass_oracle(
         seq.stages[-1], (-7.0, -3.0), (7.0, 28.0), SMILEY_MODE_CENTERS, (281, 311)
     )
-    pooled = make_ensemble(np.vstack([e.positions for e in result.ensembles]))
+    pooled = Ensemble(np.vstack([e.positions for e in result.ensembles]))
     fractions = mode_mass(pooled, SMILEY_MODE_CENTERS)
     per_group = [
-        mode_mass(make_ensemble(e.positions), SMILEY_MODE_CENTERS)
+        mode_mass(Ensemble(e.positions), SMILEY_MODE_CENTERS)
         for e in result.ensembles
     ]
     pairwise = max(
@@ -320,7 +320,7 @@ def test_criterion_7_property_suite():
     # HMC stationarity: 10^5 steps on N(0,1) pass a 1% KS test
     normal = gaussian([0.0], [1.0])
     ks_cfg = HmcConfig(1.0, 10, 0.157)
-    ens = make_ensemble(np.full((100, 1), 0.5))
+    ens = Ensemble(np.full((100, 1), 0.5))
     root = RandomSource(55)
     samples = []
     for t in range(1100):
@@ -337,11 +337,11 @@ def test_criterion_7_property_suite():
     n, reps = 10, 10_000
     weights = rng.uniform(0.25, 4.0, n)
     probs = weights / weights.sum()
-    ens10 = make_ensemble(np.arange(n, dtype=float)[:, None])
+    ens10 = Ensemble(np.arange(n, dtype=float)[:, None])
     totals = np.zeros(n)
     base = RandomSource(77)
     for r in range(reps):
-        out = resample(ens10, weights, "multinomial", base.derive(r))
+        out = resample(ens10, weights, base.derive(r))
         totals += np.bincount(out.positions[:, 0].astype(int), minlength=n)
     sd = np.sqrt(n * probs * (1 - probs) / reps)
     assert np.all(np.abs(totals / reps - n * probs) <= 3 * sd)

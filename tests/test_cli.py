@@ -158,15 +158,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="kernel.type"):
             parse_config(path)
 
+    @pytest.mark.parametrize("start, message", [
+        ([0.0, 0.0, 0.0], "start: expected 2 coordinates"),
+        ([3.0, 0.0], "start: zero density"),  # outside the dropwave box
+    ])
+    def test_chain_start_checked(self, tmp_path, start, message):
+        mapping = chain_recipe()
+        mapping.update(start=start, target={"name": "dropwave"})
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path / "c.yaml", mapping))
+
 
 def strict_recipe(tmp_path):
-    """A small hsmc recipe touching every recipe mapping."""
+    """A small hsmc recipe touching every mapping a kde-blocks run reads."""
     data_path = tmp_path / "points.csv"
     generate_data("dropwave", 100, 3, data_path)
     return {
         "algorithm": "hsmc", "seed": 1, "output": "out", "particles": 16,
         "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
-        "target": {"name": "dropwave"},
         "initial": {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
         "sequence": {"kind": "kde-blocks", "data": str(data_path), "block_size": 50,
                      "constraints": {"lower": [-2.5, -2.5], "upper": [2.5, 2.5]}},
@@ -182,6 +191,17 @@ def chain_recipe(algorithm="hmc"):
         "algorithm": algorithm, "seed": 5, "output": "out", "iterations": 20,
         "kernel": kernels[algorithm],
         "target": {"name": "rosenbrock"},
+    }
+
+
+def annealing_recipe():
+    """A small smc recipe annealing a six-dimensional gaussian."""
+    return {
+        "algorithm": "smc", "seed": 1, "output": "out", "particles": 16,
+        "kernel": {"type": "mh", "proposal_scale": 0.2},
+        "initial": {"mean": [0.0] * 6, "sigma": [1.0] * 6},
+        "sequence": {"kind": "annealing", "gammas": [0.5, 1.0]},
+        "target": {"name": "gaussian", "mean": [0.0] * 6, "cov_diag": [1.0] * 6},
     }
 
 
@@ -210,8 +230,30 @@ class TestStrictInputs:
         "grid.res",
     ])
     def test_unknown_key_named(self, tmp_path, capsys, field):
-        mapping = strict_recipe(tmp_path)
+        mapping = chain_recipe() if field.startswith("target.") else strict_recipe(tmp_path)
         set_field(mapping, field, 5)
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert_rejected_before_output(tmp_path, path, capsys, field)
+
+    @pytest.mark.parametrize("recipe, field, value", [
+        ("mh-chain", "particles", 16),
+        ("mh-chain", "mutation_steps", 2),
+        ("mh-chain", "initial", {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]}),
+        ("mh-chain", "sequence", {"kind": "annealing", "gammas": [1.0]}),
+        ("annealing", "iterations", 20),
+        ("annealing", "start", [0.0] * 6),
+        ("annealing", "grid", {"resolution": 11}),
+        ("gauss6-chain", "grid", {"resolution": 11}),
+        ("sequential", "target", {"name": "dropwave"}),
+    ])
+    def test_field_the_run_does_not_read(self, tmp_path, capsys, recipe, field, value):
+        mapping = {
+            "sequential": lambda: strict_recipe(tmp_path),
+            "annealing": annealing_recipe,
+            "mh-chain": lambda: chain_recipe("mh"),
+            "gauss6-chain": lambda: dict(chain_recipe(), target=annealing_recipe()["target"]),
+        }[recipe]()
+        mapping[field] = value
         path = write_config(tmp_path / "c.yaml", mapping)
         assert_rejected_before_output(tmp_path, path, capsys, field)
 

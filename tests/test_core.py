@@ -8,44 +8,38 @@ from hsmc.core import (
     DegenerateWeightsError,
     Ensemble,
     RandomSource,
-    make_ensemble,
     normalize_weights,
 )
 
 
 class TestMakeEnsemble:
     def test_two_points(self):
-        ens = make_ensemble([[0.0, 1.0], [2.0, 3.0]])
+        ens = Ensemble([[0.0, 1.0], [2.0, 3.0]])
         assert ens.n_particles == 2
         assert ens.dim == 2
-        assert np.all(ens.weights == 1.0)
 
     def test_many_gaussian_draws(self, rng):
         draws = rng.standard_normal((512, 2))
-        ens = make_ensemble(draws)
+        ens = Ensemble(draws)
         assert ens.n_particles == 512
-        assert np.all(ens.weights == 1.0)
+        np.testing.assert_array_equal(ens.positions, draws)
 
     def test_mismatched_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
-            make_ensemble([[0.0, 1.0], [1.0, 2.0, 3.0]])
+            Ensemble([[0.0, 1.0], [1.0, 2.0, 3.0]])
 
     def test_too_few_draws(self):
         with pytest.raises(ValueError, match="at least 2"):
-            make_ensemble([[0.0, 1.0]])
+            Ensemble([[0.0, 1.0]])
 
 
 class TestEnsembleInvariants:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            Ensemble(np.zeros((2, 1)), np.array([1.0, -0.5]))
-
     def test_nonfinite_position_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble(np.array([[np.inf], [0.0]]), np.ones(2))
+            Ensemble(np.array([[np.inf], [0.0]]))
 
     def test_positions_are_readonly(self):
-        ens = make_ensemble([[0.0], [1.0]])
+        ens = Ensemble([[0.0], [1.0]])
         with pytest.raises(ValueError):
             ens.positions[0, 0] = 5.0
 
@@ -62,10 +56,6 @@ class TestNormalizeWeights:
     def test_all_zero(self):
         with pytest.raises(DegenerateWeightsError):
             normalize_weights(np.array([0.0, 0.0]))
-
-    def test_accepts_ensemble(self):
-        ens = Ensemble(np.zeros((2, 1)), np.array([2.0, 6.0]))
-        np.testing.assert_allclose(normalize_weights(ens), [0.25, 0.75])
 
     @given(
         weights=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30),

@@ -3,37 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmc.core import DegenerateWeightsError, Ensemble, make_ensemble
+from hsmc.core import DegenerateWeightsError, Ensemble
 from hsmc.diagnostics import effective_sample_size, mode_mass, weighted_moments
 
 
 class TestWeightedMoments:
     def test_symmetric_pair(self):
-        ens = make_ensemble([[-1.0], [1.0]])
+        ens = Ensemble([[-1.0], [1.0]])
         summary = weighted_moments(ens)
         assert summary.mean[0] == 0.0
         assert summary.covariance_diag[0] == 1.0
 
     def test_weighted_mean_hand_value(self):
-        ens = Ensemble(np.array([[0.0], [4.0]]), np.array([3.0, 1.0]))
+        # three copies of 0 weigh 3 against one 4, as after a selection
+        ens = Ensemble(np.array([[0.0], [0.0], [0.0], [4.0]]))
         assert weighted_moments(ens).mean[0] == pytest.approx(1.0)
 
     def test_gaussian_sample_moments(self, rng):
         draws = rng.standard_normal((10_000, 1))
-        summary = weighted_moments(make_ensemble(draws))
+        summary = weighted_moments(Ensemble(draws))
         assert abs(summary.mean[0]) < 0.04
         assert abs(summary.covariance_diag[0] - 1.0) < 0.05
 
     def test_equal_weights_match_plain_moments(self, rng):
         draws = rng.standard_normal((257, 3))
-        summary = weighted_moments(make_ensemble(draws))
+        summary = weighted_moments(Ensemble(draws))
         np.testing.assert_allclose(summary.mean, draws.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(summary.covariance_diag, draws.var(axis=0), atol=1e-12)
-
-    def test_degenerate_weights(self):
-        ens = Ensemble(np.zeros((2, 1)), np.zeros(2))
-        with pytest.raises(DegenerateWeightsError):
-            weighted_moments(ens)
 
 
 class TestEffectiveSampleSize:
@@ -82,22 +78,22 @@ class TestEffectiveSampleSize:
 
 class TestModeMass:
     def test_single_center(self, rng):
-        ens = make_ensemble(rng.standard_normal((20, 2)))
+        ens = Ensemble(rng.standard_normal((20, 2)))
         np.testing.assert_array_equal(mode_mass(ens, [[0.0, 0.0]]), [1.0])
 
     def test_symmetric_eyes(self):
-        ens = make_ensemble([[-2.5, 4.5], [2.5, 4.5]])
+        ens = Ensemble([[-2.5, 4.5], [2.5, 4.5]])
         centers = [[2.5, 38.0 / 1.5], [-2.5, 38.0 / 1.5]]
         np.testing.assert_allclose(mode_mass(ens, centers), [0.5, 0.5])
 
     def test_fractions_sum_to_one(self, rng):
-        ens = make_ensemble(rng.standard_normal((101, 2)) * 3)
+        ens = Ensemble(rng.standard_normal((101, 2)) * 3)
         centers = rng.standard_normal((5, 2))
         fractions = mode_mass(ens, centers)
         assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_equivariance(self, rng):
-        ens = make_ensemble(rng.standard_normal((64, 2)) * 3)
+        ens = Ensemble(rng.standard_normal((64, 2)) * 3)
         centers = rng.standard_normal((4, 2)) * 2
         perm = np.array([2, 0, 3, 1])
         base = mode_mass(ens, centers)
@@ -105,10 +101,11 @@ class TestModeMass:
         np.testing.assert_allclose(permuted, base[perm])
 
     def test_respects_weights(self):
-        ens = Ensemble(np.array([[-1.0], [1.0]]), np.array([3.0, 1.0]))
+        # copies of a particle count as its weight
+        ens = Ensemble(np.array([[-1.0], [-1.0], [-1.0], [1.0]]))
         np.testing.assert_allclose(mode_mass(ens, [[-1.0], [1.0]]), [0.75, 0.25])
 
     def test_empty_centers_rejected(self, rng):
-        ens = make_ensemble(rng.standard_normal((4, 2)))
+        ens = Ensemble(rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):
             mode_mass(ens, np.empty((0, 2)))

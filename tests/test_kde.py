@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from conftest import assert_gradient_matches
 
 from hsmc import kde
-from hsmc.core import BoxConstraints, DegenerateEnsembleError, make_ensemble
+from hsmc.core import BoxConstraints, DegenerateEnsembleError, Ensemble
 from hsmc.kde import (
     _BLOCK_TERMS,
     _kth_neighbour_distance,
@@ -210,18 +210,18 @@ class TestSilvermanBandwidth:
     def test_hand_value_unit_spread(self, rng):
         draws = rng.standard_normal((100, 2))
         draws = (draws - draws.mean(axis=0)) / draws.std(axis=0, ddof=1)
-        h = silverman_bandwidth(make_ensemble(draws))
+        h = silverman_bandwidth(Ensemble(draws))
         # (4 / ((d + 2) n))^(1 / (d + 4)) with d=2, n=100 -> 0.01^(1/6)
         np.testing.assert_allclose(h, 0.46416, atol=1e-4)
 
     def test_scales_with_positions(self, rng):
         draws = rng.standard_normal((64, 2))
-        base = silverman_bandwidth(make_ensemble(draws))
-        scaled = silverman_bandwidth(make_ensemble(3.0 * draws))
+        base = silverman_bandwidth(Ensemble(draws))
+        scaled = silverman_bandwidth(Ensemble(3.0 * draws))
         np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
     def test_collapsed_ensemble_rejected(self):
-        ens = make_ensemble([[1.0, 2.0], [1.0, 3.0]])
+        ens = Ensemble([[1.0, 2.0], [1.0, 3.0]])
         with pytest.raises(DegenerateEnsembleError):
             silverman_bandwidth(ens)
 

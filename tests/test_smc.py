@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsmc.core import (
     MUTATION_STREAM,
     SELECTION_STREAM,
     BoxConstraints,
+    DegenerateEnsembleError,
     DegenerateWeightsError,
     Ensemble,
     RandomSource,
-    make_ensemble,
 )
-from hsmc.diagnostics import weighted_moments
 from hsmc.kernels import HmcConfig, MhConfig, mutate_ensemble
 from hsmc.smc import (
     IterationRecord,
@@ -26,6 +27,7 @@ from hsmc.smc import (
     run_smc,
     tempering_sequence,
 )
+from hsmc.smc import _loo_engine_bandwidth, _truncate_weights
 from hsmc.kde import kde_target, loo_log_density_all, silverman_bandwidth
 from hsmc.targets import dropwave, gaussian, simulate_logit_data
 
@@ -147,7 +149,7 @@ class TestAnnealingSequence:
 class TestCorrectionWeights:
     def test_identical_targets_give_uniform_weights(self, rng):
         f = gaussian([0.0, 0.0], [1.0, 1.0])
-        ens = make_ensemble(rng.standard_normal((32, 2)))
+        ens = Ensemble(rng.standard_normal((32, 2)))
         w = correction_weights(ens, f, f, "theoretical_ratio")
         np.testing.assert_allclose(w / w.sum(), 1.0 / 32, atol=1e-12)
 
@@ -155,7 +157,7 @@ class TestCorrectionWeights:
         f0 = gaussian([0.0], [4.0])
         f1 = gaussian([1.0], [1.0])
         positions = rng.standard_normal((16, 1))
-        ens = make_ensemble(positions)
+        ens = Ensemble(positions)
         w = correction_weights(ens, f1, f0, "theoretical_ratio")
         logw = f1.log_f(positions) - f0.log_f(positions)
         expected = np.exp(logw - logw.max())
@@ -164,7 +166,7 @@ class TestCorrectionWeights:
     def test_loo_mode_matches_bruteforce(self, rng):
         f1 = gaussian([0.0, 0.0], [1.0, 1.0])
         positions = rng.standard_normal((40, 2))
-        ens = make_ensemble(positions)
+        ens = Ensemble(positions)
         w = correction_weights(ens, f1, None, "loo_kde_ratio")
         h = silverman_bandwidth(ens)
         logw = f1.log_f(positions) - loo_log_density_all(positions, h)
@@ -174,7 +176,7 @@ class TestCorrectionWeights:
     def test_zero_density_particle_gets_zero_weight(self):
         box_target = dropwave()
         positions = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
-        ens = make_ensemble(positions)
+        ens = Ensemble(positions)
         w = correction_weights(ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]))
         assert w[2] == 0.0
         assert w[0] > 0 and w[1] > 0
@@ -182,7 +184,7 @@ class TestCorrectionWeights:
     def test_all_dead_raises(self):
         box_target = dropwave()
         positions = np.array([[3.0, 0.0], [4.0, 4.0]])
-        ens = make_ensemble(positions)
+        ens = Ensemble(positions)
         with pytest.raises(DegenerateWeightsError):
             correction_weights(ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]))
 
@@ -190,33 +192,26 @@ class TestCorrectionWeights:
         f1 = gaussian([0.0, 0.0], [1.0, 1.0])
         positions = rng.standard_normal((24, 2))
         perm = rng.permutation(24)
-        w = correction_weights(make_ensemble(positions), f1, None, "loo_kde_ratio")
-        wp = correction_weights(make_ensemble(positions[perm]), f1, None, "loo_kde_ratio")
+        w = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio")
+        wp = correction_weights(Ensemble(positions[perm]), f1, None, "loo_kde_ratio")
         np.testing.assert_allclose(wp, w[perm], rtol=1e-10)
 
 
 class TestResample:
     def test_point_mass_gives_copies(self, rng):
         positions = rng.standard_normal((8, 2))
-        ens = make_ensemble(positions)
+        ens = Ensemble(positions)
         weights = np.zeros(8)
         weights[3] = 5.0
-        out = resample(ens, weights, "multinomial", RandomSource(2))
+        out = resample(ens, weights, RandomSource(2))
         np.testing.assert_array_equal(out.positions, np.tile(positions[3], (8, 1)))
-        np.testing.assert_array_equal(out.weights, np.ones(8))
-
-    def test_systematic_uniform_identity(self, rng):
-        positions = rng.standard_normal((32, 2))
-        ens = make_ensemble(positions)
-        out = resample(ens, np.ones(32), "systematic", RandomSource(3))
-        np.testing.assert_array_equal(out.positions, positions)
 
     def test_multinomial_copy_counts(self, rng):
         # single resample of 10^4 uniform weights: copy counts behave like
         # Poisson(1); allow up to the ~1e-6 tail level
         n = 10_000
-        ens = make_ensemble(rng.standard_normal((n, 1)))
-        out = resample(ens, np.ones(n), "multinomial", RandomSource(4))
+        ens = Ensemble(rng.standard_normal((n, 1)))
+        out = resample(ens, np.ones(n), RandomSource(4))
         src = ens.positions[:, 0]
         counts = np.bincount(np.searchsorted(np.sort(src), out.positions[:, 0]), minlength=n)
         assert counts.sum() == n
@@ -229,11 +224,11 @@ class TestResample:
         weights = np.array([1.0, 2.0, 3.0, 4.0, 0.5, 1.5, 2.5, 0.25, 0.75, 4.0])
         probs = weights / weights.sum()
         positions = np.arange(n, dtype=float)[:, None]
-        ens = make_ensemble(positions)
+        ens = Ensemble(positions)
         root = RandomSource(77)
         totals = np.zeros(n)
         for r in range(reps):
-            out = resample(ens, weights, "multinomial", root.derive(r))
+            out = resample(ens, weights, root.derive(r))
             totals += np.bincount(out.positions[:, 0].astype(int), minlength=n)
         mean_counts = totals / reps
         expected = n * probs
@@ -241,9 +236,79 @@ class TestResample:
         assert np.all(np.abs(mean_counts - expected) <= 3 * sd)
 
     def test_degenerate_weights_rejected(self, rng):
-        ens = make_ensemble(rng.standard_normal((4, 1)))
+        ens = Ensemble(rng.standard_normal((4, 1)))
         with pytest.raises(DegenerateWeightsError):
-            resample(ens, np.zeros(4), "multinomial", RandomSource(1))
+            resample(ens, np.zeros(4), RandomSource(1))
+
+
+positive_weights = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40).map(np.array)
+
+
+class TestTruncateWeights:
+    def test_hand_value(self):
+        # N = 4: the cap c solves c = sqrt(4) * (1 + 1 + 1 + c) / 4, so c = 3
+        out = _truncate_weights(np.array([1.0, 1.0, 1.0, 100.0]), 4)
+        np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 3.0], rtol=1e-15)
+
+    @given(w=positive_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_weights_within_the_cap_unchanged(self, w):
+        assume(w.max() <= np.sqrt(len(w)) * w.mean())
+        np.testing.assert_array_equal(_truncate_weights(w, len(w)), w)
+
+    @given(w=positive_weights, log2_scale=st.integers(-40, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_equivariant_and_never_raises(self, w, log2_scale):
+        # powers of two rescale mantissas exactly, so the scaled run is bit-identical
+        out = _truncate_weights(w, len(w))
+        scale = 2.0**log2_scale
+        np.testing.assert_array_equal(_truncate_weights(scale * w, len(w)), scale * out)
+        assert np.all(out <= w)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the 64-iteration limit stops the cap above its fixed point when the "
+        "number of capped weights nears sqrt(N)"))
+    def test_cap_is_a_fixed_point_when_convergence_is_slow(self):
+        # three of ten weights capped: the iteration contracts by 3 / sqrt(10)
+        # = 0.95 per step; the fixed point solves c = sqrt(10) * (7 + 3c) / 10
+        w = np.array([100.0] * 3 + [1.0] * 7)
+        cap = 0.7 * np.sqrt(10) / (1.0 - 0.3 * np.sqrt(10))
+        np.testing.assert_allclose(_truncate_weights(w, 10), np.minimum(w, cap), rtol=1e-12)
+
+
+def _widened_by_brute_force(positions, base, k):
+    """base * max(1, d_k / 3), d_k the k-th neighbour distance in units of base."""
+    z = positions / base
+    dist = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    d_k = np.sort(dist, axis=1)[:, k - 1]
+    return base[None, :] * np.maximum(1.0, d_k / 3.0)[:, None]
+
+
+class TestLooEngineBandwidth:
+    @pytest.mark.parametrize("n", [5, 64])
+    def test_matches_brute_force_neighbour_distances(self, rng, n):
+        # a cloud with one straggler, whose kernel must widen
+        positions = rng.standard_normal((n, 2))
+        positions[0] = [12.0, -9.0]
+        ens = Ensemble(positions)
+        base = silverman_bandwidth(ens)
+        out = _loo_engine_bandwidth(ens, fallback=np.array([7.0, 7.0]))
+        np.testing.assert_allclose(
+            out, _widened_by_brute_force(positions, base, min(7, n - 1)), rtol=1e-9
+        )
+        assert out[0, 0] > base[0]
+
+    def test_collapsed_cloud_uses_the_fallback(self, rng):
+        positions = np.column_stack([rng.standard_normal(16), np.zeros(16)])
+        ens = Ensemble(positions)
+        with pytest.raises(DegenerateEnsembleError):
+            silverman_bandwidth(ens)
+        fallback = np.array([0.5, 0.25])
+        np.testing.assert_allclose(
+            _loo_engine_bandwidth(ens, fallback),
+            _widened_by_brute_force(positions, fallback, 7), rtol=1e-9,
+        )
 
 
 def _noop_sequence(n_dim=1):
@@ -260,12 +325,6 @@ class TestRunSmc:
         mean = result.ensembles[0].positions.mean()
         assert abs(mean) < 3.0 / np.sqrt(4096)
 
-    def test_final_weights_are_one(self):
-        seq = _noop_sequence()
-        cfg = SmcConfig(n_particles=64, mutation=MhConfig(1.0))
-        result = run_smc(seq, cfg, RandomSource(1))
-        np.testing.assert_array_equal(result.ensembles[0].weights, np.ones(64))
-
     def test_three_estimators_agree_with_analytic_mean(self):
         # importance-weighted mean, post-selection mean and post-mutation
         # mean all target the final Gaussian's mean
@@ -273,11 +332,10 @@ class TestRunSmc:
         f1 = gaussian([1.0], [1.0])
         n = 4096
         draws = f0.sample(n, RandomSource(5).generator())
-        ens = make_ensemble(draws)
+        ens = Ensemble(draws)
         w = correction_weights(ens, f1, f0.density, "theoretical_ratio")
-        weighted = Ensemble(ens.positions, w)
-        pre_selection_mean = weighted_moments(weighted).mean[0]
-        selected = resample(ens, w, "multinomial", RandomSource(6))
+        pre_selection_mean = (w / w.sum()) @ ens.positions[:, 0]
+        selected = resample(ens, w, RandomSource(6))
         post_selection_mean = selected.positions.mean()
         mutated, _, _ = mutate_ensemble(f1, selected, MhConfig(1.0), 2, RandomSource(7))
         post_mutation_mean = mutated.positions.mean()
@@ -345,8 +403,7 @@ class TestRunSmc:
             for t in (1, 2):
                 f_prev = seq.initial.density if t == 1 else seq.stages[t - 2]
                 w = correction_weights(history[t - 1][0], seq.stages[t - 1], f_prev)
-                selected = resample(history[t - 1][0], w, "multinomial",
-                                    root.derive(j, SELECTION_STREAM, t))
+                selected = resample(history[t - 1][0], w, root.derive(j, SELECTION_STREAM, t))
                 mutated, _, accepted = mutate_ensemble(
                     seq.stages[t - 1], selected, cfg.mutation, 1,
                     root.derive(j, MUTATION_STREAM, t),
@@ -401,8 +458,6 @@ class TestSmcConfigValidation:
             SmcConfig(n_particles=1, mutation=MhConfig(1.0))
         with pytest.raises(ValueError):
             SmcConfig(n_particles=8, mutation=MhConfig(1.0), weight_mode="bogus")
-        with pytest.raises(ValueError):
-            SmcConfig(n_particles=8, mutation=MhConfig(1.0), resampling="bogus")
         with pytest.raises(ValueError):
             SmcConfig(n_particles=8, mutation="not a kernel")
 
