@@ -222,6 +222,7 @@ def parse_config(path) -> RunConfig:
     kernel = _build_kernel(_require(raw, "kernel", ""))
 
     threads = _as_int(raw.get("threads", 1), "threads", minimum=1)
+    n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
     record_all = raw.get("record_all", False)
     if not isinstance(record_all, bool):
         raise ConfigError(f"record_all: expected true or false, got {record_all!r}")
@@ -236,15 +237,12 @@ def parse_config(path) -> RunConfig:
         if target_spec is None:
             raise ConfigError("target: required for mh/hmc runs")
         iterations = _as_int(_require(raw, "iterations", ""), "iterations", minimum=1)
-        n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
         n_particles = 0
         mutation_steps = 1
         start = raw.get("start")
         start = _as_vector(start, "start") if start is not None else None
-        if isinstance(kernel, MhConfig) and algorithm == "hmc":
-            raise ConfigError("kernel.type: hmc runs need an hmc kernel")
-        if isinstance(kernel, HmcConfig) and algorithm == "mh":
-            raise ConfigError("kernel.type: mh runs need an mh kernel")
+        if raw["kernel"]["type"] != algorithm:
+            raise ConfigError(f"kernel.type: {algorithm} runs need an {algorithm} kernel")
     else:
         if sequence_spec is None:
             raise ConfigError("sequence: required for smc/hsmc runs")
@@ -252,7 +250,6 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("initial: required for smc/hsmc runs")
         iterations = 0
         n_particles = _as_int(_require(raw, "particles", ""), "particles", minimum=2)
-        n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
         mutation_steps = _as_int(raw.get("mutation_steps", 1), "mutation_steps", minimum=1)
 
     config = RunConfig(
@@ -280,7 +277,7 @@ def parse_config(path) -> RunConfig:
         start = np.zeros(dim) if start is None else start
         if start.shape != (dim,):
             raise ConfigError(f"start: expected {dim} coordinates")
-        if not np.isfinite(target.log_f(start)):
+        if not np.isfinite(target.log_f(start[None, :])[0]):
             raise ConfigError("start: zero density at the starting position")
         config = replace(config, start=tuple(float(v) for v in start))
     else:
@@ -309,6 +306,20 @@ def _read_logit_data(path: Path, field: str) -> LogitData:
         return LogitData.from_csv(path)
     except ValueError as err:
         raise ConfigError(f"{field}: {path}: {err}") from err
+
+
+def _read_points(path: Path, field: str) -> np.ndarray:
+    """The x and y columns of a point-cloud CSV, every cell a finite number."""
+    try:
+        rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        points = np.column_stack([rows["x"], rows["y"]])
+    except ValueError as err:  # a missing column or a ragged row
+        raise ConfigError(f"{field}: {path}: {err}") from err
+    bad = np.argwhere(~np.isfinite(points))
+    if len(bad):
+        row, col = bad[0]
+        raise ConfigError(f"{field}: {path}: data row {row + 1}: {'xy'[col]} is not finite")
+    return points
 
 
 def _build_target(config: RunConfig) -> TargetDensity:
@@ -366,8 +377,7 @@ def _build_sequence(config: RunConfig):
             block_size = _require(spec, "block_size", "sequence.")
             block_size = _as_int(block_size, "sequence.block_size", minimum=1)
         if kind == "kde-blocks":
-            rows = np.genfromtxt(data_path, delimiter=",", names=True)
-            points = np.column_stack([np.atleast_1d(rows["x"]), np.atleast_1d(rows["y"])])
+            points = _read_points(data_path, "sequence.data")
             constraints = None
             if "constraints" in spec:
                 context = "sequence.constraints."
@@ -477,32 +487,24 @@ def _run_mcmc(config: RunConfig) -> int:
     chains = []
     for j in range(config.n_groups):
         gen = root.derive(j).generator()
-        pos = start
-        chain = [pos]
-        accepted_flags = [True]
-        acc = 0
+        chain, accepted = [start], [True]
         for _ in range(config.iterations):
-            out = step(target, pos, config.kernel, gen)
-            pos = out.new_position
-            chain.append(pos)
-            accepted_flags.append(out.accepted)
-            acc += out.accepted
+            out = step(target, chain[-1], config.kernel, gen)
+            chain.append(out.new_position)
+            accepted.append(out.accepted)
         samples = np.array(chain)
         chains.append(samples)
-        mean = samples.mean(axis=0)
-        cov = samples.var(axis=0)
-        for i, (p, a) in enumerate(zip(samples, accepted_flags)):
-            particle_rows.append((j, i, 0, p, a))
+        particle_rows.extend((j, i, 0, p, a) for i, (p, a) in enumerate(zip(samples, accepted)))
         report_rows.append(
             IterationRecord(
                 group=j,
                 iteration=config.iterations,
-                acceptance_count=acc,
+                acceptance_count=sum(accepted[1:]),
                 ess=float(samples.shape[0]),
                 weight_min=1.0 / samples.shape[0],
                 weight_max=1.0 / samples.shape[0],
-                mean=mean,
-                cov_diag=cov,
+                mean=samples.mean(axis=0),
+                cov_diag=samples.var(axis=0),
             )
         )
 

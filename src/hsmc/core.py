@@ -12,7 +12,7 @@ stream keys of a stage travel as RandomSources, not inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -102,15 +102,15 @@ class BoxConstraints:
 class TargetDensity:
     """An unnormalized log-density kernel with its gradient.
 
-    ``log_f`` maps a position of shape ``(dim,)`` to a float, or a batch of
-    shape ``(n, dim)`` to an ``(n,)`` array.  Zero density is represented as
-    ``-inf`` (never NaN); ``grad_log_f`` returns matching shapes and is
-    finite wherever ``log_f`` is.  ``constraints`` restricts the support to
-    a box; samplers bounce trajectories off its walls.
+    ``log_f`` maps a batch of positions ``(n, dim)`` to an ``(n,)`` array
+    and ``grad_log_f`` maps it to ``(n, dim)``; there is no single-point
+    form.  Zero density is represented as ``-inf`` (never NaN), and the
+    gradient is finite wherever ``log_f`` is.  ``constraints`` restricts
+    the support to a box; samplers bounce trajectories off its walls.
     """
 
     dim: int
-    log_f: Callable[[np.ndarray], Union[float, np.ndarray]]
+    log_f: Callable[[np.ndarray], np.ndarray]
     grad_log_f: Callable[[np.ndarray], np.ndarray]
     constraints: BoxConstraints | None = None
 

@@ -40,7 +40,9 @@ def effective_sample_size(weights) -> float:
     total = w.sum()
     if denom <= 0 or not np.isfinite(total) or total <= 0:
         raise DegenerateWeightsError("cannot compute ESS of degenerate weights")
-    return float(total**2 / denom)
+    # total * total, not total**2: a scalar power goes through libm pow, which
+    # need not round correctly, so rescaling w by 2**k could move the last bit
+    return float(total * total / denom)
 
 
 def mode_mass(ensemble: Ensemble, mode_centers) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Single-step Markov transition kernels.
+"""Markov transition kernels on batches of positions.
 
 Random-walk Metropolis-Hastings and a leapfrog Hamiltonian step, both
 with a diagonal mass / scale generalization, plus reflective position
-updates that bounce trajectories off box constraints.  The ensemble
-mutation helper advances every particle on its own derived random
-stream, so batched execution is bit-identical to stepping the particles
-one at a time.
+updates that bounce trajectories off box constraints.  Every step runs on
+an ``(n, dim)`` batch: row i draws ``dim`` normals and then one uniform
+from its own generator, so a batch is bit-identical to stepping its rows
+one at a time.  ``mutate_ensemble`` steps a whole ensemble, each particle
+on its own derived stream; ``mh_step`` and ``hmc_step`` are the
+single-position edge, a batch of one row.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import Ensemble, RandomSource, TargetDensity, as_generator
+from .core import Ensemble, RandomSource, TargetDensity, _readonly, as_generator
 
 __all__ = [
     "HmcConfig",
@@ -42,10 +44,9 @@ class HmcConfig:
     step_size: float = 0.05
 
     def __post_init__(self):
-        mass = np.atleast_1d(np.asarray(self.mass_diag, dtype=float))
+        mass = _readonly(np.atleast_1d(self.mass_diag))
         if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
             raise ValueError("mass_diag components must be strictly positive")
-        mass.setflags(write=False)
         object.__setattr__(self, "mass_diag", mass)
         if int(self.leapfrog_steps) < 1:
             raise ValueError("leapfrog_steps must be at least 1")
@@ -128,9 +129,9 @@ def _reflect_box(
 
 def _mh_batch(target, positions, noise, log_u, scale):
     """Vectorized symmetric random-walk step; returns (new_q, accepted, log_a)."""
-    lf0 = np.atleast_1d(target.log_f(positions))
+    lf0 = target.log_f(positions)
     proposals = positions + np.sqrt(scale) * noise
-    lf1 = np.atleast_1d(target.log_f(proposals))
+    lf1 = target.log_f(proposals)
     log_ratio = lf1 - lf0
     valid = np.isfinite(lf0)
     log_a = np.where(np.isnan(log_ratio) | ~valid, -np.inf, np.minimum(0.0, log_ratio))
@@ -148,14 +149,14 @@ def _leapfrog_batch(target, positions, momenta, config: HmcConfig):
 
     q = positions.copy()
     # half step momentum; note grad U = -grad log f
-    p = momenta + 0.5 * eps * np.asarray(target.grad_log_f(q))
+    p = momenta + 0.5 * eps * target.grad_log_f(q)
     for step in range(config.leapfrog_steps):
         q = q + eps * p / mass
         if box is not None:
             q, p = _reflect_box(q, p, lower, box.upper)
         if step < config.leapfrog_steps - 1:
-            p = p + eps * np.asarray(target.grad_log_f(q))
-    p = p + 0.5 * eps * np.asarray(target.grad_log_f(q))
+            p = p + eps * target.grad_log_f(q)
+    p = p + 0.5 * eps * target.grad_log_f(q)
     return q, -p
 
 
@@ -168,10 +169,10 @@ def _hmc_batch(target, positions, momenta, log_u, config: HmcConfig):
     mass = config.mass_for(positions.shape[1])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        lf0 = np.atleast_1d(target.log_f(positions))
+        lf0 = target.log_f(positions)
         kin0 = 0.5 * ((momenta**2) / mass).sum(axis=-1)
         q, p = _leapfrog_batch(target, positions, momenta, config)
-        lf1 = np.atleast_1d(target.log_f(q))
+        lf1 = target.log_f(q)
         kin1 = 0.5 * ((p**2) / mass).sum(axis=-1)
         log_ratio = (lf1 - lf0) + (kin0 - kin1)
         bad = ~np.isfinite(lf0) | np.isnan(log_ratio) | ~np.all(np.isfinite(q), axis=-1)
@@ -181,27 +182,44 @@ def _hmc_batch(target, positions, momenta, log_u, config: HmcConfig):
     return new_q, accepted, log_a
 
 
+def _step(target, positions, kernel: KernelConfig, gens):
+    """One kernel step of every row, row i drawing from ``gens[i]``.
+
+    Each generator draws ``dim`` standard normals (the random-walk noise,
+    or the momentum before scaling by sqrt(M)) and then one uniform for
+    the accept test.  Returns (new positions, accepted, log accept prob).
+    """
+    dim = positions.shape[1]
+    noise = np.stack([g.standard_normal(dim) for g in gens])
+    log_u = np.log(np.array([g.uniform() for g in gens]))
+    if isinstance(kernel, HmcConfig):
+        return _hmc_batch(target, positions, np.sqrt(kernel.mass_for(dim)) * noise, log_u, kernel)
+    return _mh_batch(target, positions, noise, log_u, kernel.proposal_scale)
+
+
+def _single_step(kind, target, position, config, rng) -> StepOutcome:
+    """``_step`` on the one-row batch ``position[None]``, config and start checked."""
+    if not isinstance(config, kind):
+        raise TypeError(f"expected an {kind.__name__}, got {type(config).__name__}")
+    position = np.atleast_1d(np.asarray(position, dtype=float))[None]
+    if not np.isfinite(target.log_f(position)[0]):
+        raise ValueError("starting position has non-finite log-density")
+    new_q, accepted, log_a = _step(target, position, config, [as_generator(rng)])
+    return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
+
+
 def mh_step(
     target: TargetDensity,
     position: np.ndarray,
     config: MhConfig,
     rng: RandomSource | np.random.Generator,
 ) -> StepOutcome:
-    """One random-walk Metropolis step from ``position``.
+    """One random-walk Metropolis step from a single ``position``.
 
     The proposal is symmetric, so the acceptance probability reduces to
     min(1, f(proposal) / f(position)).
     """
-    position = np.atleast_1d(np.asarray(position, dtype=float))
-    if not np.isfinite(target.log_f(position)):
-        raise ValueError("starting position has non-finite log-density")
-    gen = as_generator(rng)
-    noise = gen.standard_normal(position.shape[0])
-    log_u = np.log(gen.uniform())
-    new_q, accepted, log_a = _mh_batch(
-        target, position[None, :], noise[None, :], np.array([log_u]), config.proposal_scale
-    )
-    return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
+    return _single_step(MhConfig, target, position, config, rng)
 
 
 def hmc_step(
@@ -210,24 +228,14 @@ def hmc_step(
     config: HmcConfig,
     rng: RandomSource | np.random.Generator,
 ) -> StepOutcome:
-    """One Hamiltonian step: momentum draw, L leapfrog steps, accept test.
+    """One Hamiltonian step from a single ``position``.
 
-    The momentum is drawn from N(0, M); after the trajectory the momentum
+    The momentum is drawn from N(0, M); after L leapfrog steps the momentum
     is negated and the move is accepted with probability
     min(1, exp[(log f' - log f) + (K - K')]) where K = p^T M^-1 p / 2.
     Box-constrained targets bounce off the walls during position updates.
     """
-    position = np.atleast_1d(np.asarray(position, dtype=float))
-    if not np.isfinite(target.log_f(position)):
-        raise ValueError("starting position has non-finite log-density")
-    gen = as_generator(rng)
-    mass = config.mass_for(position.shape[0])
-    momentum = np.sqrt(mass) * gen.standard_normal(position.shape[0])
-    log_u = np.log(gen.uniform())
-    new_q, accepted, log_a = _hmc_batch(
-        target, position[None, :], momentum[None, :], np.array([log_u]), config
-    )
-    return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
+    return _single_step(HmcConfig, target, position, config, rng)
 
 
 def mutate_ensemble(
@@ -250,26 +258,14 @@ def mutate_ensemble(
         raise ValueError("steps must be at least 1")
     if not isinstance(rng, RandomSource):
         raise TypeError("mutate_ensemble needs a RandomSource to derive particle streams")
-    n, dim = ensemble.n_particles, ensemble.dim
-    gens = [rng.derive(idx).generator() for idx in range(n)]
+    if not isinstance(kernel, (HmcConfig, MhConfig)):
+        raise TypeError("kernel must be an HmcConfig or MhConfig")
+    gens = [rng.derive(idx).generator() for idx in range(ensemble.n_particles)]
 
     positions = ensemble.positions.copy()
     acceptance_count = 0
-    accepted = np.zeros(n, dtype=bool)
     for _ in range(steps):
-        if isinstance(kernel, HmcConfig):
-            mass = kernel.mass_for(dim)
-            draws = np.stack([np.sqrt(mass) * g.standard_normal(dim) for g in gens])
-            log_u = np.log(np.array([g.uniform() for g in gens]))
-            positions, accepted, _ = _hmc_batch(target, positions, draws, log_u, kernel)
-        elif isinstance(kernel, MhConfig):
-            draws = np.stack([g.standard_normal(dim) for g in gens])
-            log_u = np.log(np.array([g.uniform() for g in gens]))
-            positions, accepted, _ = _mh_batch(
-                target, positions, draws, log_u, kernel.proposal_scale
-            )
-        else:
-            raise TypeError("kernel must be an HmcConfig or MhConfig")
+        positions, accepted, _ = _step(target, positions, kernel, gens)
         acceptance_count += int(accepted.sum())
 
     return MutationResult(Ensemble(positions), acceptance_count, accepted)

@@ -251,9 +251,7 @@ def blockwise_sequence(
         raise ValueError("data must be nonempty")
 
     stages = []
-    cut = block_size
-    while True:
-        cut = min(cut, total)
+    for cut in [*range(block_size, total, block_size), total]:
         if kind == "kde":
             revealed = data[:cut]
             sd = revealed.std(axis=0, ddof=1) if cut > 1 else np.ones(data.shape[1])
@@ -262,9 +260,6 @@ def blockwise_sequence(
             stages.append(kde_target(revealed, sd * float(cut) ** (-0.2), constraints))
         else:
             stages.append(nonlinear_logit_loglik(data.subset(cut)))
-        if cut == total:
-            break
-        cut += block_size
     return TargetSequence(tuple(stages), initial)
 
 
@@ -326,11 +321,11 @@ def correction_weights(
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"mode must be one of {WEIGHT_MODES}")
-    log_next = np.atleast_1d(f_next.log_f(ensemble.positions))
+    log_next = f_next.log_f(ensemble.positions)
     if mode == "theoretical_ratio":
         if f_prev is None:
             raise ValueError("theoretical weights need the previous target")
-        log_prev = np.atleast_1d(f_prev.log_f(ensemble.positions))
+        log_prev = f_prev.log_f(ensemble.positions)
     else:
         bandwidth = loo_bandwidth if loo_bandwidth is not None else silverman_bandwidth(ensemble)
         log_prev = loo_log_density_all(ensemble.positions, bandwidth)
@@ -361,23 +356,27 @@ def resample(
     return Ensemble(ensemble.positions[idx])
 
 
-def _truncate_weights(w: np.ndarray, n: int) -> np.ndarray:
+def _truncate_weights(w: np.ndarray) -> np.ndarray:
     """Truncate weights at sqrt(N) times their own truncated mean.
 
     Kernel denominators can vanish for particles that drifted away from
     the cloud, handing one particle the whole selection pool.  The cap is
     the fixed point of c = sqrt(N) * mean(min(w, c)), so it is immune to
     the outliers it removes, and it grows with N, which preserves the
-    large-N consistency of the reweighting.
+    large-N consistency of the reweighting.  With the m largest weights
+    capped, c = sqrt(N) S / (N - sqrt(N) m), S the sum of the others; the
+    cap is the c of the smallest m for which it is positive and at least
+    the (m+1)-th largest weight.  With fewer than sqrt(N) positive weights
+    no positive c exists; the cap is then the smallest positive weight, so
+    the surviving particles weigh equally.
     """
-    cap = np.inf
-    scale = np.sqrt(n)
-    for _ in range(64):
-        new_cap = scale * np.minimum(w, cap).mean()
-        if new_cap >= cap:
-            break
-        cap = new_cap
-    return np.minimum(w, cap)
+    n = len(w)
+    desc = np.sort(w)[::-1]
+    m = np.arange(n)
+    m = m[n - np.sqrt(n) * m > 0]
+    caps = np.sqrt(n) * np.cumsum(desc[::-1])[::-1][m] / (n - np.sqrt(n) * m)
+    fits = (caps > 0) & (caps >= desc[m])
+    return np.minimum(w, caps[fits][0] if fits.any() else desc[desc > 0][-1])
 
 
 def _loo_engine_bandwidth(
@@ -421,7 +420,7 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
                 loo_bw = _loo_engine_bandwidth(ens, bandwidth_fallback)
             w = correction_weights(ens, f_t, f_prev, config.weight_mode, loo_bandwidth=loo_bw)
             if config.weight_mode == "loo_kde_ratio":
-                w = _truncate_weights(w, config.n_particles)
+                w = _truncate_weights(w)
             probs = normalize_weights(w)
         except DegenerateWeightsError as err:
             raise DegenerateWeightsError(

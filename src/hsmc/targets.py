@@ -1,8 +1,9 @@
 """Built-in target densities and wrappers for tempering and annealing.
 
 All targets expose unnormalized log-kernels (samplers only ever need
-ratios) together with analytic gradients.  Every ``log_f`` accepts a
-single position ``(dim,)`` or a batch ``(n, dim)``.
+ratios) together with analytic gradients.  Every ``log_f`` takes a batch
+of positions ``(n, dim)`` and returns ``(n,)``; a single position is the
+batch ``position[None]``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoxConstraints, RandomSource, TargetDensity, as_generator
+from .core import BoxConstraints, RandomSource, TargetDensity, _readonly, as_generator
 
 __all__ = [
     "LogitData",
@@ -48,29 +49,23 @@ def _make_target(
 ) -> TargetDensity:
     """Wrap batched implementations into a TargetDensity.
 
-    Adds single-position promotion, dimension checks, and -inf masking of
-    everything outside the constraint box.
+    Adds the ``(n, dim)`` shape check and -inf masking of everything
+    outside the constraint box.
     """
 
-    def log_f(position):
+    def checked(position) -> np.ndarray:
         pos = np.asarray(position, dtype=float)
-        single = pos.ndim == 1
-        pos2 = np.atleast_2d(pos)
-        if pos2.shape[-1] != dim:
-            raise ValueError(f"position has dimension {pos2.shape[-1]}, expected {dim}")
-        out = np.asarray(batch_log_f(pos2), dtype=float)
-        if constraints is not None:
-            out = np.where(constraints.contains(pos2), out, -np.inf)
-        return float(out[0]) if single else out
+        if pos.ndim != 2 or pos.shape[1] != dim:
+            raise ValueError(f"positions must have shape (n, dim) = (n, {dim}), got {pos.shape}")
+        return pos
+
+    def log_f(position):
+        pos = checked(position)
+        out = np.asarray(batch_log_f(pos), dtype=float)
+        return out if constraints is None else np.where(constraints.contains(pos), out, -np.inf)
 
     def grad_log_f(position):
-        pos = np.asarray(position, dtype=float)
-        single = pos.ndim == 1
-        pos2 = np.atleast_2d(pos)
-        if pos2.shape[-1] != dim:
-            raise ValueError(f"position has dimension {pos2.shape[-1]}, expected {dim}")
-        out = np.asarray(batch_grad(pos2), dtype=float)
-        return out[0] if single else out
+        return np.asarray(batch_grad(checked(position)), dtype=float)
 
     return TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints)
 
@@ -200,16 +195,14 @@ class LogitData:
             raise ValueError("offers and choices must be equally long vectors")
         if offers.size == 0:
             raise ValueError("logit data must be nonempty")
+        if not np.all(np.isfinite(offers)):
+            raise ValueError("every offer must be a finite number")
         if np.any(offers < -2.0) or np.any(offers > 8.0):
             raise ValueError("every offer must lie in [-2, 8]")
         if not np.all(np.isin(choices, (0.0, 1.0))):
             raise ValueError("choices must be 0 or 1")
-        offers = offers.copy()
-        choices = choices.copy()
-        offers.setflags(write=False)
-        choices.setflags(write=False)
-        object.__setattr__(self, "offers", offers)
-        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "offers", _readonly(offers))
+        object.__setattr__(self, "choices", _readonly(choices))
 
     def __len__(self) -> int:
         return self.offers.shape[0]
@@ -297,7 +290,8 @@ def powered(target: TargetDensity, gamma: float) -> TargetDensity:
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be strictly positive")
     gamma = float(gamma)
-    return _make_target(
+    # the inner target checks shapes and masks its own box
+    return TargetDensity(
         target.dim,
         lambda pos: gamma * target.log_f(pos),
         lambda pos: gamma * target.grad_log_f(pos),
@@ -324,14 +318,16 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
         end = f if phi == 1.0 else f1
         return TargetDensity(f.dim, end.log_f, end.grad_log_f, constraints=constraints)
 
-    def batch_log_f(pos):
+    # both ends check shapes and mask their own boxes, whose intersection
+    # is the bridge's box
+    def log_f(pos):
         la, lb = f.log_f(pos), f1.log_f(pos)
         return np.where(np.isneginf(la) | np.isneginf(lb), -np.inf, phi * la + (1.0 - phi) * lb)
 
-    def batch_grad(pos):
+    def grad_log_f(pos):
         return phi * f.grad_log_f(pos) + (1.0 - phi) * f1.grad_log_f(pos)
 
-    return _make_target(f.dim, batch_log_f, batch_grad, constraints=constraints)
+    return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints)
 
 
 def rejection_sample(

@@ -4,26 +4,31 @@ import pytest
 from hsmc.kernels import _leapfrog_batch, _reflect_box
 
 
-def finite_difference_gradient(log_f, position, rel_step=1e-6):
-    """Central-difference gradient with a step scaled to each coordinate."""
-    position = np.asarray(position, dtype=float)
-    grad = np.zeros_like(position)
-    for d in range(position.size):
-        step = rel_step * max(1.0, abs(position[d]))
-        e = np.zeros_like(position)
-        e[d] = step
-        grad[d] = (log_f(position + e) - log_f(position - e)) / (2.0 * step)
-    return grad
+def finite_difference_gradients(log_f, points, rel_step=1e-6):
+    """Central-difference gradients at every row, steps scaled to each coordinate.
+
+    All 2 * n * dim shifted points go through ``log_f`` in one batch call.
+    """
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    steps = rel_step * np.maximum(1.0, np.abs(points))
+    shifts = np.eye(dim)[None, :, :] * steps[:, :, None]  # (n, dim, dim): row d moves x_d
+    shifted = np.concatenate([points[:, None, :] + shifts, points[:, None, :] - shifts])
+    values = log_f(shifted.reshape(-1, dim)).reshape(2 * n, dim)
+    return (values[:n] - values[n:]) / (2.0 * steps)
 
 
 def assert_gradient_matches(target, points, rel_tol=1e-5):
     """Check analytic against finite-difference gradients at many points."""
-    for x in points:
-        analytic = target.grad_log_f(x)
-        numeric = finite_difference_gradient(target.log_f, x)
-        scale = np.maximum(1e-6, np.abs(numeric))
-        rel = np.abs(analytic - numeric) / scale
-        assert rel.max() < rel_tol, f"gradient mismatch at {x}: {analytic} vs {numeric}"
+    points = np.asarray(points, dtype=float)
+    analytic = target.grad_log_f(points)
+    numeric = finite_difference_gradients(target.log_f, points)
+    scale = np.maximum(1e-6, np.abs(numeric))
+    rel = (np.abs(analytic - numeric) / scale).max(axis=1)
+    worst = int(np.argmax(rel))
+    assert rel[worst] < rel_tol, (
+        f"gradient mismatch at {points[worst]}: {analytic[worst]} vs {numeric[worst]}"
+    )
 
 
 def reflect_into_box(q, p, lower, upper):
@@ -32,14 +37,11 @@ def reflect_into_box(q, p, lower, upper):
     return float(q2[0]), float(p2[0])
 
 
-def leapfrog_proposal(target, position, momentum, config):
-    """The leapfrog trajectory map on one phase point or on a batch of them."""
-    position = np.asarray(position, dtype=float)
-    single = position.ndim == 1
-    q, p = _leapfrog_batch(
-        target, np.atleast_2d(position), np.atleast_2d(np.asarray(momentum, dtype=float)), config
+def leapfrog_proposal(target, positions, momenta, config):
+    """The leapfrog trajectory map on a batch of (n, dim) phase points."""
+    return _leapfrog_batch(
+        target, np.asarray(positions, dtype=float), np.asarray(momenta, dtype=float), config
     )
-    return (q[0], p[0]) if single else (q, p)
 
 
 @pytest.fixture

@@ -304,9 +304,9 @@ def test_criterion_7_property_suite():
     target = rosenbrock()
     for _ in range(20):
         q0, p0 = rng.standard_normal(2), rng.standard_normal(2)
-        q1, p1 = leapfrog_proposal(target, q0, p0, cfg)
+        q1, p1 = leapfrog_proposal(target, q0[None], p0[None], cfg)
         q2, p2 = leapfrog_proposal(target, q1, p1, cfg)
-        assert np.abs(q2 - q0).max() < 1e-10 and np.abs(p2 - p0).max() < 1e-10
+        assert np.abs(q2[0] - q0).max() < 1e-10 and np.abs(p2[0] - p0).max() < 1e-10
     checks.append("reversibility")
 
     # reflection preserves |momentum| exactly

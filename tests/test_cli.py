@@ -303,23 +303,55 @@ class TestStrictInputs:
         path = write_config(tmp_path / "c.yaml", mapping)
         assert_rejected_before_output(tmp_path, path, capsys, field)
 
+    @staticmethod
+    def logit_recipe(section, data_path):
+        if section == "target":
+            mapping = chain_recipe()
+            mapping["target"] = {"name": "logit", "data": str(data_path)}
+            return mapping
+        return {
+            "algorithm": "smc", "seed": 1, "output": "out", "particles": 16,
+            "kernel": {"type": "mh", "proposal_scale": 0.2},
+            "initial": {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
+            "sequence": {"kind": "loglik-blocks", "data": str(data_path), "block_size": 1},
+        }
+
     @pytest.mark.parametrize("section", ["target", "sequence"])
     def test_bad_logit_data_named(self, tmp_path, capsys, section):
         data_path = tmp_path / "logit.csv"
         data_path.write_text("x,choice\n1.5,1\n2.5,7\n")
-        if section == "target":
-            mapping = chain_recipe()
-            mapping["target"] = {"name": "logit", "data": str(data_path)}
-        else:
-            mapping = {
-                "algorithm": "smc", "seed": 1, "output": "out", "particles": 16,
-                "kernel": {"type": "mh", "proposal_scale": 0.2},
-                "initial": {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
-                "sequence": {"kind": "loglik-blocks", "data": str(data_path),
-                             "block_size": 1},
-            }
-        path = write_config(tmp_path / "c.yaml", mapping)
+        path = write_config(tmp_path / "c.yaml", self.logit_recipe(section, data_path))
         assert_rejected_before_output(tmp_path, path, capsys, f"{section}.data")
+
+    @pytest.mark.parametrize("section", ["target", "sequence"])
+    def test_blank_logit_offer_named(self, tmp_path, capsys, section):
+        # a blank cell reads as NaN, which no range check catches
+        data_path = tmp_path / "logit.csv"
+        data_path.write_text("x,choice\n1.5,1\n,0\n2.5,1\n")
+        path = write_config(tmp_path / "c.yaml", self.logit_recipe(section, data_path))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.data" in err and "every offer must be a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", ["no y column", "blank", "text", "inf"])
+    def test_bad_point_data_named(self, tmp_path, capsys, edit):
+        mapping = strict_recipe(tmp_path)
+        data_path = Path(mapping["sequence"]["data"])
+        lines = data_path.read_text().splitlines()
+        x, y = lines[7].split(",")
+        if edit == "no y column":
+            lines[0] = "x,z"
+        else:
+            lines[7] = f"{x},{dict(blank='', text='abc', inf='inf')[edit]}"
+        data_path.write_text("\n".join(lines) + "\n")
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "sequence.data" in err and str(data_path) in err
+        problem = "no field of name y" if edit == "no y column" else "row 7: y is not finite"
+        assert problem in err
+        assert not (tmp_path / "out").exists()
 
     def test_integral_numbers_accepted(self, tmp_path):
         mapping = chain_recipe()

@@ -47,15 +47,9 @@ N_SPLIT = math.isqrt(_BLOCK_TERMS) + 40
 
 
 class TestKdeTarget:
-    def test_single_point_mode(self):
-        p = np.array([0.7, -1.2])
-        t = kde_target([p], [0.5, 0.5])
-        np.testing.assert_allclose(t.grad_log_f(p), 0.0, atol=1e-12)
-        assert t.log_f(p) > t.log_f(p + 0.3)
-
     def test_symmetric_pair_has_flat_centre(self):
         t = kde_target([[-1.0], [1.0]], [1.0])
-        np.testing.assert_allclose(t.grad_log_f(np.array([0.0])), 0.0, atol=1e-14)
+        np.testing.assert_allclose(t.grad_log_f(np.array([[0.0]]))[0], 0.0, atol=1e-14)
 
     def test_bandwidth_rate_constant(self):
         # the n^(-1/5) rate at n=100
@@ -81,8 +75,8 @@ class TestKdeTarget:
                 np.testing.assert_allclose(
                     g, gaussian_kernel_grad_log(x, points, h), rtol=1e-10, atol=1e-10
                 )
-            # a single position evaluates as one row of the batch
-            assert t.log_f(xs[-1]) == pytest.approx(log_f[-1], abs=1e-13)
+            # a one-row batch evaluates as that row of the larger batch
+            assert t.log_f(xs[-1:])[0] == pytest.approx(log_f[-1], abs=1e-13)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +90,7 @@ class TestKdeTarget:
         box = BoxConstraints([-1.0], [1.0])
         t = kde_target([[0.0]], [1.0], constraints=box)
         assert t.constraints is box
-        assert t.log_f(np.array([2.0])) == -np.inf
+        assert t.log_f(np.array([[2.0]]))[0] == -np.inf
 
     def test_gradient_matches_finite_differences(self, rng):
         points = rng.standard_normal((30, 2)) * [1.0, 3.0]
@@ -109,8 +103,8 @@ class TestKdeTarget:
         wide = kde_target(points, [1.0])
         narrow = kde_target(points, [0.01])
         # at a data point the narrow estimate is much larger; off-data much smaller
-        assert narrow.log_f(np.array([0.0])) > wide.log_f(np.array([0.0]))
-        assert narrow.log_f(np.array([2.5])) < wide.log_f(np.array([2.5]))
+        assert narrow.log_f(np.array([[0.0]]))[0] > wide.log_f(np.array([[0.0]]))[0]
+        assert narrow.log_f(np.array([[2.5]]))[0] < wide.log_f(np.array([[2.5]]))[0]
 
 
 class TestLeaveOneOut:
@@ -157,7 +151,7 @@ class TestLeaveOneOut:
         for i in (0, 7, 19):
             others = np.delete(positions, i, axis=0)
             assert loo[i] == pytest.approx(
-                kde_target(others, h).log_f(positions[i]), abs=1e-12
+                kde_target(others, h).log_f(positions[i][None])[0], abs=1e-12
             )
 
     def test_needs_two_particles(self):
@@ -170,7 +164,7 @@ class TestLeaveOneOut:
         positions = rng.standard_normal((12, 1)) * 2.0
         others = np.delete(positions, 3, axis=0)
         t = kde_target(others, [0.8])
-        val, _ = quad(lambda x: np.exp(t.log_f(np.array([x]))), -40, 40, limit=200)
+        val, _ = quad(lambda x: np.exp(t.log_f(np.array([[x]]))[0]), -40, 40, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
 
 

@@ -9,7 +9,7 @@ from conftest import leapfrog_proposal, reflect_into_box
 
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
-from hsmc.kernels import _mh_batch, _reflect_box
+from hsmc.kernels import _hmc_batch, _mh_batch, _reflect_box
 from hsmc.targets import dropwave, gaussian, rosenbrock
 
 
@@ -30,11 +30,7 @@ def fold_loop(q, p, lower, upper, max_folds=1024):
 
 
 def flat_target(dim=2):
-    return TargetDensity(
-        dim,
-        lambda p: np.zeros(p.shape[0]) if np.asarray(p).ndim == 2 else 0.0,
-        lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-    )
+    return TargetDensity(dim, lambda p: np.zeros(p.shape[0]), np.zeros_like)
 
 
 class TestConfigs:
@@ -49,6 +45,13 @@ class TestConfigs:
     def test_mh_validation(self):
         with pytest.raises(ValueError):
             MhConfig(proposal_scale=0.0)
+
+    def test_mass_is_a_frozen_copy(self):
+        mass = np.array([1.0, 2.0])
+        cfg = HmcConfig(mass_diag=mass)
+        assert mass.flags.writeable and not cfg.mass_diag.flags.writeable
+        mass[0] = 5.0
+        np.testing.assert_array_equal(cfg.mass_diag, [1.0, 2.0])
 
     def test_mass_broadcast(self):
         cfg = HmcConfig(mass_diag=2.0)
@@ -89,7 +92,7 @@ class TestMhStep:
         gen = RandomSource(11).generator()
         for _ in range(100):
             out = mh_step(target, np.array([2.45, 0.0]), MhConfig(4.0), gen)
-            assert np.isfinite(target.log_f(out.new_position))
+            assert np.isfinite(target.log_f(out.new_position[None])[0])
 
 
 class TestReflectIntoBox:
@@ -177,9 +180,9 @@ class TestHmcStep:
         for _ in range(300):
             q0 = gen.standard_normal(1)
             p0 = gen.standard_normal(1)
-            q1, p1 = leapfrog_proposal(target, q0, p0, cfg)
-            h0 = -target.log_f(q0) + 0.5 * (p0**2).sum()
-            h1 = -target.log_f(q1) + 0.5 * (p1**2).sum()
+            q1, p1 = leapfrog_proposal(target, q0[None], p0[None], cfg)
+            h0 = -target.log_f(q0[None])[0] + 0.5 * (p0**2).sum()
+            h1 = -target.log_f(q1)[0] + 0.5 * (p1**2).sum()
             worst = max(worst, abs(h1 - h0))
         assert worst < 1e-3
 
@@ -190,10 +193,10 @@ class TestHmcStep:
         for _ in range(20):
             q0 = gen.standard_normal(2)
             p0 = gen.standard_normal(2)
-            q1, p1 = leapfrog_proposal(target, q0, p0, cfg)
+            q1, p1 = leapfrog_proposal(target, q0[None], p0[None], cfg)
             q2, p2 = leapfrog_proposal(target, q1, p1, cfg)
-            np.testing.assert_allclose(q2, q0, atol=1e-10)
-            np.testing.assert_allclose(p2, p0, atol=1e-10)
+            np.testing.assert_allclose(q2[0], q0, atol=1e-10)
+            np.testing.assert_allclose(p2[0], p0, atol=1e-10)
 
     def test_leapfrog_volume_preservation(self):
         # numeric Jacobian of the (position, momentum) map on a quadratic
@@ -202,8 +205,8 @@ class TestHmcStep:
         cfg = HmcConfig(1.0, 12, 0.1)
 
         def phase_map(q, p):
-            q1, p1 = leapfrog_proposal(target, np.array([q]), np.array([p]), cfg)
-            return q1[0], -p1[0]
+            q1, p1 = leapfrog_proposal(target, np.array([[q]]), np.array([[p]]), cfg)
+            return q1[0, 0], -p1[0, 0]
 
         h = 1e-5
         q0, p0 = 0.4, -0.8
@@ -226,20 +229,47 @@ class TestHmcStep:
 
     def test_divergent_gradient_rejects_instead_of_crashing(self):
         # a target whose gradient explodes produces a rejected proposal
-        def bad_grad(p):
-            arr = np.asarray(p, dtype=float)
-            out = np.full_like(arr, np.inf)
-            return out
-
         target = TargetDensity(
-            1,
-            lambda p: np.zeros(p.shape[0]) if np.asarray(p).ndim == 2 else 0.0,
-            bad_grad,
+            1, lambda p: np.zeros(p.shape[0]), lambda p: np.full_like(p, np.inf)
         )
         out = hmc_step(target, np.zeros(1), HmcConfig(1.0, 5, 0.1), RandomSource(3))
         assert not out.accepted
         assert out.log_accept_prob == -np.inf
         np.testing.assert_array_equal(out.new_position, np.zeros(1))
+
+
+class TestSinglePositionEdge:
+    def test_config_type_checked(self):
+        with pytest.raises(TypeError, match="MhConfig"):
+            mh_step(rosenbrock(), np.zeros(2), HmcConfig(), RandomSource(1))
+        with pytest.raises(TypeError, match="HmcConfig"):
+            hmc_step(rosenbrock(), np.zeros(2), MhConfig(), RandomSource(1))
+
+    def test_draw_order_is_normals_then_uniform(self):
+        # each step draws dim standard normals, then one uniform, from the
+        # chain's generator; replaying that order by hand gives the same bits
+        target = rosenbrock()
+        start = np.array([0.4, -0.3])
+        hmc_cfg = HmcConfig(mass_diag=[2.0, 0.5], leapfrog_steps=5, step_size=0.1)
+        mh_cfg = MhConfig(0.3)
+        gen, ref = RandomSource(17).generator(), RandomSource(17).generator()
+        for _ in range(5):
+            out = hmc_step(target, start, hmc_cfg, gen)
+            momentum = np.sqrt(hmc_cfg.mass_for(2)) * ref.standard_normal(2)
+            log_u = np.log(ref.uniform())
+            q, acc, log_a = _hmc_batch(
+                target, start[None], momentum[None], np.array([log_u]), hmc_cfg
+            )
+            np.testing.assert_array_equal(out.new_position, q[0])
+            assert (out.accepted, out.log_accept_prob) == (acc[0], log_a[0])
+
+            out = mh_step(target, start, mh_cfg, gen)
+            noise = ref.standard_normal(2)
+            log_u = np.log(ref.uniform())
+            q, acc, log_a = _mh_batch(target, start[None], noise[None], np.array([log_u]), 0.3)
+            np.testing.assert_array_equal(out.new_position, q[0])
+            assert (out.accepted, out.log_accept_prob) == (acc[0], log_a[0])
+            start = out.new_position
 
 
 class TestDetailedBalance:
@@ -254,13 +284,7 @@ class TestDetailedBalance:
             inside = (x >= 0.0) & (x < 2.0)
             return np.where(inside, np.where(x < 1.0, log3, 0.0), -np.inf)
 
-        target = TargetDensity(
-            1,
-            lambda p: batch_log_f(np.atleast_2d(np.asarray(p, dtype=float)))[0]
-            if np.asarray(p).ndim == 1
-            else batch_log_f(np.asarray(p, dtype=float)),
-            lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-        )
+        target = TargetDensity(1, batch_log_f, np.zeros_like)
 
         sigma = 0.7
 

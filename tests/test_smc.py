@@ -55,7 +55,9 @@ class TestBlockwiseSequence:
         sd = points.std(axis=0, ddof=1)
         expected = kde_target(points, sd * 130 ** (-0.2))
         x = np.array([0.3, -0.7])
-        assert seq.stages[-1].log_f(x) == pytest.approx(expected.log_f(x), abs=1e-12)
+        assert seq.stages[-1].log_f(x[None])[0] == pytest.approx(
+            expected.log_f(x[None])[0], abs=1e-12
+        )
 
     def test_stage_bandwidth_uses_revealed_data_only(self, rng):
         points = rng.standard_normal((60, 2)) * [1.0, 5.0]
@@ -63,7 +65,9 @@ class TestBlockwiseSequence:
         first = points[:20]
         expected = kde_target(first, first.std(axis=0, ddof=1) * 20 ** (-0.2))
         x = np.array([0.0, 0.0])
-        assert seq.stages[0].log_f(x) == pytest.approx(expected.log_f(x), abs=1e-12)
+        assert seq.stages[0].log_f(x[None])[0] == pytest.approx(
+            expected.log_f(x[None])[0], abs=1e-12
+        )
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -74,7 +78,7 @@ class TestBlockwiseSequence:
 
         points = rng.uniform(-2, 2, (64, 2))
         seq = blockwise_sequence("kde", points, 32, constraints=DROPWAVE_BOX)
-        assert seq.stages[0].log_f(np.array([3.0, 0.0])) == -np.inf
+        assert seq.stages[0].log_f(np.array([[3.0, 0.0]]))[0] == -np.inf
 
 
 class TestTemperingSequence:
@@ -85,7 +89,7 @@ class TestTemperingSequence:
         assert seq.n_stages == 1
         for _ in range(5):
             x = rng.standard_normal(1)
-            assert seq.stages[0].log_f(x) == f.log_f(x)
+            assert seq.stages[0].log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_four_stage_ladder(self, rng):
         f1 = gaussian([0.0], [4.0])
@@ -93,7 +97,7 @@ class TestTemperingSequence:
         seq = tempering_sequence(f1, f, [0.25, 0.5, 0.75, 1.0])
         assert seq.n_stages == 4
         x = rng.standard_normal(1)
-        assert seq.stages[-1].log_f(x) == f.log_f(x)
+        assert seq.stages[-1].log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_monotonicity_enforced(self):
         f1, f = gaussian([0.0], [4.0]), gaussian([2.0], [1.0])
@@ -115,7 +119,7 @@ class TestAnnealingSequence:
         f = gaussian([0.0], [1.0])
         seq = annealing_sequence(f, [1.0])
         x = rng.standard_normal(1)
-        assert seq.stages[0].log_f(x) == f.log_f(x)
+        assert seq.stages[0].log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_gaussian_power_variances(self):
         # N(0,1)^gamma is N(0, 1/gamma): check the log-kernel curvature
@@ -124,7 +128,8 @@ class TestAnnealingSequence:
         one = np.array([1.0])
         zero = np.array([0.0])
         for stage, gamma in zip(seq.stages, [1.0, 4.0, 16.0, 64.0]):
-            assert stage.log_f(one) - stage.log_f(zero) == pytest.approx(-gamma / 2)
+            diff = stage.log_f(one[None])[0] - stage.log_f(zero[None])[0]
+            assert diff == pytest.approx(-gamma / 2)
 
     def test_validation(self):
         f = gaussian([0.0], [1.0])
@@ -141,7 +146,7 @@ class TestAnnealingSequence:
         seq = annealing_sequence(target, [1.0, 4.0, 16.0, 64.0])
         xs = np.linspace(-2.5, 2.5, 101)
         grid = np.array([[x, y] for x in xs for y in xs])
-        dens = np.exp(seq.stages[-1].log_f(grid) - seq.stages[-1].log_f(np.zeros(2)))
+        dens = np.exp(seq.stages[-1].log_f(grid) - seq.stages[-1].log_f(np.zeros((1, 2)))[0])
         radius = np.linalg.norm(grid, axis=1)
         assert dens[radius > 0.5].sum() / dens.sum() < 1e-6
 
@@ -247,33 +252,45 @@ positive_weights = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40).map(n
 class TestTruncateWeights:
     def test_hand_value(self):
         # N = 4: the cap c solves c = sqrt(4) * (1 + 1 + 1 + c) / 4, so c = 3
-        out = _truncate_weights(np.array([1.0, 1.0, 1.0, 100.0]), 4)
+        out = _truncate_weights(np.array([1.0, 1.0, 1.0, 100.0]))
         np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 3.0], rtol=1e-15)
 
     @given(w=positive_weights)
     @settings(max_examples=100, deadline=None)
     def test_weights_within_the_cap_unchanged(self, w):
         assume(w.max() <= np.sqrt(len(w)) * w.mean())
-        np.testing.assert_array_equal(_truncate_weights(w, len(w)), w)
+        np.testing.assert_array_equal(_truncate_weights(w), w)
 
     @given(w=positive_weights, log2_scale=st.integers(-40, 40))
     @settings(max_examples=100, deadline=None)
     def test_scale_equivariant_and_never_raises(self, w, log2_scale):
         # powers of two rescale mantissas exactly, so the scaled run is bit-identical
-        out = _truncate_weights(w, len(w))
+        out = _truncate_weights(w)
         scale = 2.0**log2_scale
-        np.testing.assert_array_equal(_truncate_weights(scale * w, len(w)), scale * out)
+        np.testing.assert_array_equal(_truncate_weights(scale * w), scale * out)
         assert np.all(out <= w)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the 64-iteration limit stops the cap above its fixed point when the "
-        "number of capped weights nears sqrt(N)"))
     def test_cap_is_a_fixed_point_when_convergence_is_slow(self):
-        # three of ten weights capped: the iteration contracts by 3 / sqrt(10)
-        # = 0.95 per step; the fixed point solves c = sqrt(10) * (7 + 3c) / 10
+        # three of ten weights capped: an iteration towards the cap would
+        # contract by 3 / sqrt(10) = 0.95 per step; the fixed point solves
+        # c = sqrt(10) * (7 + 3c) / 10
         w = np.array([100.0] * 3 + [1.0] * 7)
         cap = 0.7 * np.sqrt(10) / (1.0 - 0.3 * np.sqrt(10))
-        np.testing.assert_allclose(_truncate_weights(w, 10), np.minimum(w, cap), rtol=1e-12)
+        np.testing.assert_allclose(_truncate_weights(w), np.minimum(w, cap), rtol=1e-12)
+
+    def test_fewer_positive_weights_than_sqrt_n_survive_equally(self):
+        # N = 16 with 2 < sqrt(16) positive weights: the only fixed point is
+        # 0, so the cap is the smallest positive weight
+        w = np.array([5.0, 2.0] + [0.0] * 14)
+        np.testing.assert_array_equal(_truncate_weights(w), [2.0, 2.0] + [0.0] * 14)
+
+    @given(w=positive_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_cap_is_a_fixed_point(self, w):
+        out = _truncate_weights(w)
+        cap = out.max()
+        if cap < w.max():
+            assert cap == pytest.approx(np.sqrt(len(w)) * out.mean(), rel=1e-12)
 
 
 def _widened_by_brute_force(positions, base, k):

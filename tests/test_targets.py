@@ -5,6 +5,7 @@ from conftest import assert_gradient_matches
 
 import hsmc
 from hsmc.core import RandomSource
+from hsmc.kde import kde_target
 from hsmc.targets import (
     DROPWAVE_BOX,
     LogitData,
@@ -31,14 +32,14 @@ def smiley_reference(x, y):
 
 class TestRosenbrock:
     def test_at_origin(self):
-        assert rosenbrock().log_f(np.array([0.0, 0.0])) == 0.0
+        assert rosenbrock().log_f(np.array([[0.0, 0.0]]))[0] == 0.0
 
     def test_hand_value(self):
         # (y - x^2) = 0 leaves -x^2 / 8
-        assert rosenbrock().log_f(np.array([1.0, 1.0])) == pytest.approx(-0.125, abs=1e-15)
+        assert rosenbrock().log_f(np.array([[1.0, 1.0]]))[0] == pytest.approx(-0.125, abs=1e-15)
 
     def test_stationary_at_origin(self):
-        np.testing.assert_allclose(rosenbrock().grad_log_f(np.array([0.0, 0.0])), 0.0)
+        np.testing.assert_allclose(rosenbrock().grad_log_f(np.array([[0.0, 0.0]]))[0], 0.0)
 
     def test_batch_shape(self, rng):
         pts = rng.standard_normal((7, 2))
@@ -50,11 +51,11 @@ class TestGaussian:
     def test_gradient_zero_at_mode(self):
         mu = np.array([10.0, 10.0, 10.0, -10.0, -10.0, -10.0])
         t = gaussian(mu, np.ones(6))
-        np.testing.assert_allclose(t.grad_log_f(mu), np.zeros(6))
+        np.testing.assert_allclose(t.grad_log_f(mu[None])[0], np.zeros(6))
 
     def test_unit_normal_difference(self):
         t = gaussian([0.0], [1.0])
-        diff = t.log_f(np.array([1.0])) - t.log_f(np.array([0.0]))
+        diff = t.log_f(np.array([[1.0]]))[0] - t.log_f(np.array([[0.0]]))[0]
         assert diff == pytest.approx(-0.5, abs=1e-15)
 
     def test_zero_variance_rejected(self):
@@ -65,18 +66,18 @@ class TestGaussian:
 class TestSmiley:
     def test_mirror_symmetry(self):
         t = smiley()
-        assert t.log_f(np.array([1.3, 2.7])) == pytest.approx(
-            t.log_f(np.array([-1.3, 2.7])), abs=1e-12
+        assert t.log_f(np.array([[1.3, 2.7]]))[0] == pytest.approx(
+            t.log_f(np.array([[-1.3, 2.7]]))[0], abs=1e-12
         )
 
     def test_matches_reference_formula(self, rng):
         t = smiley()
-        assert t.log_f(np.array([0.0, 0.0])) == pytest.approx(
+        assert t.log_f(np.array([[0.0, 0.0]]))[0] == pytest.approx(
             np.log(smiley_reference(0.0, 0.0)), abs=1e-12
         )
         for _ in range(25):
             x, y = rng.uniform([-4.0, -2.0], [4.0, 27.0])
-            assert t.log_f(np.array([x, y])) == pytest.approx(
+            assert t.log_f(np.array([[x, y]]))[0] == pytest.approx(
                 np.log(smiley_reference(x, y)), rel=1e-12
             )
 
@@ -87,23 +88,23 @@ class TestSmiley:
 
 class TestDropwave:
     def test_peak_value(self):
-        assert dropwave().log_f(np.array([0.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
+        assert dropwave().log_f(np.array([[0.0, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_radial_symmetry(self, rng):
         t = dropwave()
         for _ in range(20):
             a, b = rng.uniform(-2.4, 2.4, 2)
-            assert t.log_f(np.array([a, b])) == pytest.approx(
-                t.log_f(np.array([b, a])), abs=1e-12
+            assert t.log_f(np.array([[a, b]]))[0] == pytest.approx(
+                t.log_f(np.array([[b, a]]))[0], abs=1e-12
             )
 
     def test_gradient_zero_at_origin(self):
-        np.testing.assert_allclose(dropwave().grad_log_f(np.array([0.0, 0.0])), 0.0)
+        np.testing.assert_allclose(dropwave().grad_log_f(np.array([[0.0, 0.0]]))[0], 0.0)
 
     def test_box_attached(self):
         t = dropwave()
         assert t.constraints is not None
-        assert t.log_f(np.array([2.6, 0.0])) == -np.inf
+        assert t.log_f(np.array([[2.6, 0.0]]))[0] == -np.inf
         np.testing.assert_array_equal(t.constraints.lower, [-2.5, -2.5])
 
 
@@ -112,7 +113,7 @@ class TestNonlinearLogit:
         # beta2 = 0 makes V identically zero, so every term is log(1/2)
         data = LogitData(np.array([1.0, 4.0, -1.5]), np.array([1.0, 0.0, 1.0]))
         t = nonlinear_logit_loglik(data)
-        assert t.log_f(np.array([3.0, 0.0])) == pytest.approx(-3.0 * np.log(2.0), abs=1e-12)
+        assert t.log_f(np.array([[3.0, 0.0]]))[0] == pytest.approx(-3.0 * np.log(2.0), abs=1e-12)
 
     def test_utility_hand_value(self):
         # V(3) at beta = (3, 3) is 2 sin(9); a single accepted offer at x=3
@@ -121,13 +122,15 @@ class TestNonlinearLogit:
         t = nonlinear_logit_loglik(data)
         v = 2.0 * np.sin(9.0)
         assert v == pytest.approx(0.82424, abs=5e-6)
-        assert t.log_f(np.array([3.0, 3.0])) == pytest.approx(v - np.log1p(np.exp(v)), abs=1e-12)
+        assert t.log_f(np.array([[3.0, 3.0]]))[0] == pytest.approx(
+            v - np.log1p(np.exp(v)), abs=1e-12
+        )
 
     def test_far_beta1_probabilities_near_half(self, rng):
         offers = rng.uniform(-2.0, 8.0, 10)
         for x in offers:
             single = nonlinear_logit_loglik(LogitData([x], [1.0]))
-            prob = np.exp(single.log_f(np.array([1e6, 3.0])))
+            prob = np.exp(single.log_f(np.array([[1e6, 3.0]]))[0])
             assert abs(prob - 0.5) < 1e-6
 
     def test_empty_data_rejected(self):
@@ -170,18 +173,18 @@ class TestPowered:
         t = powered(base, 1.0)
         for _ in range(5):
             x = rng.standard_normal(2)
-            assert t.log_f(x) == base.log_f(x)
+            assert t.log_f(x[None])[0] == base.log_f(x[None])[0]
 
     def test_doubling_hand_value(self):
         t = powered(rosenbrock(), 2.0)
-        assert t.log_f(np.array([1.0, 1.0])) == pytest.approx(-0.25, abs=1e-15)
+        assert t.log_f(np.array([[1.0, 1.0]]))[0] == pytest.approx(-0.25, abs=1e-15)
 
     def test_exact_scaling_property(self, rng):
         base = dropwave()
         t = powered(base, 3.5)
         for _ in range(10):
             x = rng.uniform(-2.4, 2.4, 2)
-            assert t.log_f(x) == 3.5 * base.log_f(x)
+            assert t.log_f(x[None])[0] == 3.5 * base.log_f(x[None])[0]
 
     def test_argmax_invariant_on_grid(self):
         xs = np.linspace(-2.4, 2.4, 33)
@@ -208,15 +211,15 @@ class TestGeometricBridge:
         at1 = geometric_bridge(f1, f, 1.0)
         for _ in range(10):
             x = rng.standard_normal(1)
-            assert at0.log_f(x) == f1.log_f(x)
-            assert at1.log_f(x) == f.log_f(x)
+            assert at0.log_f(x[None])[0] == f1.log_f(x[None])[0]
+            assert at1.log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_midpoint_of_gaussians_has_mean_one(self):
         # the product of N(0,1)^.5 and N(2,1)^.5 is a Gaussian centred at 1
         bridge = geometric_bridge(gaussian([0.0], [1.0]), gaussian([2.0], [1.0]), 0.5)
-        np.testing.assert_allclose(bridge.grad_log_f(np.array([1.0])), 0.0, atol=1e-14)
-        assert bridge.grad_log_f(np.array([0.5]))[0] > 0
-        assert bridge.grad_log_f(np.array([1.5]))[0] < 0
+        np.testing.assert_allclose(bridge.grad_log_f(np.array([[1.0]]))[0], 0.0, atol=1e-14)
+        assert bridge.grad_log_f(np.array([[0.5]]))[0][0] > 0
+        assert bridge.grad_log_f(np.array([[1.5]]))[0][0] < 0
 
     def test_parameter_validation(self):
         f1, f = gaussian([0.0], [1.0]), gaussian([2.0], [1.0])
@@ -227,7 +230,7 @@ class TestGeometricBridge:
 
     def test_zero_density_never_nan(self):
         bridge = geometric_bridge(gaussian([0.0, 0.0], [1.0, 1.0]), dropwave(), 0.5)
-        val = bridge.log_f(np.array([3.0, 0.0]))
+        val = bridge.log_f(np.array([[3.0, 0.0]]))[0]
         assert val == -np.inf
 
 
@@ -258,6 +261,22 @@ class TestGradientProperty:
             )
         pts = rng.uniform(lo, hi, size=(100, 2))
         assert_gradient_matches(target, pts)
+
+
+class TestBatchOnly:
+    @pytest.mark.parametrize("name", ["rosenbrock", "kde", "powered", "bridge"])
+    def test_single_position_rejected(self, name):
+        target = {
+            "rosenbrock": rosenbrock,
+            "kde": lambda: kde_target([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5]),
+            "powered": lambda: powered(dropwave(), 2.0),
+            "bridge": lambda: geometric_bridge(gaussian([0.0, 0.0], [1.0, 1.0]), smiley(), 0.5),
+        }[name]()
+        for fn in (target.log_f, target.grad_log_f):
+            with pytest.raises(ValueError, match=r"\(n, dim\) = \(n, 2\), got \(2,\)"):
+                fn(np.zeros(2))
+            with pytest.raises(ValueError, match=r"\(n, dim\) = \(n, 2\), got \(4, 3\)"):
+                fn(np.zeros((4, 3)))
 
 
 class TestRejectionSampling:
