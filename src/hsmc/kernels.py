@@ -8,6 +8,13 @@ from its own generator, so a batch is bit-identical to stepping its rows
 one at a time.  ``mutate_ensemble`` steps a whole ensemble, each particle
 on its own derived stream; ``mh_step`` and ``hmc_step`` are the
 single-position edge, a batch of one row.
+
+Steps carry each row's log f and gradient from one step to the next: a
+row ends where its proposal was accepted or where it started, and the
+last leapfrog gradient is the one at the proposal, so no point is
+evaluated twice.  A row keeps its place in the batch through a
+mutation, so a carried value has the bits that evaluating the new batch
+would give.
 """
 
 from __future__ import annotations
@@ -90,6 +97,7 @@ class MutationResult(NamedTuple):
     ensemble: Ensemble
     acceptance_count: int
     accepted: np.ndarray  # outcome of each particle's final mutation step
+    log_f: np.ndarray  # target log-density at each final particle
 
 
 KernelConfig = Union[HmcConfig, MhConfig]
@@ -127,9 +135,12 @@ def _reflect_box(
     return q, p
 
 
-def _mh_batch(target, positions, noise, log_u, scale):
-    """Vectorized symmetric random-walk step; returns (new_q, accepted, log_a)."""
-    lf0 = target.log_f(positions)
+def _mh_batch(target, positions, lf0, noise, log_u, scale):
+    """Vectorized symmetric random-walk step from rows with log-densities ``lf0``.
+
+    Returns (new_q, new_lf, accepted, log_a): each row's position and
+    log-density after the step, its accept flag and log accept prob.
+    """
     proposals = positions + np.sqrt(scale) * noise
     lf1 = target.log_f(proposals)
     log_ratio = lf1 - lf0
@@ -137,64 +148,86 @@ def _mh_batch(target, positions, noise, log_u, scale):
     log_a = np.where(np.isnan(log_ratio) | ~valid, -np.inf, np.minimum(0.0, log_ratio))
     accepted = log_u < log_a
     new_q = np.where(accepted[:, None], proposals, positions)
-    return new_q, accepted, log_a
+    return new_q, np.where(accepted, lf1, lf0), accepted, log_a
 
 
-def _leapfrog_batch(target, positions, momenta, config: HmcConfig):
-    """L leapfrog steps, then momentum negation: the proposal map, its own inverse."""
+def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
+    """L leapfrog steps, then momentum negation: the proposal map, its own inverse.
+
+    ``grad0`` is grad log f at ``positions``.  Returns (q, p, grad log f at q);
+    that last gradient is the final half step's, so it is evaluated once.
+    """
     mass = config.mass_for(positions.shape[1])
     eps = config.step_size
     box = target.constraints
     lower = box.lower if box is not None else None
 
-    q = positions.copy()
+    q = positions
     # half step momentum; note grad U = -grad log f
-    p = momenta + 0.5 * eps * target.grad_log_f(q)
+    p = momenta + 0.5 * eps * grad0
     for step in range(config.leapfrog_steps):
         q = q + eps * p / mass
         if box is not None:
             q, p = _reflect_box(q, p, lower, box.upper)
-        if step < config.leapfrog_steps - 1:
-            p = p + eps * target.grad_log_f(q)
-    p = p + 0.5 * eps * target.grad_log_f(q)
-    return q, -p
+        grad = target.grad_log_f(q)
+        p = p + (eps if step < config.leapfrog_steps - 1 else 0.5 * eps) * grad
+    return q, -p, grad
 
 
-def _hmc_batch(target, positions, momenta, log_u, config: HmcConfig):
+def _hmc_batch(target, positions, lf0, grad0, momenta, log_u, config: HmcConfig):
     """Vectorized leapfrog proposal with Metropolis correction.
 
-    Any non-finite gradient or log-density along the trajectory marks the
-    proposal as infinitely uphill, so it is rejected rather than crashing.
+    ``lf0`` and ``grad0`` are log f and its gradient at ``positions``.
+    Returns (new_q, new_lf, new_grad, accepted, log_a): each row's position,
+    log-density and gradient after the step, its accept flag and log accept
+    prob.  Any non-finite gradient or log-density along the trajectory marks
+    the proposal as infinitely uphill, so it is rejected rather than crashing.
     """
     mass = config.mass_for(positions.shape[1])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        lf0 = target.log_f(positions)
         kin0 = 0.5 * ((momenta**2) / mass).sum(axis=-1)
-        q, p = _leapfrog_batch(target, positions, momenta, config)
+        q, p, grad1 = _leapfrog_batch(target, positions, momenta, grad0, config)
         lf1 = target.log_f(q)
         kin1 = 0.5 * ((p**2) / mass).sum(axis=-1)
         log_ratio = (lf1 - lf0) + (kin0 - kin1)
         bad = ~np.isfinite(lf0) | np.isnan(log_ratio) | ~np.all(np.isfinite(q), axis=-1)
         log_a = np.where(bad, -np.inf, np.minimum(0.0, log_ratio))
     accepted = log_u < log_a
-    new_q = np.where(accepted[:, None], q, positions)
-    return new_q, accepted, log_a
+    keep = accepted[:, None]
+    return (
+        np.where(keep, q, positions), np.where(accepted, lf1, lf0),
+        np.where(keep, grad1, grad0), accepted, log_a,
+    )
 
 
-def _step(target, positions, kernel: KernelConfig, gens):
+def _start_gradient(target, positions, kernel: KernelConfig):
+    """grad log f at the rows for a Hamiltonian kernel; None for random walk."""
+    if not isinstance(kernel, HmcConfig):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return target.grad_log_f(positions)
+
+
+def _step(target, positions, lf, grad, kernel: KernelConfig, gens):
     """One kernel step of every row, row i drawing from ``gens[i]``.
 
-    Each generator draws ``dim`` standard normals (the random-walk noise,
-    or the momentum before scaling by sqrt(M)) and then one uniform for
-    the accept test.  Returns (new positions, accepted, log accept prob).
+    ``lf`` is log f at the rows and ``grad`` its gradient (None for
+    random walk).  Each generator draws ``dim`` standard normals (the
+    random-walk noise, or the momentum before scaling by sqrt(M)) and then
+    one uniform for the accept test.  Returns (new positions, new lf, new
+    grad, accepted, log accept prob).
     """
     dim = positions.shape[1]
     noise = np.stack([g.standard_normal(dim) for g in gens])
     log_u = np.log(np.array([g.uniform() for g in gens]))
     if isinstance(kernel, HmcConfig):
-        return _hmc_batch(target, positions, np.sqrt(kernel.mass_for(dim)) * noise, log_u, kernel)
-    return _mh_batch(target, positions, noise, log_u, kernel.proposal_scale)
+        momenta = np.sqrt(kernel.mass_for(dim)) * noise
+        return _hmc_batch(target, positions, lf, grad, momenta, log_u, kernel)
+    new_q, new_lf, accepted, log_a = _mh_batch(
+        target, positions, lf, noise, log_u, kernel.proposal_scale
+    )
+    return new_q, new_lf, None, accepted, log_a
 
 
 def _single_step(kind, target, position, config, rng) -> StepOutcome:
@@ -202,9 +235,11 @@ def _single_step(kind, target, position, config, rng) -> StepOutcome:
     if not isinstance(config, kind):
         raise TypeError(f"expected an {kind.__name__}, got {type(config).__name__}")
     position = np.atleast_1d(np.asarray(position, dtype=float))[None]
-    if not np.isfinite(target.log_f(position)[0]):
+    lf = target.log_f(position)
+    if not np.isfinite(lf[0]):
         raise ValueError("starting position has non-finite log-density")
-    new_q, accepted, log_a = _step(target, position, config, [as_generator(rng)])
+    grad = _start_gradient(target, position, config)
+    new_q, _, _, accepted, log_a = _step(target, position, lf, grad, config, [as_generator(rng)])
     return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
 
 
@@ -244,6 +279,7 @@ def mutate_ensemble(
     kernel: KernelConfig,
     steps: int,
     rng: RandomSource,
+    log_f: np.ndarray,
 ) -> MutationResult:
     """Advance every particle by ``steps`` kernel steps.
 
@@ -253,6 +289,11 @@ def mutate_ensemble(
     order and matches stepping particles one by one with the same
     streams.  Per-particle failures (zero density, divergent trajectories)
     reject the proposal instead of aborting the ensemble.
+
+    ``log_f`` is ``target.log_f`` at the particles, which the caller
+    usually has already; the result's ``log_f`` is its value at the final
+    particles.  Steps carry log f and the gradient, so only the first
+    step's start gradient is evaluated here.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -260,12 +301,16 @@ def mutate_ensemble(
         raise TypeError("mutate_ensemble needs a RandomSource to derive particle streams")
     if not isinstance(kernel, (HmcConfig, MhConfig)):
         raise TypeError("kernel must be an HmcConfig or MhConfig")
+    lf = np.asarray(log_f, dtype=float)
+    if lf.shape != (ensemble.n_particles,):
+        raise ValueError("log_f must have one entry per particle")
     gens = [rng.derive(idx).generator() for idx in range(ensemble.n_particles)]
 
-    positions = ensemble.positions.copy()
+    positions = ensemble.positions
+    grad = _start_gradient(target, positions, kernel)
     acceptance_count = 0
     for _ in range(steps):
-        positions, accepted, _ = _step(target, positions, kernel, gens)
+        positions, lf, grad, accepted, _ = _step(target, positions, lf, grad, kernel, gens)
         acceptance_count += int(accepted.sum())
 
-    return MutationResult(Ensemble(positions), acceptance_count, accepted)
+    return MutationResult(Ensemble(positions), acceptance_count, accepted, lf)

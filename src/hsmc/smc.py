@@ -14,6 +14,14 @@ Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
 (seed, j, MUTATION_STREAM, t, i); the initial draws come from
 (seed, j, INIT_STREAM, 0).
+
+Each density is evaluated once per point per stage.  The correction's
+log f_t follows each survivor through selection and is the mutation's
+start value, and under "theoretical_ratio" the mutation's final log f_t
+is the next correction's denominator.  Only log-densities cross
+selection: a KDE gradient's last bits can depend on the row's place in
+its batch, which selection reorders, so the mutation computes its start
+gradient itself.
 """
 
 from __future__ import annotations
@@ -307,25 +315,30 @@ def annealing_sequence(
 def correction_weights(
     ensemble: Ensemble,
     f_next: TargetDensity,
-    f_prev: TargetDensity | None,
+    log_prev: np.ndarray | None,
     mode: str = "theoretical_ratio",
     loo_bandwidth=None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Importance weights carrying the ensemble from f_prev to f_next.
 
-    "theoretical_ratio" uses f_next / f_prev pointwise;  "loo_kde_ratio"
-    replaces the denominator with a leave-one-out KDE of the current cloud
-    (bandwidth selected by the Silverman rule unless ``loo_bandwidth``
-    overrides it).  Weights are computed in log space and exponentiated
-    after subtracting the maximum, so only their ratios are meaningful.
+    "theoretical_ratio" uses f_next / f_prev pointwise, with ``log_prev``
+    the log-density of f_prev at each particle;  "loo_kde_ratio" ignores
+    ``log_prev`` and replaces the denominator with a leave-one-out KDE of
+    the current cloud (bandwidth selected by the Silverman rule unless
+    ``loo_bandwidth`` overrides it).  Weights are computed in log space and
+    exponentiated after subtracting the maximum, so only their ratios are
+    meaningful.  Returns (weights, log_next), log_next being f_next's
+    log-density at each particle.
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"mode must be one of {WEIGHT_MODES}")
     log_next = f_next.log_f(ensemble.positions)
     if mode == "theoretical_ratio":
-        if f_prev is None:
-            raise ValueError("theoretical weights need the previous target")
-        log_prev = f_prev.log_f(ensemble.positions)
+        if log_prev is None:
+            raise ValueError("theoretical weights need the previous target's log-densities")
+        log_prev = np.asarray(log_prev, dtype=float)
+        if log_prev.shape != log_next.shape:
+            raise ValueError("log_prev must have one entry per particle")
     else:
         bandwidth = loo_bandwidth if loo_bandwidth is not None else silverman_bandwidth(ensemble)
         log_prev = loo_log_density_all(ensemble.positions, bandwidth)
@@ -334,7 +347,7 @@ def correction_weights(
     log_w = np.where(np.isnan(log_w), -np.inf, log_w)
     if not np.any(np.isfinite(log_w)):
         raise DegenerateWeightsError("every particle has zero density under the next target")
-    return np.exp(log_w - log_w[np.isfinite(log_w)].max())
+    return np.exp(log_w - log_w[np.isfinite(log_w)].max()), log_next
 
 
 def resample(
@@ -406,19 +419,24 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
-    bandwidth_fallback = None
+    # selection picks labels, so each survivor keeps the log f_t of its parent
+    labels = Ensemble(np.arange(config.n_particles, dtype=float)[:, None])
+    bandwidth_fallback = log_prev = None
     if config.weight_mode == "loo_kde_ratio":
         bandwidth_fallback = silverman_bandwidth(ens)
+    else:
+        log_prev = sequence.initial.density.log_f(ens.positions)
 
     rows = []
     history = [(ens, np.ones(config.n_particles, dtype=bool))]
-    f_prev = sequence.initial.density
     for t, f_t in enumerate(sequence.stages, start=1):
         try:
             loo_bw = None
             if bandwidth_fallback is not None:
                 loo_bw = _loo_engine_bandwidth(ens, bandwidth_fallback)
-            w = correction_weights(ens, f_t, f_prev, config.weight_mode, loo_bandwidth=loo_bw)
+            w, log_next = correction_weights(
+                ens, f_t, log_prev, config.weight_mode, loo_bandwidth=loo_bw
+            )
             if config.weight_mode == "loo_kde_ratio":
                 w = _truncate_weights(w)
             probs = normalize_weights(w)
@@ -427,10 +445,10 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
                 f"degenerate weights at stage {t} of group {group}: {err}", stage=t
             ) from err
         selection = group_rng.derive(SELECTION_STREAM, t).generator()
-        ens = resample(ens, w, selection)
-        ens, accepted_count, accepted = mutate_ensemble(
-            f_t, ens, config.mutation, config.mutation_steps,
-            group_rng.derive(MUTATION_STREAM, t),
+        idx = resample(labels, w, selection).positions[:, 0].astype(np.intp)
+        ens, accepted_count, accepted, log_prev = mutate_ensemble(
+            f_t, Ensemble(ens.positions[idx]), config.mutation, config.mutation_steps,
+            group_rng.derive(MUTATION_STREAM, t), log_next[idx],
         )
         moments = weighted_moments(ens)
         rows.append(
@@ -446,7 +464,6 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
             )
         )
         history.append((ens, accepted))
-        f_prev = f_t
     return rows, tuple(history)
 
 

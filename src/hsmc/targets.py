@@ -224,28 +224,74 @@ class LogitData:
         return cls(data["x"], data["choice"])
 
 
-def _logit_utility(beta1, beta2, x):
-    """V(x) = 2 sin(b2 x) / (1 + 0.5 (b1 - x)^2) and its beta-gradient parts."""
-    denom = 1.0 + 0.5 * (beta1 - x) ** 2
-    v = 2.0 * np.sin(beta2 * x) / denom
-    dv_db1 = -2.0 * np.sin(beta2 * x) * (beta1 - x) / denom**2
-    dv_db2 = 2.0 * x * np.cos(beta2 * x) / denom
-    return v, dv_db1, dv_db2
+# Particle x observation terms per block of rows in the logit layer.  A
+# block's scratch arrays (six of 2^14 float64 for the gradient, 768 kB)
+# stay in a core's L2 cache.  On a 2-core Xeon VM at 512 particles x 400
+# observations, the gradient took 11.4, 11.3 and 11.5 ms (min of 300
+# calls) with blocks of 2^13, 2^14 and 2^15 terms, and 12.0 ms as one
+# block; log_f took 6.1, 5.9, 5.9 and 6.8 ms.
+_LOGIT_BLOCK_TERMS = 1 << 14
 
 
-def _log1pexp(v):
-    # log(1 + e^v) = max(v, 0) + log1p(e^-|v|), stable at extreme v
-    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+def _logit_blocks(pos: np.ndarray, n_obs: int, n_buffers: int):
+    """Yield (rows, buffers): blocks of rows of ``pos`` with scratch arrays.
+
+    Each of the ``n_buffers`` arrays holds one (rows, n_obs) block of
+    terms; they are reused, so reduce a block before the next one is formed.
+    """
+    step = max(1, _LOGIT_BLOCK_TERMS // n_obs)
+    buf = np.empty((n_buffers, min(step, len(pos)), n_obs))
+    for start in range(0, len(pos), step):
+        stop = min(start + step, len(pos))
+        yield slice(start, stop), buf[:, : stop - start]
 
 
-def _sigmoid(v):
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+def _logit_utility(beta, x, buf):
+    """V(x) = 2 sin(b2 x) / (1 + 0.5 (b1 - x)^2) for rows (b1, b2) of ``beta``.
+
+    Works in the first five arrays of ``buf`` and returns them as
+    (b1 - x, b2 x, 2 sin(b2 x), the denominator, V); the gradient reuses
+    the first four.
+    """
+    d, arg, two_sin, denom, v = buf[:5]
+    np.subtract(beta[:, 0:1], x, out=d)
+    np.multiply(beta[:, 1:2], x, out=arg)
+    np.sin(arg, out=two_sin)
+    two_sin *= 2.0
+    np.multiply(d, d, out=denom)
+    denom *= 0.5
+    denom += 1.0
+    np.divide(two_sin, denom, out=v)
+    return d, arg, two_sin, denom, v
+
+
+def _exp_neg_abs(v, out):
+    """e^-|v| into ``out``: both log(1 + e^v) and the sigmoid are stable built on it."""
+    np.abs(v, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
+def _log1pexp(v, scratch, out):
+    """log(1 + e^v) = max(v, 0) + log1p(e^-|v|) into ``out``, stable at extreme v."""
+    np.log1p(_exp_neg_abs(v, out=scratch), out=scratch)
+    np.maximum(v, 0.0, out=out)
+    out += scratch
     return out
+
+
+def _sigmoid(v, scratch):
+    """Overwrite ``v`` with e^v / (1 + e^v), stable at extreme v.
+
+    That is where(v >= 0, 1, e) / (1 + e) with e = e^-|v|; the numerator
+    is e^min(v, 0), which is exactly 1 for v >= 0 and exactly e otherwise,
+    and costs one more exp instead of a masked copy.
+    """
+    e = _exp_neg_abs(v, out=scratch)
+    e += 1.0
+    np.minimum(v, 0.0, out=v)
+    np.exp(v, out=v)
+    return np.divide(v, e, out=v)
 
 
 def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
@@ -253,21 +299,50 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
 
     The acceptance probability of an offer x is e^V / (1 + e^V) with
     V(x) = 2 sin(b2 x) / (1 + 0.5 (b1 - x)^2); the target is the
-    log-likelihood over (b1, b2), which is multimodal in b2.
+    log-likelihood over (b1, b2), which is multimodal in b2.  Both the
+    log-likelihood and its gradient are summed over the observations
+    block of rows by block of rows, so no (positions x observations)
+    array is built; each row's sums match the unblocked formulas bit for
+    bit, whatever the batch and the row's place in it.
     """
     if not isinstance(data, LogitData):
         raise ValueError("data must be a LogitData instance")
-    x = data.offers
-    c = data.choices
+    x = data.offers[None, :]
+    c = data.choices[None, :]
+    two_x = 2.0 * x
+    n_obs = x.shape[1]
 
     def batch_log_f(pos):
-        v, _, _ = _logit_utility(pos[:, 0:1], pos[:, 1:2], x[None, :])
-        return (c[None, :] * v - _log1pexp(v)).sum(axis=-1)
+        out = np.empty(len(pos))
+        for rows, buf in _logit_blocks(pos, n_obs, 5):
+            _, arg, _, denom, v = _logit_utility(pos[rows], x, buf)
+            # c V - log(1 + e^V)
+            _log1pexp(v, arg, out=denom)
+            v *= c
+            v -= denom
+            out[rows] = v.sum(axis=1)
+        return out
 
     def batch_grad(pos):
-        v, dv1, dv2 = _logit_utility(pos[:, 0:1], pos[:, 1:2], x[None, :])
-        resid = c[None, :] - _sigmoid(v)
-        return np.stack([(resid * dv1).sum(axis=-1), (resid * dv2).sum(axis=-1)], axis=-1)
+        out = np.empty((len(pos), 2))
+        for rows, buf in _logit_blocks(pos, n_obs, 6):
+            d, arg, two_sin, denom, v = _logit_utility(pos[rows], x, buf)
+            # resid = c - sigmoid(V)
+            resid = np.subtract(c, _sigmoid(v, buf[5]), out=v)
+            # dV/db1 = -2 sin(b2 x) (b1 - x) / denom^2
+            np.negative(two_sin, out=two_sin)
+            two_sin *= d
+            np.multiply(denom, denom, out=d)
+            two_sin /= d
+            two_sin *= resid
+            out[rows, 0] = two_sin.sum(axis=1)
+            # dV/db2 = 2 x cos(b2 x) / denom
+            np.cos(arg, out=arg)
+            np.multiply(two_x, arg, out=arg)
+            arg /= denom
+            arg *= resid
+            out[rows, 1] = arg.sum(axis=1)
+        return out
 
     return _make_target(2, batch_log_f, batch_grad)
 
@@ -280,8 +355,9 @@ def simulate_logit_data(
         raise ValueError("n must be at least 1")
     gen = as_generator(rng)
     offers = gen.uniform(-2.0, 8.0, size=n)
-    v, _, _ = _logit_utility(beta[0], beta[1], offers)
-    choices = (gen.uniform(size=n) < _sigmoid(v)).astype(float)
+    buf = np.empty((6, 1, n))
+    *_, v = _logit_utility(np.array([beta], dtype=float), offers[None, :], buf)
+    choices = (gen.uniform(size=n) < _sigmoid(v, buf[5])[0]).astype(float)
     return LogitData(offers, choices)
 
 
@@ -316,7 +392,13 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
         constraints = f1.constraints
     if phi in (0.0, 1.0):
         end = f if phi == 1.0 else f1
-        return TargetDensity(f.dim, end.log_f, end.grad_log_f, constraints=constraints)
+
+        # the other end's box still bounds the support
+        def end_log_f(pos):
+            out = end.log_f(pos)
+            return out if constraints is None else np.where(constraints.contains(pos), out, -np.inf)
+
+        return TargetDensity(f.dim, end_log_f, end.grad_log_f, constraints=constraints)
 
     # both ends check shapes and mask their own boxes, whose intersection
     # is the bridge's box

@@ -39,9 +39,11 @@ def reflect_into_box(q, p, lower, upper):
 
 def leapfrog_proposal(target, positions, momenta, config):
     """The leapfrog trajectory map on a batch of (n, dim) phase points."""
-    return _leapfrog_batch(
-        target, np.asarray(positions, dtype=float), np.asarray(momenta, dtype=float), config
+    positions = np.asarray(positions, dtype=float)
+    q, p, _ = _leapfrog_batch(
+        target, positions, np.asarray(momenta, dtype=float), target.grad_log_f(positions), config
     )
+    return q, p
 
 
 @pytest.fixture

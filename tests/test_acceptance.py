@@ -324,7 +324,8 @@ def test_criterion_7_property_suite():
     root = RandomSource(55)
     samples = []
     for t in range(1100):
-        ens, _, _ = mutate_ensemble(normal, ens, ks_cfg, 1, root.derive(MUTATION_STREAM, t))
+        ens = mutate_ensemble(normal, ens, ks_cfg, 1, root.derive(MUTATION_STREAM, t),
+                              normal.log_f(ens.positions)).ensemble
         if t >= 100:
             samples.append(ens.positions[:, 0])
     pooled = np.concatenate(samples)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import assert_gradient_matches
@@ -91,6 +93,17 @@ class TestKdeTarget:
         t = kde_target([[0.0]], [1.0], constraints=box)
         assert t.constraints is box
         assert t.log_f(np.array([[2.0]]))[0] == -np.inf
+
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.sampled_from([5, 300, 700, 2048]))
+    @settings(max_examples=25, deadline=None)
+    def test_log_f_rows_do_not_depend_on_their_batch(self, seed, n_points):
+        # f(pos[idx]) == f(pos)[idx] exactly, with batches spanning several
+        # blocks of rows: a resampled particle keeps its log-density
+        gen = np.random.default_rng(seed)
+        target = kde_target(gen.standard_normal((n_points, 2)), [0.3, 0.5])
+        pos = 2.0 * gen.standard_normal((600, 2))
+        idx = gen.integers(0, 600, size=gen.integers(1, 700))
+        np.testing.assert_array_equal(target.log_f(pos[idx]), target.log_f(pos)[idx])
 
     def test_gradient_matches_finite_differences(self, rng):
         points = rng.standard_normal((30, 2)) * [1.0, 3.0]

@@ -257,8 +257,9 @@ class TestSinglePositionEdge:
             out = hmc_step(target, start, hmc_cfg, gen)
             momentum = np.sqrt(hmc_cfg.mass_for(2)) * ref.standard_normal(2)
             log_u = np.log(ref.uniform())
-            q, acc, log_a = _hmc_batch(
-                target, start[None], momentum[None], np.array([log_u]), hmc_cfg
+            q, _, _, acc, log_a = _hmc_batch(
+                target, start[None], target.log_f(start[None]), target.grad_log_f(start[None]),
+                momentum[None], np.array([log_u]), hmc_cfg,
             )
             np.testing.assert_array_equal(out.new_position, q[0])
             assert (out.accepted, out.log_accept_prob) == (acc[0], log_a[0])
@@ -266,7 +267,9 @@ class TestSinglePositionEdge:
             out = mh_step(target, start, mh_cfg, gen)
             noise = ref.standard_normal(2)
             log_u = np.log(ref.uniform())
-            q, acc, log_a = _mh_batch(target, start[None], noise[None], np.array([log_u]), 0.3)
+            q, _, acc, log_a = _mh_batch(
+                target, start[None], target.log_f(start[None]), noise[None], np.array([log_u]), 0.3
+            )
             np.testing.assert_array_equal(out.new_position, q[0])
             assert (out.accepted, out.log_accept_prob) == (acc[0], log_a[0])
             start = out.new_position
@@ -308,10 +311,11 @@ class TestDetailedBalance:
         x = x[:, None]
         states = np.empty((n_steps + 1, n_chains), dtype=np.int8)
         states[0] = (x[:, 0] >= 1.0).astype(np.int8)
+        lf = target.log_f(x)
         for step in range(n_steps):
             noise = gen.standard_normal((n_chains, 1))
             log_u = np.log(gen.uniform(size=n_chains))
-            x, _, _ = _mh_batch(target, x, noise, log_u, sigma**2)
+            x, lf, _, _ = _mh_batch(target, x, lf, noise, log_u, sigma**2)
             states[step + 1] = (x[:, 0] >= 1.0).astype(np.int8)
 
         prev, curr = states[:-1].ravel(), states[1:].ravel()
@@ -329,7 +333,9 @@ class TestMutateEnsemble:
         cfg = HmcConfig(1.0, 10, 0.05)
         ens = Ensemble(rng.standard_normal((16, 2)))
         root = RandomSource(99)
-        result = mutate_ensemble(target, ens, cfg, 2, root.derive(MUTATION_STREAM, 3))
+        result = mutate_ensemble(
+            target, ens, cfg, 2, root.derive(MUTATION_STREAM, 3), target.log_f(ens.positions)
+        )
 
         manual = ens.positions.copy()
         acc = 0
@@ -349,7 +355,9 @@ class TestMutateEnsemble:
         cfg = MhConfig(0.2)
         ens = Ensemble(rng.standard_normal((8, 2)))
         root = RandomSource(42)
-        result = mutate_ensemble(target, ens, cfg, 3, root.derive(MUTATION_STREAM, 1))
+        result = mutate_ensemble(
+            target, ens, cfg, 3, root.derive(MUTATION_STREAM, 1), target.log_f(ens.positions)
+        )
         manual = ens.positions.copy()
         for n in range(8):
             gen = root.derive(MUTATION_STREAM, 1, n).generator()
@@ -362,9 +370,11 @@ class TestMutateEnsemble:
     def test_zero_steps_rejected(self, rng):
         ens = Ensemble(rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):
-            mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 0, RandomSource(1))
+            mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 0, RandomSource(1), np.zeros(4))
 
     def test_requires_random_source(self, rng):
         ens = Ensemble(rng.standard_normal((4, 2)))
         with pytest.raises(TypeError):
-            mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 1, np.random.default_rng(0))
+            mutate_ensemble(
+                rosenbrock(), ens, MhConfig(1.0), 1, np.random.default_rng(0), np.zeros(4)
+            )

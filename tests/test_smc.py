@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -155,7 +157,7 @@ class TestCorrectionWeights:
     def test_identical_targets_give_uniform_weights(self, rng):
         f = gaussian([0.0, 0.0], [1.0, 1.0])
         ens = Ensemble(rng.standard_normal((32, 2)))
-        w = correction_weights(ens, f, f, "theoretical_ratio")
+        w, _ = correction_weights(ens, f, f.log_f(ens.positions), "theoretical_ratio")
         np.testing.assert_allclose(w / w.sum(), 1.0 / 32, atol=1e-12)
 
     def test_theoretical_ratio_values(self, rng):
@@ -163,7 +165,8 @@ class TestCorrectionWeights:
         f1 = gaussian([1.0], [1.0])
         positions = rng.standard_normal((16, 1))
         ens = Ensemble(positions)
-        w = correction_weights(ens, f1, f0, "theoretical_ratio")
+        w, log_next = correction_weights(ens, f1, f0.log_f(positions), "theoretical_ratio")
+        np.testing.assert_array_equal(log_next, f1.log_f(positions))
         logw = f1.log_f(positions) - f0.log_f(positions)
         expected = np.exp(logw - logw.max())
         np.testing.assert_allclose(w, expected, rtol=1e-12)
@@ -172,7 +175,7 @@ class TestCorrectionWeights:
         f1 = gaussian([0.0, 0.0], [1.0, 1.0])
         positions = rng.standard_normal((40, 2))
         ens = Ensemble(positions)
-        w = correction_weights(ens, f1, None, "loo_kde_ratio")
+        w, _ = correction_weights(ens, f1, None, "loo_kde_ratio")
         h = silverman_bandwidth(ens)
         logw = f1.log_f(positions) - loo_log_density_all(positions, h)
         expected = np.exp(logw - logw.max())
@@ -182,7 +185,9 @@ class TestCorrectionWeights:
         box_target = dropwave()
         positions = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
         ens = Ensemble(positions)
-        w = correction_weights(ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]))
+        w, _ = correction_weights(
+            ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]).log_f(positions)
+        )
         assert w[2] == 0.0
         assert w[0] > 0 and w[1] > 0
 
@@ -191,14 +196,16 @@ class TestCorrectionWeights:
         positions = np.array([[3.0, 0.0], [4.0, 4.0]])
         ens = Ensemble(positions)
         with pytest.raises(DegenerateWeightsError):
-            correction_weights(ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]))
+            correction_weights(
+                ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]).log_f(positions)
+            )
 
     def test_loo_weights_permutation_equivariant(self, rng):
         f1 = gaussian([0.0, 0.0], [1.0, 1.0])
         positions = rng.standard_normal((24, 2))
         perm = rng.permutation(24)
-        w = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio")
-        wp = correction_weights(Ensemble(positions[perm]), f1, None, "loo_kde_ratio")
+        w, _ = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio")
+        wp, _ = correction_weights(Ensemble(positions[perm]), f1, None, "loo_kde_ratio")
         np.testing.assert_allclose(wp, w[perm], rtol=1e-10)
 
 
@@ -350,11 +357,13 @@ class TestRunSmc:
         n = 4096
         draws = f0.sample(n, RandomSource(5).generator())
         ens = Ensemble(draws)
-        w = correction_weights(ens, f1, f0.density, "theoretical_ratio")
+        w, _ = correction_weights(ens, f1, f0.density.log_f(draws), "theoretical_ratio")
         pre_selection_mean = (w / w.sum()) @ ens.positions[:, 0]
         selected = resample(ens, w, RandomSource(6))
         post_selection_mean = selected.positions.mean()
-        mutated, _, _ = mutate_ensemble(f1, selected, MhConfig(1.0), 2, RandomSource(7))
+        mutated = mutate_ensemble(
+            f1, selected, MhConfig(1.0), 2, RandomSource(7), f1.log_f(selected.positions)
+        ).ensemble
         post_mutation_mean = mutated.positions.mean()
         se = 5.0 / np.sqrt(n)
         for value in (pre_selection_mean, post_selection_mean, post_mutation_mean):
@@ -418,16 +427,70 @@ class TestRunSmc:
         for j in range(2):
             history = result.history[j]
             for t in (1, 2):
+                f_t = seq.stages[t - 1]
                 f_prev = seq.initial.density if t == 1 else seq.stages[t - 2]
-                w = correction_weights(history[t - 1][0], seq.stages[t - 1], f_prev)
-                selected = resample(history[t - 1][0], w, root.derive(j, SELECTION_STREAM, t))
-                mutated, _, accepted = mutate_ensemble(
-                    seq.stages[t - 1], selected, cfg.mutation, 1,
-                    root.derive(j, MUTATION_STREAM, t),
+                before = history[t - 1][0]
+                w, _ = correction_weights(before, f_t, f_prev.log_f(before.positions))
+                selected = resample(before, w, root.derive(j, SELECTION_STREAM, t))
+                mutated, _, accepted, _ = mutate_ensemble(
+                    f_t, selected, cfg.mutation, 1, root.derive(j, MUTATION_STREAM, t),
+                    f_t.log_f(selected.positions),
                 )
                 np.testing.assert_array_equal(mutated.positions, history[t][0].positions)
                 np.testing.assert_array_equal(accepted, history[t][1])
             assert result.ensembles[j] is history[-1][0]
+
+
+def counting(target):
+    """``target`` with the rows passed to log_f and grad_log_f counted."""
+    counts = {"log_f": 0, "grad": 0}
+
+    def log_f(pos):
+        counts["log_f"] += len(pos)
+        return target.log_f(pos)
+
+    def grad_log_f(pos):
+        counts["grad"] += len(pos)
+        return target.grad_log_f(pos)
+
+    return replace(target, log_f=log_f, grad_log_f=grad_log_f), counts
+
+
+class TestEvaluationCounts:
+    """Each density is evaluated once per point per stage."""
+
+    N, T = 16, 4
+
+    def run_counted(self, mutation, steps, mode):
+        target, counts = counting(gaussian([0.5, -0.5], [1.0, 2.0]))
+        seq = annealing_sequence(target, [0.25, 0.5, 0.75, 1.0],
+                                 initial=diag_gaussian_initial([0.0, 0.0], [2.0, 2.0]))
+        cfg = SmcConfig(n_particles=self.N, mutation=mutation, mutation_steps=steps,
+                        weight_mode=mode)
+        run_smc(seq, cfg, RandomSource(8))
+        return counts
+
+    @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
+    def test_hmc_stage(self, mode):
+        # per stage: N log f rows at the correction; per step L N gradient
+        # rows and N log f rows at the proposals; N start-gradient rows
+        n, steps, leapfrog = self.N, 3, 5
+        counts = self.run_counted(HmcConfig(1.0, leapfrog, 0.1), steps, mode)
+        assert counts == {"log_f": self.T * (n + steps * n),
+                          "grad": self.T * (n + steps * leapfrog * n)}
+
+    @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
+    def test_mh_smc_makes_two_evaluations_per_particle_and_stage(self, mode):
+        counts = self.run_counted(MhConfig(0.5), 1, mode)
+        assert counts == {"log_f": self.T * 2 * self.N, "grad": 0}
+
+    def test_mutation_hands_back_the_final_log_f(self, rng):
+        target = gaussian([0.5, -0.5], [1.0, 2.0])
+        ens = Ensemble(rng.standard_normal((self.N, 2)))
+        for kernel in (HmcConfig(1.0, 5, 0.1), MhConfig(0.5)):
+            result = mutate_ensemble(target, ens, kernel, 3, RandomSource(2),
+                                     target.log_f(ens.positions))
+            np.testing.assert_array_equal(result.log_f, target.log_f(result.ensemble.positions))
 
 
 def _report_from_group_stats(stats, n_particles):

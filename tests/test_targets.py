@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_gradient_matches
 
 import hsmc
+from hsmc import targets
 from hsmc.core import RandomSource
 from hsmc.kde import kde_target
 from hsmc.targets import (
@@ -142,6 +145,79 @@ class TestNonlinearLogit:
             LogitData(np.array([9.0]), np.array([1.0]))
 
 
+def _reference_sigmoid(v):
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def _reference_log1pexp(v):
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+
+def _reference_logit(data, pos):
+    """The logit log-likelihood and gradient over the full (rows x observations) array."""
+    x, c = data.offers[None, :], data.choices[None, :]
+    beta1, beta2 = pos[:, 0:1], pos[:, 1:2]
+    denom = 1.0 + 0.5 * (beta1 - x) ** 2
+    v = 2.0 * np.sin(beta2 * x) / denom
+    dv_db1 = -2.0 * np.sin(beta2 * x) * (beta1 - x) / denom**2
+    dv_db2 = 2.0 * x * np.cos(beta2 * x) / denom
+    resid = c - _reference_sigmoid(v)
+    log_f = (c * v - _reference_log1pexp(v)).sum(axis=-1)
+    grad = np.stack([(resid * dv_db1).sum(axis=-1), (resid * dv_db2).sum(axis=-1)], axis=-1)
+    return log_f, grad
+
+
+class TestLogitLayerExact:
+    """The blocked logit layer equals the full-array formulas bit for bit."""
+
+    @pytest.mark.parametrize("n_obs", [1, 7, 400, 401, 3000, targets._LOGIT_BLOCK_TERMS + 3])
+    def test_matches_full_array_formulas(self, n_obs, rng):
+        data = simulate_logit_data(n_obs, (3.0, 3.0), RandomSource(n_obs))
+        target = nonlinear_logit_loglik(data)
+        rows_per_block = max(1, targets._LOGIT_BLOCK_TERMS // n_obs)
+        for n in (1, 3 * rows_per_block + 5):
+            pos = rng.normal([2.0, 1.0], 4.0, size=(n, 2))
+            pos[0, 1] = 0.0  # V = 0 at every observation
+            log_f, grad = _reference_logit(data, pos)
+            np.testing.assert_array_equal(target.log_f(pos), log_f)
+            np.testing.assert_array_equal(target.grad_log_f(pos), grad)
+
+    def test_stable_pieces_at_extreme_utilities(self):
+        v = np.array([0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300, 0.7, -0.7, 745.0, -745.0,
+                      np.inf, -np.inf])
+        scratch, out = np.empty_like(v), np.empty_like(v)
+        np.testing.assert_array_equal(
+            targets._log1pexp(v, scratch, out), _reference_log1pexp(v))
+        np.testing.assert_array_equal(targets._sigmoid(v.copy(), scratch), _reference_sigmoid(v))
+
+    def test_simulated_choices_use_the_same_probabilities(self):
+        data = simulate_logit_data(300, (3.0, 3.0), RandomSource(4))
+        gen = RandomSource(4).generator()
+        offers = gen.uniform(-2.0, 8.0, size=300)
+        v = 2.0 * np.sin(3.0 * offers) / (1.0 + 0.5 * (3.0 - offers) ** 2)
+        np.testing.assert_array_equal(data.offers, offers)
+        np.testing.assert_array_equal(
+            data.choices, (gen.uniform(size=300) < _reference_sigmoid(v)).astype(float))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_do_not_depend_on_their_batch(self, seed, n_rows):
+        # f(pos[idx]) == f(pos)[idx] exactly: a row's value is the same in
+        # any batch and at any place in it
+        gen = np.random.default_rng(seed)
+        data = simulate_logit_data(400, (3.0, 3.0), RandomSource(seed))
+        target = nonlinear_logit_loglik(data)
+        pos = gen.normal([2.0, 1.0], 4.0, size=(n_rows, 2))
+        idx = gen.integers(0, n_rows, size=gen.integers(1, 200))
+        np.testing.assert_array_equal(target.log_f(pos[idx]), target.log_f(pos)[idx])
+        np.testing.assert_array_equal(target.grad_log_f(pos[idx]), target.grad_log_f(pos)[idx])
+
+
 class TestSimulateLogitData:
     def test_count_and_domain(self):
         data = simulate_logit_data(400, (3.0, 3.0), RandomSource(5))
@@ -232,6 +308,17 @@ class TestGeometricBridge:
         bridge = geometric_bridge(gaussian([0.0, 0.0], [1.0, 1.0]), dropwave(), 0.5)
         val = bridge.log_f(np.array([[3.0, 0.0]]))[0]
         assert val == -np.inf
+
+    def test_endpoints_keep_the_intersected_box(self):
+        # at phi = 0 or 1 the density is one end's, but the other end's box
+        # still bounds the support the bridge declares
+        box_end, free_end = dropwave(), gaussian([0.0, 0.0], [1.0, 1.0])
+        outside, inside = np.array([[3.0, 0.0]]), np.array([[1.0, -0.5]])
+        for bridge in (geometric_bridge(box_end, free_end, 1.0),
+                       geometric_bridge(free_end, box_end, 0.0)):
+            assert not bridge.constraints.contains(outside)[0]
+            assert bridge.log_f(outside)[0] == -np.inf
+            assert bridge.log_f(inside)[0] == free_end.log_f(inside)[0]
 
 
 class TestGradientProperty:
