@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -59,9 +58,11 @@ DATA_KINDS = ("smiley", "dropwave", "logit")
 GRID_RESOLUTION = 101
 
 # fields each recipe mapping may hold, per value of its algorithm/type/name/kind tag
-_RUN_KEYS = ("seed", "output", "kernel", "threads", "record_all", "grid", "target", "groups")
+_RUN_KEYS = ("seed", "output", "kernel", "grid", "target", "groups")
 _CHAIN_KEYS = _RUN_KEYS + ("iterations", "start")
-_SEQUENTIAL_KEYS = _RUN_KEYS + ("sequence", "initial", "particles", "mutation_steps")
+_SEQUENTIAL_KEYS = _RUN_KEYS + (
+    "sequence", "initial", "particles", "mutation_steps", "threads", "record_all"
+)
 TOP_LEVEL_KEYS = {"mh": _CHAIN_KEYS, "hmc": _CHAIN_KEYS,
                   "smc": _SEQUENTIAL_KEYS, "hsmc": _SEQUENTIAL_KEYS}
 KERNEL_KEYS = {"hmc": ("mass_diag", "leapfrog_steps", "step_size"), "mh": ("proposal_scale",)}
@@ -98,7 +99,7 @@ class RunConfig:
     target_spec: dict | None = None
     sequence_spec: dict | None = None
     initial_spec: dict | None = None
-    grid_spec: dict | None = None
+    grid: tuple = (None, None, GRID_RESOLUTION)  # (lower, upper, resolution); bounds may be None
 
     @property
     def weight_mode(self) -> str:
@@ -231,7 +232,7 @@ def parse_config(path) -> RunConfig:
     sequence_spec = raw.get("sequence")
     initial_spec = raw.get("initial")
     grid_spec = raw.get("grid")
-    _grid_override(grid_spec)
+    grid = _grid_override(grid_spec)
 
     if algorithm in ("mh", "hmc"):
         if target_spec is None:
@@ -267,7 +268,7 @@ def parse_config(path) -> RunConfig:
         target_spec=target_spec,
         sequence_spec=sequence_spec,
         initial_spec=initial_spec,
-        grid_spec=grid_spec,
+        grid=grid,
     )
     # fail fast on malformed specs, missing data files, and a mass, start or
     # grid that does not fit what the run samples
@@ -386,7 +387,7 @@ def _build_sequence(config: RunConfig):
                     _as_vector(_require(cons, "lower", context), context + "lower"),
                     _as_vector(_require(cons, "upper", context), context + "upper"),
                 )
-            return blockwise_sequence("kde", points, block_size, constraints, initial)
+            return blockwise_sequence("kde", points, block_size, constraints, initial=initial)
         if kind == "loglik-blocks":
             data = _read_logit_data(data_path, "sequence.data")
             return blockwise_sequence("loglik", data, block_size, initial=initial)
@@ -427,10 +428,7 @@ def _write_grid(path: Path, target: TargetDensity, lower, upper, resolution: int
     ys = np.linspace(lower[1], upper[1], resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
-    values = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], 1024):
-        hi = min(lo + 1024, points.shape[0])
-        values[lo:hi] = target.log_f(points[lo:hi])
+    values = target.log_f(points)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "log_f"])
@@ -455,7 +453,7 @@ def _grid_override(spec):
 
 
 def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray):
-    lower, upper, resolution = _grid_override(config.grid_spec)
+    lower, upper, resolution = config.grid
     if lower is not None:
         return lower, upper, resolution
     box = target.constraints
@@ -610,12 +608,8 @@ def main(argv=None) -> int:
             overrides = {}
             if args.record_all:
                 overrides["record_all"] = True
-            threads = args.threads
-            env_threads = os.environ.get("HSMC_THREADS")
-            if env_threads is not None:
-                threads = _as_int(env_threads, "HSMC_THREADS", minimum=1)
-            if threads is not None:
-                overrides["threads"] = threads
+            if args.threads is not None:
+                overrides["threads"] = _as_int(args.threads, "--threads", minimum=1)
             return run(replace(config, **overrides))
         if args.command == "gen-data":
             return generate_data(args.kind, args.n, args.seed, args.out)

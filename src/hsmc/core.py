@@ -23,7 +23,6 @@ __all__ = [
     "Ensemble",
     "RandomSource",
     "TargetDensity",
-    "as_generator",
     "normalize_weights",
     "INIT_STREAM",
     "SELECTION_STREAM",
@@ -194,11 +193,3 @@ class RandomSource:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(ss))
 
-
-def as_generator(rng: "RandomSource | np.random.Generator") -> np.random.Generator:
-    """Accept either a live generator or a RandomSource."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RandomSource):
-        return rng.generator()
-    raise TypeError("rng must be a RandomSource or numpy Generator")

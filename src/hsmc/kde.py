@@ -176,18 +176,14 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
     return log_sums + c - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
 
 
-def silverman_bandwidth(ensemble: Ensemble | np.ndarray) -> np.ndarray:
+def silverman_bandwidth(ensemble: Ensemble) -> np.ndarray:
     """Rule-of-thumb bandwidth h_d = sd_d * (4 / ((d + 2) n))^(1 / (d + 4)).
 
     Uses the per-dimension sample standard deviation (ddof=1).  Raises
     :class:`DegenerateEnsembleError` when any dimension has zero spread.
     """
-    positions = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    positions = np.atleast_2d(positions)
-    n, dim = positions.shape
-    if n < 2:
-        raise ValueError("bandwidth selection needs at least 2 particles")
-    sd = positions.std(axis=0, ddof=1)
+    n, dim = ensemble.n_particles, ensemble.dim
+    sd = ensemble.positions.std(axis=0, ddof=1)
     if np.any(sd <= 0) or not np.all(np.isfinite(sd)):
         raise DegenerateEnsembleError("zero spread in some dimension; cannot pick a bandwidth")
     return sd * (4.0 / ((dim + 2.0) * n)) ** (1.0 / (dim + 4.0))

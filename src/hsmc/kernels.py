@@ -4,10 +4,13 @@ Random-walk Metropolis-Hastings and a leapfrog Hamiltonian step, both
 with a diagonal mass / scale generalization, plus reflective position
 updates that bounce trajectories off box constraints.  Every step runs on
 an ``(n, dim)`` batch: row i draws ``dim`` normals and then one uniform
-from its own generator, so a batch is bit-identical to stepping its rows
-one at a time.  ``mutate_ensemble`` steps a whole ensemble, each particle
-on its own derived stream; ``mh_step`` and ``hmc_step`` are the
-single-position edge, a batch of one row.
+from its own generator.  A batch is therefore bit-identical to stepping
+its rows one at a time whenever the target's rows do not depend on their
+batch, which every built-in target meets except the gradient of a KDE
+target (its last bits can change with the rows around it).
+``mutate_ensemble`` steps a whole ensemble, each particle on its own
+derived stream; ``mh_step`` and ``hmc_step`` are the single-position
+edge, a batch of one row.
 
 Steps carry each row's log f and gradient from one step to the next: a
 row ends where its proposal was accepted or where it started, and the
@@ -24,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import Ensemble, RandomSource, TargetDensity, _readonly, as_generator
+from .core import Ensemble, RandomSource, TargetDensity, _readonly
 
 __all__ = [
     "HmcConfig",
@@ -239,7 +242,7 @@ def _single_step(kind, target, position, config, rng) -> StepOutcome:
     if not np.isfinite(lf[0]):
         raise ValueError("starting position has non-finite log-density")
     grad = _start_gradient(target, position, config)
-    new_q, _, _, accepted, log_a = _step(target, position, lf, grad, config, [as_generator(rng)])
+    new_q, _, _, accepted, log_a = _step(target, position, lf, grad, config, [rng])
     return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
 
 
@@ -247,7 +250,7 @@ def mh_step(
     target: TargetDensity,
     position: np.ndarray,
     config: MhConfig,
-    rng: RandomSource | np.random.Generator,
+    rng: np.random.Generator,
 ) -> StepOutcome:
     """One random-walk Metropolis step from a single ``position``.
 
@@ -261,7 +264,7 @@ def hmc_step(
     target: TargetDensity,
     position: np.ndarray,
     config: HmcConfig,
-    rng: RandomSource | np.random.Generator,
+    rng: np.random.Generator,
 ) -> StepOutcome:
     """One Hamiltonian step from a single ``position``.
 
@@ -286,9 +289,10 @@ def mutate_ensemble(
     ``rng`` is the stage's mutation source; the SMC engine passes
     (seed, group, MUTATION_STREAM, stage).  Particle i consumes its own
     stream ``rng.derive(i)``, so the result does not depend on execution
-    order and matches stepping particles one by one with the same
-    streams.  Per-particle failures (zero density, divergent trajectories)
-    reject the proposal instead of aborting the ensemble.
+    order, and it matches stepping particles one by one with the same
+    streams when the target's rows do not depend on their batch (see the
+    module docstring).  Per-particle failures (zero density, divergent
+    trajectories) reject the proposal instead of aborting the ensemble.
 
     ``log_f`` is ``target.log_f`` at the particles, which the caller
     usually has already; the result's ``log_f`` is its value at the final

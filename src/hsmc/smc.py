@@ -42,7 +42,6 @@ from .core import (
     Ensemble,
     RandomSource,
     TargetDensity,
-    as_generator,
     normalize_weights,
 )
 from .diagnostics import effective_sample_size, weighted_moments
@@ -116,7 +115,7 @@ class TargetSequence:
     """Ordered targets f_1 ... f_T plus the start distribution f_0."""
 
     stages: tuple[TargetDensity, ...]
-    initial: InitialDistribution | None = None
+    initial: InitialDistribution
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -125,7 +124,7 @@ class TargetSequence:
         dims = {t.dim for t in stages}
         if len(dims) != 1:
             raise ValueError("all stages must share one dimension")
-        if self.initial is not None and self.initial.density.dim != stages[0].dim:
+        if self.initial.density.dim != stages[0].dim:
             raise ValueError("initial distribution dimension does not match the stages")
         object.__setattr__(self, "stages", stages)
 
@@ -233,15 +232,16 @@ def blockwise_sequence(
     data,
     block_size: int,
     constraints: BoxConstraints | None = None,
-    initial: InitialDistribution | None = None,
+    *,
+    initial: InitialDistribution,
 ) -> TargetSequence:
     """Stage t uses the first t blocks of the data; the last block may be short.
 
     kind "kde": data is an (n, d) point array and stage t is a Gaussian KDE
     of the revealed points, with per-dimension bandwidth
-    sd(revealed) * n_t^(-1/5).
+    sd(revealed) * n_t^(-1/5); ``constraints`` bound every stage's support.
     kind "loglik": data is LogitData and stage t is the log-likelihood of
-    the revealed observations.
+    the revealed observations; it takes no ``constraints``.
     """
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
@@ -251,6 +251,8 @@ def blockwise_sequence(
     if kind == "loglik":
         if not isinstance(data, LogitData):
             raise ValueError("loglik sequences need LogitData")
+        if constraints is not None:
+            raise ValueError("constraints: only kde sequences take a box")
         total = len(data)
     else:
         data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -272,19 +274,12 @@ def blockwise_sequence(
 
 
 def tempering_sequence(
-    f1: TargetDensity | InitialDistribution,
-    f: TargetDensity,
-    phis: Sequence[float],
-    initial: InitialDistribution | None = None,
+    initial: InitialDistribution, f: TargetDensity, phis: Sequence[float]
 ) -> TargetSequence:
-    """Geometric bridge stages f^phi f1^(1-phi) for increasing phi ending at 1.
+    """Geometric bridge stages f^phi f_0^(1-phi) for increasing phi ending at 1.
 
-    ``f1`` may be an InitialDistribution, in which case it doubles as f_0.
+    The bridge starts from the initial distribution's density f_0.
     """
-    if isinstance(f1, InitialDistribution):
-        if initial is None:
-            initial = f1
-        f1 = f1.density
     phis = [float(p) for p in phis]
     if len(phis) < 1 or phis[-1] != 1.0:
         raise ValueError("phis must end at exactly 1")
@@ -292,14 +287,15 @@ def tempering_sequence(
         raise ValueError("phis must lie in (0, 1]")
     if any(b <= a for a, b in zip(phis, phis[1:])):
         raise ValueError("phis must be strictly increasing")
-    stages = tuple(geometric_bridge(f1, f, p) for p in phis)
+    stages = tuple(geometric_bridge(initial.density, f, p) for p in phis)
     return TargetSequence(stages, initial)
 
 
 def annealing_sequence(
     f: TargetDensity,
     gammas: Sequence[float],
-    initial: InitialDistribution | None = None,
+    *,
+    initial: InitialDistribution,
 ) -> TargetSequence:
     """Powered stages f^gamma for strictly increasing positive gammas."""
     gammas = [float(g) for g in gammas]
@@ -350,22 +346,19 @@ def correction_weights(
     return np.exp(log_w - log_w[np.isfinite(log_w)].max()), log_next
 
 
-def resample(
-    ensemble: Ensemble, weights, rng: RandomSource | np.random.Generator
-) -> Ensemble:
+def resample(ensemble: Ensemble, weights, rng: np.random.Generator) -> Ensemble:
     """Multinomial selection: N i.i.d. categorical draws with replacement.
 
     Particle i is picked with probability proportional to ``weights[i]``;
     the selected particles are equally weighted again.
     """
-    gen = as_generator(rng)
     probs = normalize_weights(np.asarray(weights, dtype=float))
     n = ensemble.n_particles
     if probs.shape != (n,):
         raise ValueError("weights must have one entry per particle")
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, gen.uniform(size=n), side="left")
+    idx = np.searchsorted(cum, rng.uniform(size=n), side="left")
     return Ensemble(ensemble.positions[idx])
 
 
@@ -477,8 +470,6 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.
     """
-    if sequence.initial is None:
-        raise ValueError("the target sequence has no initial distribution to draw from")
     if not isinstance(rng, RandomSource):
         raise TypeError("run_smc needs a RandomSource")
 

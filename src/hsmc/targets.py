@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoxConstraints, RandomSource, TargetDensity, _readonly, as_generator
+from .core import BoxConstraints, RandomSource, TargetDensity, _readonly
 
 __all__ = [
     "LogitData",
@@ -347,13 +347,11 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
     return _make_target(2, batch_log_f, batch_grad)
 
 
-def simulate_logit_data(
-    n: int, beta: tuple[float, float], rng: RandomSource | np.random.Generator
-) -> LogitData:
+def simulate_logit_data(n: int, beta: tuple[float, float], rng: RandomSource) -> LogitData:
     """Simulate n choice experiments with offers uniform on [-2, 8]."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = as_generator(rng)
+    gen = rng.generator()
     offers = gen.uniform(-2.0, 8.0, size=n)
     buf = np.empty((6, 1, n))
     *_, v = _logit_utility(np.array([beta], dtype=float), offers[None, :], buf)
@@ -418,7 +416,7 @@ def rejection_sample(
     upper,
     log_envelope: float,
     n: int,
-    rng: RandomSource | np.random.Generator,
+    rng: RandomSource,
     batch: int = 65536,
 ) -> np.ndarray:
     """Draw n points from exp(log_f) by rejection against a uniform envelope.
@@ -430,7 +428,7 @@ def rejection_sample(
         raise ValueError("n must be at least 1")
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    gen = as_generator(rng)
+    gen = rng.generator()
     out = np.empty((n, lower.shape[0]))
     filled = 0
     while filled < n:
@@ -443,7 +441,7 @@ def rejection_sample(
     return out
 
 
-def sample_smiley_data(n: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
+def sample_smiley_data(n: int, rng: RandomSource) -> np.ndarray:
     """Sample points from the smiley mixture density.
 
     Each bump exponent is <= 0, so the mixture is bounded by 3; the box
@@ -452,6 +450,6 @@ def sample_smiley_data(n: int, rng: RandomSource | np.random.Generator) -> np.nd
     return rejection_sample(smiley(), (-7.0, -2.5), (7.0, 27.5), np.log(3.0), n, rng)
 
 
-def sample_dropwave_data(n: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
+def sample_dropwave_data(n: int, rng: RandomSource) -> np.ndarray:
     """Sample points from the dropwave density restricted to its box."""
     return rejection_sample(dropwave(), (-2.5, -2.5), (2.5, 2.5), 1.0, n, rng)

@@ -342,7 +342,7 @@ def test_criterion_7_property_suite():
     totals = np.zeros(n)
     base = RandomSource(77)
     for r in range(reps):
-        out = resample(ens10, weights, base.derive(r))
+        out = resample(ens10, weights, base.derive(r).generator())
         totals += np.bincount(out.positions[:, 0].astype(int), minlength=n)
     sd = np.sqrt(n * probs * (1 - probs) / reps)
     assert np.all(np.abs(totals / reps - n * probs) <= 3 * sd)

@@ -245,6 +245,8 @@ class TestStrictInputs:
         ("annealing", "grid", {"resolution": 11}),
         ("gauss6-chain", "grid", {"resolution": 11}),
         ("sequential", "target", {"name": "dropwave"}),
+        ("mh-chain", "threads", 2),
+        ("mh-chain", "record_all", True),
     ])
     def test_field_the_run_does_not_read(self, tmp_path, capsys, recipe, field, value):
         mapping = {
@@ -467,19 +469,17 @@ class TestRunOutputs:
         for blas_threads, threads in (("1", 1), (None, 2)):
             proc = cli_process(
                 "run", path, "--threads", threads, OPENBLAS_NUM_THREADS=blas_threads,
-                GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None, HSMC_THREADS=None,
+                GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             reports.append((tmp_path / "out" / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_env_var_overrides_threads(self, tmp_path, monkeypatch):
+    def test_zero_threads_flag_named(self, tmp_path, capsys):
         path = tiny_run_config(tmp_path)
-        run(parse_config(path))
-        baseline = (tmp_path / "out" / "particles.csv").read_bytes()
-        monkeypatch.setenv("HSMC_THREADS", "3")
-        assert main(["run", str(path)]) == 0
-        assert (tmp_path / "out" / "particles.csv").read_bytes() == baseline
+        assert main(["run", str(path), "--threads", "0"]) == 1
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_final_only_rows_by_default(self, tmp_path):
         path = tiny_run_config(tmp_path)

@@ -10,7 +10,9 @@ from conftest import leapfrog_proposal, reflect_into_box
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
 from hsmc.kernels import _hmc_batch, _mh_batch, _reflect_box
-from hsmc.targets import dropwave, gaussian, rosenbrock
+from hsmc.targets import (
+    dropwave, gaussian, nonlinear_logit_loglik, rosenbrock, simulate_logit_data,
+)
 
 
 def fold_loop(q, p, lower, upper, max_folds=1024):
@@ -84,7 +86,7 @@ class TestMhStep:
 
     def test_invalid_start_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
-            mh_step(dropwave(), np.array([3.0, 0.0]), MhConfig(1.0), RandomSource(1))
+            mh_step(dropwave(), np.array([3.0, 0.0]), MhConfig(1.0), RandomSource(1).generator())
 
     def test_zero_density_proposal_rejected(self):
         # a box-constrained target auto-rejects proposals outside the box
@@ -164,7 +166,7 @@ class TestReflectIntoBox:
 class TestHmcStep:
     def test_flat_target_drift_and_certain_acceptance(self):
         cfg = HmcConfig(mass_diag=[2.0, 0.5], leapfrog_steps=7, step_size=0.1)
-        out = hmc_step(flat_target(), np.array([0.3, -0.2]), cfg, RandomSource(5))
+        out = hmc_step(flat_target(), np.array([0.3, -0.2]), cfg, RandomSource(5).generator())
         gen = RandomSource(5).generator()
         momentum = np.sqrt(cfg.mass_for(2)) * gen.standard_normal(2)
         expected = np.array([0.3, -0.2]) + 7 * 0.1 * momentum / cfg.mass_for(2)
@@ -232,7 +234,7 @@ class TestHmcStep:
         target = TargetDensity(
             1, lambda p: np.zeros(p.shape[0]), lambda p: np.full_like(p, np.inf)
         )
-        out = hmc_step(target, np.zeros(1), HmcConfig(1.0, 5, 0.1), RandomSource(3))
+        out = hmc_step(target, np.zeros(1), HmcConfig(1.0, 5, 0.1), RandomSource(3).generator())
         assert not out.accepted
         assert out.log_accept_prob == -np.inf
         np.testing.assert_array_equal(out.new_position, np.zeros(1))
@@ -241,9 +243,9 @@ class TestHmcStep:
 class TestSinglePositionEdge:
     def test_config_type_checked(self):
         with pytest.raises(TypeError, match="MhConfig"):
-            mh_step(rosenbrock(), np.zeros(2), HmcConfig(), RandomSource(1))
+            mh_step(rosenbrock(), np.zeros(2), HmcConfig(), RandomSource(1).generator())
         with pytest.raises(TypeError, match="HmcConfig"):
-            hmc_step(rosenbrock(), np.zeros(2), MhConfig(), RandomSource(1))
+            hmc_step(rosenbrock(), np.zeros(2), MhConfig(), RandomSource(1).generator())
 
     def test_draw_order_is_normals_then_uniform(self):
         # each step draws dim standard normals, then one uniform, from the
@@ -328,8 +330,14 @@ class TestDetailedBalance:
 
 
 class TestMutateEnsemble:
-    def test_matches_sequential_particle_stepping(self, rng):
-        target = rosenbrock()
+    # both targets' rows are independent of their batch, the condition
+    # under which a batch equals its rows stepped one at a time
+    @pytest.mark.parametrize("make_target", [
+        rosenbrock,
+        lambda: nonlinear_logit_loglik(simulate_logit_data(60, (3.0, 3.0), RandomSource(3))),
+    ], ids=["rosenbrock", "logit"])
+    def test_matches_sequential_particle_stepping(self, rng, make_target):
+        target = make_target()
         cfg = HmcConfig(1.0, 10, 0.05)
         ens = Ensemble(rng.standard_normal((16, 2)))
         root = RandomSource(99)

@@ -33,26 +33,29 @@ from hsmc.smc import _loo_engine_bandwidth, _truncate_weights
 from hsmc.kde import kde_target, loo_log_density_all, silverman_bandwidth
 from hsmc.targets import dropwave, gaussian, simulate_logit_data
 
+INITIAL_1D = diag_gaussian_initial([0.0], [1.0])
+INITIAL_2D = diag_gaussian_initial([0.0, 0.0], [1.0, 1.0])
+
 
 class TestBlockwiseSequence:
     def test_smiley_scale_block_count(self, rng):
         points = rng.standard_normal((2048, 2))
-        seq = blockwise_sequence("kde", points, 100)
+        seq = blockwise_sequence("kde", points, 100, initial=INITIAL_2D)
         assert seq.n_stages == 21  # 20 full blocks and one block of 48
 
     def test_dropwave_scale_block_count(self, rng):
         points = rng.standard_normal((4096, 2))
-        seq = blockwise_sequence("kde", points, 100)
+        seq = blockwise_sequence("kde", points, 100, initial=INITIAL_2D)
         assert seq.n_stages == 41  # 40 full blocks and one block of 96
 
     def test_logit_block_count(self):
         data = simulate_logit_data(400, (3.0, 3.0), RandomSource(1))
-        seq = blockwise_sequence("loglik", data, 50)
+        seq = blockwise_sequence("loglik", data, 50, initial=INITIAL_2D)
         assert seq.n_stages == 8
 
     def test_final_stage_uses_all_data(self, rng):
         points = rng.standard_normal((130, 2))
-        seq = blockwise_sequence("kde", points, 50)
+        seq = blockwise_sequence("kde", points, 50, initial=INITIAL_2D)
         assert seq.n_stages == 3
         sd = points.std(axis=0, ddof=1)
         expected = kde_target(points, sd * 130 ** (-0.2))
@@ -63,7 +66,7 @@ class TestBlockwiseSequence:
 
     def test_stage_bandwidth_uses_revealed_data_only(self, rng):
         points = rng.standard_normal((60, 2)) * [1.0, 5.0]
-        seq = blockwise_sequence("kde", points, 20)
+        seq = blockwise_sequence("kde", points, 20, initial=INITIAL_2D)
         first = points[:20]
         expected = kde_target(first, first.std(axis=0, ddof=1) * 20 ** (-0.2))
         x = np.array([0.0, 0.0])
@@ -73,19 +76,25 @@ class TestBlockwiseSequence:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            blockwise_sequence("kde", np.empty((0, 2)), 100)
+            blockwise_sequence("kde", np.empty((0, 2)), 100, initial=INITIAL_2D)
 
     def test_constraints_propagate(self, rng):
         from hsmc.targets import DROPWAVE_BOX
 
         points = rng.uniform(-2, 2, (64, 2))
-        seq = blockwise_sequence("kde", points, 32, constraints=DROPWAVE_BOX)
+        seq = blockwise_sequence("kde", points, 32, constraints=DROPWAVE_BOX, initial=INITIAL_2D)
         assert seq.stages[0].log_f(np.array([[3.0, 0.0]]))[0] == -np.inf
+
+    def test_loglik_rejects_constraints(self):
+        data = simulate_logit_data(400, (3.0, 3.0), RandomSource(1))
+        box = BoxConstraints([-2.0, -2.0], [2.0, 2.0])
+        with pytest.raises(ValueError, match="constraints"):
+            blockwise_sequence("loglik", data, 50, constraints=box, initial=INITIAL_2D)
 
 
 class TestTemperingSequence:
     def test_single_phi_equals_target(self, rng):
-        f1 = gaussian([0.0], [4.0])
+        f1 = diag_gaussian_initial([0.0], [2.0])
         f = gaussian([2.0], [1.0])
         seq = tempering_sequence(f1, f, [1.0])
         assert seq.n_stages == 1
@@ -94,7 +103,7 @@ class TestTemperingSequence:
             assert seq.stages[0].log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_four_stage_ladder(self, rng):
-        f1 = gaussian([0.0], [4.0])
+        f1 = diag_gaussian_initial([0.0], [2.0])
         f = gaussian([2.0], [1.0])
         seq = tempering_sequence(f1, f, [0.25, 0.5, 0.75, 1.0])
         assert seq.n_stages == 4
@@ -102,7 +111,7 @@ class TestTemperingSequence:
         assert seq.stages[-1].log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_monotonicity_enforced(self):
-        f1, f = gaussian([0.0], [4.0]), gaussian([2.0], [1.0])
+        f1, f = diag_gaussian_initial([0.0], [2.0]), gaussian([2.0], [1.0])
         with pytest.raises(ValueError):
             tempering_sequence(f1, f, [0.5, 0.4, 1.0])
         with pytest.raises(ValueError):
@@ -119,14 +128,14 @@ class TestTemperingSequence:
 class TestAnnealingSequence:
     def test_identity_gamma(self, rng):
         f = gaussian([0.0], [1.0])
-        seq = annealing_sequence(f, [1.0])
+        seq = annealing_sequence(f, [1.0], initial=INITIAL_1D)
         x = rng.standard_normal(1)
         assert seq.stages[0].log_f(x[None])[0] == f.log_f(x[None])[0]
 
     def test_gaussian_power_variances(self):
         # N(0,1)^gamma is N(0, 1/gamma): check the log-kernel curvature
         f = gaussian([0.0], [1.0])
-        seq = annealing_sequence(f, [1.0, 4.0, 16.0, 64.0])
+        seq = annealing_sequence(f, [1.0, 4.0, 16.0, 64.0], initial=INITIAL_1D)
         one = np.array([1.0])
         zero = np.array([0.0])
         for stage, gamma in zip(seq.stages, [1.0, 4.0, 16.0, 64.0]):
@@ -136,16 +145,16 @@ class TestAnnealingSequence:
     def test_validation(self):
         f = gaussian([0.0], [1.0])
         with pytest.raises(ValueError):
-            annealing_sequence(f, [4.0, 1.0])
+            annealing_sequence(f, [4.0, 1.0], initial=INITIAL_1D)
         with pytest.raises(ValueError):
-            annealing_sequence(f, [-1.0, 2.0])
+            annealing_sequence(f, [-1.0, 2.0], initial=INITIAL_1D)
         with pytest.raises(ValueError):
-            annealing_sequence(f, [])
+            annealing_sequence(f, [], initial=INITIAL_1D)
 
     def test_high_gamma_concentrates_dropwave_on_grid(self):
         # at gamma=64 nearly all grid mass sits at the central bump
         target = dropwave()
-        seq = annealing_sequence(target, [1.0, 4.0, 16.0, 64.0])
+        seq = annealing_sequence(target, [1.0, 4.0, 16.0, 64.0], initial=INITIAL_2D)
         xs = np.linspace(-2.5, 2.5, 101)
         grid = np.array([[x, y] for x in xs for y in xs])
         dens = np.exp(seq.stages[-1].log_f(grid) - seq.stages[-1].log_f(np.zeros((1, 2)))[0])
@@ -215,7 +224,7 @@ class TestResample:
         ens = Ensemble(positions)
         weights = np.zeros(8)
         weights[3] = 5.0
-        out = resample(ens, weights, RandomSource(2))
+        out = resample(ens, weights, RandomSource(2).generator())
         np.testing.assert_array_equal(out.positions, np.tile(positions[3], (8, 1)))
 
     def test_multinomial_copy_counts(self, rng):
@@ -223,7 +232,7 @@ class TestResample:
         # Poisson(1); allow up to the ~1e-6 tail level
         n = 10_000
         ens = Ensemble(rng.standard_normal((n, 1)))
-        out = resample(ens, np.ones(n), RandomSource(4))
+        out = resample(ens, np.ones(n), RandomSource(4).generator())
         src = ens.positions[:, 0]
         counts = np.bincount(np.searchsorted(np.sort(src), out.positions[:, 0]), minlength=n)
         assert counts.sum() == n
@@ -240,7 +249,7 @@ class TestResample:
         root = RandomSource(77)
         totals = np.zeros(n)
         for r in range(reps):
-            out = resample(ens, weights, root.derive(r))
+            out = resample(ens, weights, root.derive(r).generator())
             totals += np.bincount(out.positions[:, 0].astype(int), minlength=n)
         mean_counts = totals / reps
         expected = n * probs
@@ -250,7 +259,7 @@ class TestResample:
     def test_degenerate_weights_rejected(self, rng):
         ens = Ensemble(rng.standard_normal((4, 1)))
         with pytest.raises(DegenerateWeightsError):
-            resample(ens, np.zeros(4), RandomSource(1))
+            resample(ens, np.zeros(4), RandomSource(1).generator())
 
 
 positive_weights = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40).map(np.array)
@@ -359,7 +368,7 @@ class TestRunSmc:
         ens = Ensemble(draws)
         w, _ = correction_weights(ens, f1, f0.density.log_f(draws), "theoretical_ratio")
         pre_selection_mean = (w / w.sum()) @ ens.positions[:, 0]
-        selected = resample(ens, w, RandomSource(6))
+        selected = resample(ens, w, RandomSource(6).generator())
         post_selection_mean = selected.positions.mean()
         mutated = mutate_ensemble(
             f1, selected, MhConfig(1.0), 2, RandomSource(7), f1.log_f(selected.positions)
@@ -408,10 +417,8 @@ class TestRunSmc:
         assert len(result.history[0]) == 4  # initial draws plus 3 iterations
 
     def test_missing_initial_rejected(self):
-        seq = TargetSequence((gaussian([0.0], [1.0]),))
-        cfg = SmcConfig(n_particles=8, mutation=MhConfig(1.0))
-        with pytest.raises(ValueError, match="initial"):
-            run_smc(seq, cfg, RandomSource(0))
+        with pytest.raises(TypeError, match="initial"):
+            TargetSequence((gaussian([0.0], [1.0]),))
 
     def test_stages_replay_from_the_documented_streams(self, rng):
         # stage t of group j: correction from history[j][t-1], selection on
@@ -431,7 +438,7 @@ class TestRunSmc:
                 f_prev = seq.initial.density if t == 1 else seq.stages[t - 2]
                 before = history[t - 1][0]
                 w, _ = correction_weights(before, f_t, f_prev.log_f(before.positions))
-                selected = resample(before, w, root.derive(j, SELECTION_STREAM, t))
+                selected = resample(before, w, root.derive(j, SELECTION_STREAM, t).generator())
                 mutated, _, accepted, _ = mutate_ensemble(
                     f_t, selected, cfg.mutation, 1, root.derive(j, MUTATION_STREAM, t),
                     f_t.log_f(selected.positions),
@@ -543,4 +550,6 @@ class TestSmcConfigValidation:
 
     def test_sequence_dim_mismatch(self):
         with pytest.raises(ValueError):
-            TargetSequence((gaussian([0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])))
+            TargetSequence(
+                (gaussian([0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])), INITIAL_1D
+            )
