@@ -610,6 +610,10 @@ def main(argv=None) -> int:
                 overrides["record_all"] = True
             if args.threads is not None:
                 overrides["threads"] = _as_int(args.threads, "--threads", minimum=1)
+            for field in overrides:
+                if field not in TOP_LEVEL_KEYS[config.algorithm]:
+                    flag = "--" + field.replace("_", "-")
+                    raise ConfigError(f"{flag}: not read by {config.algorithm} runs")
             return run(replace(config, **overrides))
         if args.command == "gen-data":
             return generate_data(args.kind, args.n, args.seed, args.out)

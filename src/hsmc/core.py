@@ -4,9 +4,11 @@ Everything here is an immutable value that can safely be shared across
 threads.  Randomness is counter-based: a :class:`RandomSource` is a
 (seed, stream) pair, and deriving sub-streams per group / stage /
 particle makes parallel runs bit-reproducible regardless of execution
-order or thread count.  An :class:`Ensemble` holds positions only: every
-stage resamples, which leaves all particles equally weighted, and the
-stream keys of a stage travel as RandomSources, not inside it.
+order or thread count.  ``_child_keys`` gives the Philox keys of all
+particle streams of a stage in one vectorized pass.  An
+:class:`Ensemble` holds positions only: every stage resamples, which
+leaves all particles equally weighted, and the stream keys of a stage
+travel as RandomSources, not inside it.
 """
 
 from __future__ import annotations
@@ -193,3 +195,59 @@ class RandomSource:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(ss))
 
+
+# The SeedSequence hash of NEP 19 (numpy.random.SeedSequence, pool of four
+# 32-bit words), vectorized over the last stream id.  NEP 19 fixes it, so
+# the keys below match every NumPy version's ``SeedSequence``.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _child_keys(source: RandomSource, n: int) -> np.ndarray:
+    """The ``(n, 2)`` uint64 Philox keys of ``source.derive(i).generator()``, i < n.
+
+    SeedSequence splits the seed into little-endian 32-bit words (one or
+    two here), pads them with a spawn key to the pool size, appends the
+    spawn key's words, hashes them into the pool and draws the key from
+    it.  Every word but the last is shared by the n children, so each hash
+    step is one uint32 array operation over the children.
+    """
+    seed = source.seed
+    run = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    words = run + [0] * (_POOL_SIZE - len(run)) + list(source.stream)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = (hash_a * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(entropy[k]) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((n, 4), dtype=np.uint64)
+    hash_b = _INIT_B
+    for k in range(4):
+        value = pool[k] ^ np.uint32(hash_b)
+        hash_b = (hash_b * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_b)
+        state[:, k] = value ^ (value >> np.uint32(16))
+    # generate_state(2, np.uint64) pairs the words little-endian
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))

@@ -4,13 +4,17 @@ Random-walk Metropolis-Hastings and a leapfrog Hamiltonian step, both
 with a diagonal mass / scale generalization, plus reflective position
 updates that bounce trajectories off box constraints.  Every step runs on
 an ``(n, dim)`` batch: row i draws ``dim`` normals and then one uniform
-from its own generator.  A batch is therefore bit-identical to stepping
-its rows one at a time whenever the target's rows do not depend on their
+from its own stream.  A batch is therefore bit-identical to stepping its
+rows one at a time whenever the target's rows do not depend on their
 batch, which every built-in target meets except the gradient of a KDE
 target (its last bits can change with the rows around it).
 ``mutate_ensemble`` steps a whole ensemble, each particle on its own
 derived stream; ``mh_step`` and ``hmc_step`` are the single-position
-edge, a batch of one row.
+edge, a batch of one row.  The streams are those of
+``RandomSource.derive(i).generator()``, but a stage does not build a
+generator per particle: it derives all particle keys in one vectorized
+SeedSequence pass and takes every step's draws, from one reused Philox,
+before its first step.
 
 Steps carry each row's log f and gradient from one step to the next: a
 row ends where its proposal was accepted or where it started, and the
@@ -27,7 +31,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import Ensemble, RandomSource, TargetDensity, _readonly
+from .core import Ensemble, RandomSource, TargetDensity, _child_keys, _readonly
 
 __all__ = [
     "HmcConfig",
@@ -212,20 +216,42 @@ def _start_gradient(target, positions, kernel: KernelConfig):
         return target.grad_log_f(positions)
 
 
-def _step(target, positions, lf, grad, kernel: KernelConfig, gens):
-    """One kernel step of every row, row i drawing from ``gens[i]``.
+def _stage_draws(rng: RandomSource, n: int, dim: int, steps: int):
+    """All draws of ``steps`` steps of n rows, row i on stream ``rng.derive(i)``.
+
+    Per step each stream draws ``dim`` standard normals and then one
+    uniform, exactly as its own generator would.  One Philox is rekeyed
+    per row with counter 0 and an empty buffer, the state a fresh
+    generator starts from.  Returns noise ``(steps, n, dim)`` and log_u
+    ``(steps, n)``.
+    """
+    bit_gen = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_gen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    noise = np.empty((steps, n, dim))
+    u = np.empty((steps, n))
+    for i, key in enumerate(_child_keys(rng, n).tolist()):
+        bit_gen.state = {
+            "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        for s in range(steps):
+            gen.standard_normal(out=noise[s, i])
+            u[s, i] = gen.random()
+    return noise, np.log(u)
+
+
+def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
+    """One kernel step of every row from its draws ``noise`` and ``log_u``.
 
     ``lf`` is log f at the rows and ``grad`` its gradient (None for
-    random walk).  Each generator draws ``dim`` standard normals (the
-    random-walk noise, or the momentum before scaling by sqrt(M)) and then
-    one uniform for the accept test.  Returns (new positions, new lf, new
-    grad, accepted, log accept prob).
+    random walk).  Row i's ``dim`` standard normals ``noise[i]`` are the
+    random-walk noise, or the momentum before scaling by sqrt(M), and
+    ``log_u[i]`` is the log uniform of its accept test.  Returns (new
+    positions, new lf, new grad, accepted, log accept prob).
     """
-    dim = positions.shape[1]
-    noise = np.stack([g.standard_normal(dim) for g in gens])
-    log_u = np.log(np.array([g.uniform() for g in gens]))
     if isinstance(kernel, HmcConfig):
-        momenta = np.sqrt(kernel.mass_for(dim)) * noise
+        momenta = np.sqrt(kernel.mass_for(positions.shape[1])) * noise
         return _hmc_batch(target, positions, lf, grad, momenta, log_u, kernel)
     new_q, new_lf, accepted, log_a = _mh_batch(
         target, positions, lf, noise, log_u, kernel.proposal_scale
@@ -234,7 +260,10 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, gens):
 
 
 def _single_step(kind, target, position, config, rng) -> StepOutcome:
-    """``_step`` on the one-row batch ``position[None]``, config and start checked."""
+    """``_step`` on the one-row batch ``position[None]``, config and start checked.
+
+    The row draws ``dim`` normals and then one uniform from ``rng``.
+    """
     if not isinstance(config, kind):
         raise TypeError(f"expected an {kind.__name__}, got {type(config).__name__}")
     position = np.atleast_1d(np.asarray(position, dtype=float))[None]
@@ -242,7 +271,9 @@ def _single_step(kind, target, position, config, rng) -> StepOutcome:
     if not np.isfinite(lf[0]):
         raise ValueError("starting position has non-finite log-density")
     grad = _start_gradient(target, position, config)
-    new_q, _, _, accepted, log_a = _step(target, position, lf, grad, config, [rng])
+    noise = rng.standard_normal(position.shape)
+    log_u = np.log([rng.random()])
+    new_q, _, _, accepted, log_a = _step(target, position, lf, grad, config, noise, log_u)
     return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
 
 
@@ -291,8 +322,11 @@ def mutate_ensemble(
     stream ``rng.derive(i)``, so the result does not depend on execution
     order, and it matches stepping particles one by one with the same
     streams when the target's rows do not depend on their batch (see the
-    module docstring).  Per-particle failures (zero density, divergent
-    trajectories) reject the proposal instead of aborting the ensemble.
+    module docstring).  The streams' keys come from one vectorized
+    SeedSequence pass, and all ``steps`` steps' draws are taken before
+    the first step; the draws are the ones each particle's own generator
+    gives.  Per-particle failures (zero density, divergent trajectories)
+    reject the proposal instead of aborting the ensemble.
 
     ``log_f`` is ``target.log_f`` at the particles, which the caller
     usually has already; the result's ``log_f`` is its value at the final
@@ -308,13 +342,15 @@ def mutate_ensemble(
     lf = np.asarray(log_f, dtype=float)
     if lf.shape != (ensemble.n_particles,):
         raise ValueError("log_f must have one entry per particle")
-    gens = [rng.derive(idx).generator() for idx in range(ensemble.n_particles)]
+    noise, log_u = _stage_draws(rng, ensemble.n_particles, ensemble.dim, steps)
 
     positions = ensemble.positions
     grad = _start_gradient(target, positions, kernel)
     acceptance_count = 0
-    for _ in range(steps):
-        positions, lf, grad, accepted, _ = _step(target, positions, lf, grad, kernel, gens)
+    for step_noise, step_log_u in zip(noise, log_u):
+        positions, lf, grad, accepted, _ = _step(
+            target, positions, lf, grad, kernel, step_noise, step_log_u
+        )
         acceptance_count += int(accepted.sum())
 
     return MutationResult(Ensemble(positions), acceptance_count, accepted, lf)

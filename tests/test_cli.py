@@ -259,6 +259,15 @@ class TestStrictInputs:
         path = write_config(tmp_path / "c.yaml", mapping)
         assert_rejected_before_output(tmp_path, path, capsys, field)
 
+    @pytest.mark.parametrize("algorithm", ["mh", "hmc"])
+    @pytest.mark.parametrize("flags", [["--threads", "2"], ["--threads", "1"], ["--record-all"]])
+    def test_chain_rejects_sequential_flag(self, tmp_path, capsys, algorithm, flags):
+        # a chain records every state and runs its chains one after another
+        path = write_config(tmp_path / "c.yaml", chain_recipe(algorithm))
+        assert main(["run", str(path), *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("recipe, field, value", [
         ("sequential", "seed", True),
         ("sequential", "seed", 2.7),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsmc.core import (
@@ -8,6 +8,7 @@ from hsmc.core import (
     DegenerateWeightsError,
     Ensemble,
     RandomSource,
+    _child_keys,
     normalize_weights,
 )
 
@@ -118,3 +119,30 @@ class TestRandomSource:
     def test_generator_is_fresh(self):
         rs = RandomSource(7)
         assert rs.generator().uniform() == rs.generator().uniform()
+
+
+class TestChildKeys:
+    # seeds of one and two 32-bit words, at both ends of each
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        stream=st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple),
+        n=st.sampled_from([1, 2, 513]),
+    )
+    @example(seed=2**64 - 1, stream=(2**32 - 1,) * 4, n=513)
+    @example(seed=0, stream=(), n=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_seed_sequence(self, seed, stream, n):
+        keys = _child_keys(RandomSource(seed, stream), n)
+        assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+        for i in range(n):
+            expected = np.random.SeedSequence(
+                entropy=seed, spawn_key=stream + (i,)
+            ).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(keys[i], expected)
+
+    def test_is_the_derived_generators_key(self):
+        source = RandomSource(2**40 + 3, (1, 2, 7))
+        keys = _child_keys(source, 5)
+        for i in range(5):
+            state = source.derive(i).generator().bit_generator.state["state"]
+            np.testing.assert_array_equal(keys[i], state["key"])

@@ -9,7 +9,7 @@ from conftest import leapfrog_proposal, reflect_into_box
 
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
-from hsmc.kernels import _hmc_batch, _mh_batch, _reflect_box
+from hsmc.kernels import _hmc_batch, _mh_batch, _reflect_box, _stage_draws
 from hsmc.targets import (
     dropwave, gaussian, nonlinear_logit_loglik, rosenbrock, simulate_logit_data,
 )
@@ -327,6 +327,33 @@ class TestDetailedBalance:
         emp_ba = (curr[from_b] == 0).mean()
         assert emp_ab == pytest.approx(p_ab, abs=1e-3)
         assert emp_ba == pytest.approx(p_ba, abs=1e-3)
+
+
+class TestStageDraws:
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_replays_each_particle_generator(self, dim, steps):
+        # per step, particle i draws dim normals and then one uniform from
+        # rng.derive(i).generator(); 512 particles draw enough normals that
+        # some leave the ziggurat's fast path and take extra words, so a
+        # counter or buffer carried over from another particle would show
+        rng = RandomSource(2024, (3, MUTATION_STREAM, 7))
+        noise, log_u = _stage_draws(rng, 512, dim, steps)
+        assert noise.shape == (steps, 512, dim) and log_u.shape == (steps, 512)
+        expected_noise = np.empty_like(noise)
+        expected_u = np.empty((steps, 512))
+        extra_words = False
+        for i in range(512):
+            gen = rng.derive(i).generator()
+            for s in range(steps):
+                expected_noise[s, i] = gen.standard_normal(dim)
+                expected_u[s, i] = gen.uniform()
+            state = gen.bit_generator.state
+            words = 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+            extra_words |= words > steps * (dim + 1)
+        assert extra_words
+        np.testing.assert_array_equal(noise, expected_noise)
+        np.testing.assert_array_equal(log_u, np.log(expected_u))
 
 
 class TestMutateEnsemble:
