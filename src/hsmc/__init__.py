@@ -27,10 +27,11 @@ from .smc import (
     SmcRun,
     TargetSequence,
     annealing_sequence,
-    blockwise_sequence,
     compare_groups,
     correction_weights,
     diag_gaussian_initial,
+    kde_blocks_sequence,
+    loglik_blocks_sequence,
     resample,
     run_smc,
     tempering_sequence,

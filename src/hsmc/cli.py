@@ -33,9 +33,10 @@ from .smc import (
     RunReport,
     SmcConfig,
     annealing_sequence,
-    blockwise_sequence,
     compare_groups,
     diag_gaussian_initial,
+    kde_blocks_sequence,
+    loglik_blocks_sequence,
     run_smc,
     tempering_sequence,
     uniform_box_initial,
@@ -179,6 +180,12 @@ def _as_vector(value, field: str) -> np.ndarray:
     return arr
 
 
+def _as_path(value, field: str) -> Path:
+    if not isinstance(value, str):  # Path() fails on YAML's numbers, booleans, null, lists
+        raise ConfigError(f"{field}: expected a path, got {value!r}")
+    return Path(value)
+
+
 def _build_kernel(spec, context: str = "kernel.") -> HmcConfig | MhConfig:
     ktype = _tagged(spec, context, "type", KERNEL_KEYS)
     try:
@@ -217,7 +224,7 @@ def parse_config(path) -> RunConfig:
     base_dir = path.parent
 
     seed = _as_seed(_require(raw, "seed", ""))
-    output = Path(_require(raw, "output", ""))
+    output = _as_path(_require(raw, "output", ""), "output")
     if not output.is_absolute():
         output = base_dir / output
     kernel = _build_kernel(_require(raw, "kernel", ""))
@@ -294,7 +301,7 @@ def parse_config(path) -> RunConfig:
 
 
 def _resolve_data_path(config: RunConfig, value, field: str) -> Path:
-    data_path = Path(value)
+    data_path = _as_path(value, field)
     if not data_path.is_absolute():
         data_path = config.base_dir / data_path
     if not data_path.is_file():
@@ -387,10 +394,10 @@ def _build_sequence(config: RunConfig):
                     _as_vector(_require(cons, "lower", context), context + "lower"),
                     _as_vector(_require(cons, "upper", context), context + "upper"),
                 )
-            return blockwise_sequence("kde", points, block_size, constraints, initial=initial)
+            return kde_blocks_sequence(points, block_size, constraints, initial=initial)
         if kind == "loglik-blocks":
             data = _read_logit_data(data_path, "sequence.data")
-            return blockwise_sequence("loglik", data, block_size, initial=initial)
+            return loglik_blocks_sequence(data, block_size, initial=initial)
         field = "phis" if kind == "tempering" else "gammas"
         ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
         if config.target_spec is None:

@@ -163,6 +163,19 @@ def normalize_weights(weights) -> np.ndarray:
     return w / total
 
 
+def _row_blocks(n_rows: int, n_cols: int, terms: int, shape: tuple = ()):
+    """Yield (rows, buf): blocks of about ``terms`` entries of (n_rows, n_cols).
+
+    ``buf`` is scratch of shape ``shape + (len(rows), n_cols)``, reused by
+    every block: reduce a block before the next one is formed.
+    """
+    step = max(1, terms // n_cols)
+    buf = np.empty(shape + (min(step, n_rows), n_cols))
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        yield slice(start, stop), buf[..., : stop - start, :]
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Counter-based random stream identified by ``(seed, stream)``.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity
+from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _row_blocks
 from .targets import _make_target
 
 __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
@@ -60,22 +60,18 @@ def _half_sq_cols(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.column_stack([y, -0.5 * (y * y).sum(axis=1)]).T)
 
 
-def _row_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
+def _product_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
     """Yield (rows, s) with s = a[rows] @ b, about _BLOCK_TERMS entries at a time.
 
     ``exclude_self`` sets s[i, i] to -inf, for a and b built from the same
     points.  The block's array is reused, so reduce s before the next block.
     """
-    n, m = a.shape[0], b.shape[1]
-    step = max(1, _BLOCK_TERMS // m)
-    buf = np.empty((min(step, n), m))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        s = np.matmul(a[start:stop], b, out=buf[: stop - start])
+    for rows, s in _row_blocks(a.shape[0], b.shape[1], _BLOCK_TERMS):
+        np.matmul(a[rows], b, out=s)
         if exclude_self:
-            i = np.arange(stop - start)
-            s[i, start + i] = -np.inf
-        yield slice(start, stop), s
+            i = np.arange(s.shape[0])
+            s[i, rows.start + i] = -np.inf
+        yield rows, s
 
 
 def _log_kernel_sums(a, b, values=None, exclude_self: bool = False):
@@ -87,7 +83,7 @@ def _log_kernel_sums(a, b, values=None, exclude_self: bool = False):
     n = a.shape[0]
     log_sums = np.empty(n)
     means = None if values is None else np.empty((n, values.shape[1]))
-    for rows, s in _row_blocks(a, b, exclude_self):
+    for rows, s in _product_blocks(a, b, exclude_self):
         shift = s.max(axis=1)
         s -= shift[:, None]
         np.exp(s, out=s)
@@ -105,7 +101,7 @@ def _kth_neighbour_distance(positions: np.ndarray, scale: np.ndarray, k: int) ->
     b = _half_sq_cols(z)
     n = len(z)
     kth = np.empty(n)
-    for rows, s in _row_blocks(a, b, exclude_self=True):
+    for rows, s in _product_blocks(a, b, exclude_self=True):
         # the k-th nearest neighbour has the k-th largest -|z_i - z_j|^2 / 2
         kth[rows] = np.partition(s, n - k, axis=1)[:, n - k]
     return np.sqrt(np.maximum(-2.0 * (kth + c), 0.0))

@@ -7,8 +7,11 @@ the current target).  Every stage resamples, so each correction starts
 from an unweighted cloud, as the leave-one-out weights assume.  Two
 weight rules are supported: the classic ratio f_t / f_{t-1} and the
 kernel variant f_t / f-hat_{t-1}, where f-hat is a leave-one-out KDE of
-the current particle cloud.  Independent particle groups can run in
-parallel and are compared afterwards as a convergence check.
+the current particle cloud, with kernels widened for stragglers and the
+weights truncated.  :func:`correction_weights` computes either rule
+whole, exactly as a run applies it, so a stage is one call each to
+correction, selection and mutation.  Independent particle groups run on
+a thread pool and are compared afterwards as a convergence check.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -60,7 +63,8 @@ __all__ = [
     "SmcRun",
     "diag_gaussian_initial",
     "uniform_box_initial",
-    "blockwise_sequence",
+    "kde_blocks_sequence",
+    "loglik_blocks_sequence",
     "tempering_sequence",
     "annealing_sequence",
     "correction_weights",
@@ -227,50 +231,41 @@ class SmcRun:
         return tuple(group[-1][0] for group in self.history)
 
 
-def blockwise_sequence(
-    kind: str,
-    data,
-    block_size: int,
-    constraints: BoxConstraints | None = None,
-    *,
-    initial: InitialDistribution,
-) -> TargetSequence:
-    """Stage t uses the first t blocks of the data; the last block may be short.
-
-    kind "kde": data is an (n, d) point array and stage t is a Gaussian KDE
-    of the revealed points, with per-dimension bandwidth
-    sd(revealed) * n_t^(-1/5); ``constraints`` bound every stage's support.
-    kind "loglik": data is LogitData and stage t is the log-likelihood of
-    the revealed observations; it takes no ``constraints``.
-    """
+def _block_cuts(total: int, block_size: int) -> list[int]:
+    """Revealed-data sizes of the stages: one more block each, then all ``total``."""
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
-    if kind not in ("kde", "loglik"):
-        raise ValueError("kind must be 'kde' or 'loglik'")
-
-    if kind == "loglik":
-        if not isinstance(data, LogitData):
-            raise ValueError("loglik sequences need LogitData")
-        if constraints is not None:
-            raise ValueError("constraints: only kde sequences take a box")
-        total = len(data)
-    else:
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        total = data.shape[0]
     if total == 0:
         raise ValueError("data must be nonempty")
+    return [*range(block_size, total, block_size), total]
 
+
+def kde_blocks_sequence(
+    points, block_size: int, constraints: BoxConstraints | None = None, *,
+    initial: InitialDistribution,
+) -> TargetSequence:
+    """Stage t is a Gaussian KDE of the first t blocks of (n, d) ``points``.
+
+    The last block may be short.  Each stage's per-dimension bandwidth is
+    sd(revealed) * n_t^(-1/5); ``constraints`` bound every stage's support.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     stages = []
-    for cut in [*range(block_size, total, block_size), total]:
-        if kind == "kde":
-            revealed = data[:cut]
-            sd = revealed.std(axis=0, ddof=1) if cut > 1 else np.ones(data.shape[1])
-            if np.any(sd <= 0):
-                raise ValueError("revealed data has zero spread in some dimension")
-            stages.append(kde_target(revealed, sd * float(cut) ** (-0.2), constraints))
-        else:
-            stages.append(nonlinear_logit_loglik(data.subset(cut)))
+    for cut in _block_cuts(points.shape[0], block_size):
+        revealed = points[:cut]
+        sd = revealed.std(axis=0, ddof=1) if cut > 1 else np.ones(points.shape[1])
+        if np.any(sd <= 0):
+            raise ValueError("revealed data has zero spread in some dimension")
+        stages.append(kde_target(revealed, sd * float(cut) ** (-0.2), constraints))
     return TargetSequence(tuple(stages), initial)
+
+
+def loglik_blocks_sequence(
+    data: LogitData, block_size: int, *, initial: InitialDistribution
+) -> TargetSequence:
+    """Stage t is the logit log-likelihood of the first t blocks; the last may be short."""
+    cuts = _block_cuts(len(data), block_size)
+    return TargetSequence(tuple(nonlinear_logit_loglik(data.subset(c)) for c in cuts), initial)
 
 
 def tempering_sequence(
@@ -313,37 +308,41 @@ def correction_weights(
     f_next: TargetDensity,
     log_prev: np.ndarray | None,
     mode: str = "theoretical_ratio",
-    loo_bandwidth=None,
+    bandwidth_fallback: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Importance weights carrying the ensemble from f_prev to f_next.
 
-    "theoretical_ratio" uses f_next / f_prev pointwise, with ``log_prev``
-    the log-density of f_prev at each particle;  "loo_kde_ratio" ignores
-    ``log_prev`` and replaces the denominator with a leave-one-out KDE of
-    the current cloud (bandwidth selected by the Silverman rule unless
-    ``loo_bandwidth`` overrides it).  Weights are computed in log space and
-    exponentiated after subtracting the maximum, so only their ratios are
+    "theoretical_ratio" uses f_next / f_prev pointwise, ``log_prev`` being
+    f_prev's log-density at each particle.  "loo_kde_ratio" is the whole
+    kernel-weighted rule a run applies: it ignores ``log_prev``, divides by
+    a leave-one-out KDE of the cloud whose Silverman bandwidths are widened
+    for stragglers, and truncates the weights at sqrt(N) times their
+    truncated mean.  ``bandwidth_fallback`` stands in for the Silverman
+    bandwidth of a cloud collapsed in some dimension, which without it
+    raises :class:`DegenerateEnsembleError`.  Weights are exponentiated
+    after subtracting the maximum log-weight, so only their ratios are
     meaningful.  Returns (weights, log_next), log_next being f_next's
     log-density at each particle.
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"mode must be one of {WEIGHT_MODES}")
     log_next = f_next.log_f(ensemble.positions)
-    if mode == "theoretical_ratio":
-        if log_prev is None:
-            raise ValueError("theoretical weights need the previous target's log-densities")
+    if mode == "loo_kde_ratio":
+        bandwidth = _loo_engine_bandwidth(ensemble, bandwidth_fallback)
+        log_prev = loo_log_density_all(ensemble.positions, bandwidth)
+    elif log_prev is None:
+        raise ValueError("theoretical weights need the previous target's log-densities")
+    else:
         log_prev = np.asarray(log_prev, dtype=float)
         if log_prev.shape != log_next.shape:
             raise ValueError("log_prev must have one entry per particle")
-    else:
-        bandwidth = loo_bandwidth if loo_bandwidth is not None else silverman_bandwidth(ensemble)
-        log_prev = loo_log_density_all(ensemble.positions, bandwidth)
     with np.errstate(invalid="ignore"):
         log_w = np.where(np.isneginf(log_next), -np.inf, log_next - log_prev)
     log_w = np.where(np.isnan(log_w), -np.inf, log_w)
     if not np.any(np.isfinite(log_w)):
         raise DegenerateWeightsError("every particle has zero density under the next target")
-    return np.exp(log_w - log_w[np.isfinite(log_w)].max()), log_next
+    w = np.exp(log_w - log_w[np.isfinite(log_w)].max())
+    return (_truncate_weights(w) if mode == "loo_kde_ratio" else w), log_next
 
 
 def resample(ensemble: Ensemble, weights, rng: np.random.Generator) -> Ensemble:
@@ -385,26 +384,28 @@ def _truncate_weights(w: np.ndarray) -> np.ndarray:
     return np.minimum(w, caps[fits][0] if fits.any() else desc[desc > 0][-1])
 
 
-def _loo_engine_bandwidth(
-    ensemble: Ensemble, fallback: np.ndarray, knn: int = 7, reach: float = 3.0
-) -> np.ndarray:
+_WIDEN_NEIGHBOUR = 7
+_WIDEN_REACH = 3.0
+
+
+def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np.ndarray:
     """Per-particle bandwidths: the Silverman rule widened for stragglers.
 
-    Starting from the Silverman bandwidth of the current cloud (falling
-    back to the initial cloud's value if some dimension collapsed), each
-    particle whose ``knn``-th neighbour sits farther than ``reach``
-    bandwidths gets its kernel widened to keep that neighbour in range.
-    Without this, a particle that drifted away from a concentrated cloud
-    is assigned an exponentially vanishing leave-one-out density and its
-    importance ratio swallows the whole selection pool.
+    From the cloud's Silverman bandwidth (or ``fallback`` if some dimension
+    collapsed), each particle whose _WIDEN_NEIGHBOUR-th neighbour sits
+    farther than _WIDEN_REACH bandwidths has its kernel widened to keep that
+    neighbour in range.  Otherwise a particle that drifted from a tight
+    cloud gets a vanishing leave-one-out density and the whole selection.
     """
     try:
         base = silverman_bandwidth(ensemble)
     except DegenerateEnsembleError:
+        if fallback is None:
+            raise
         base = fallback
-    k = min(knn, ensemble.n_particles - 1)
+    k = min(_WIDEN_NEIGHBOUR, ensemble.n_particles - 1)
     kth = _kth_neighbour_distance(ensemble.positions, base, k)
-    widen = np.maximum(1.0, kth / reach)
+    widen = np.maximum(1.0, kth / _WIDEN_REACH)
     return base[None, :] * widen[:, None]
 
 
@@ -424,14 +425,8 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
     history = [(ens, np.ones(config.n_particles, dtype=bool))]
     for t, f_t in enumerate(sequence.stages, start=1):
         try:
-            loo_bw = None
-            if bandwidth_fallback is not None:
-                loo_bw = _loo_engine_bandwidth(ens, bandwidth_fallback)
-            w, log_next = correction_weights(
-                ens, f_t, log_prev, config.weight_mode, loo_bandwidth=loo_bw
-            )
-            if config.weight_mode == "loo_kde_ratio":
-                w = _truncate_weights(w)
+            w, log_next = correction_weights(ens, f_t, log_prev, config.weight_mode,
+                                             bandwidth_fallback)
             probs = normalize_weights(w)
         except DegenerateWeightsError as err:
             raise DegenerateWeightsError(
@@ -464,21 +459,18 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
-    derived random stream; with ``n_threads > 1`` groups execute in
-    parallel, with results bit-identical to the sequential run.  The
-    returned history keeps every stage's ensemble.  Raises
+    derived random stream, and a pool of ``n_threads`` threads runs the
+    groups; the thread count never changes the results.  The returned
+    history keeps every stage's ensemble.  Raises
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.
     """
     if not isinstance(rng, RandomSource):
         raise TypeError("run_smc needs a RandomSource")
 
-    groups = list(range(config.n_groups))
-    if config.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            results = list(pool.map(lambda j: _run_group(j, sequence, config, rng), groups))
-    else:
-        results = [_run_group(j, sequence, config, rng) for j in groups]
+    with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
+        results = list(pool.map(lambda j: _run_group(j, sequence, config, rng),
+                                range(config.n_groups)))
 
     report = RunReport(
         n_particles=config.n_particles,

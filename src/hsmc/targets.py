@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoxConstraints, RandomSource, TargetDensity, _readonly
+from .core import BoxConstraints, RandomSource, TargetDensity, _readonly, _row_blocks
 
 __all__ = [
     "LogitData",
@@ -233,19 +233,6 @@ class LogitData:
 _LOGIT_BLOCK_TERMS = 1 << 14
 
 
-def _logit_blocks(pos: np.ndarray, n_obs: int, n_buffers: int):
-    """Yield (rows, buffers): blocks of rows of ``pos`` with scratch arrays.
-
-    Each of the ``n_buffers`` arrays holds one (rows, n_obs) block of
-    terms; they are reused, so reduce a block before the next one is formed.
-    """
-    step = max(1, _LOGIT_BLOCK_TERMS // n_obs)
-    buf = np.empty((n_buffers, min(step, len(pos)), n_obs))
-    for start in range(0, len(pos), step):
-        stop = min(start + step, len(pos))
-        yield slice(start, stop), buf[:, : stop - start]
-
-
 def _logit_utility(beta, x, buf):
     """V(x) = 2 sin(b2 x) / (1 + 0.5 (b1 - x)^2) for rows (b1, b2) of ``beta``.
 
@@ -314,7 +301,7 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
 
     def batch_log_f(pos):
         out = np.empty(len(pos))
-        for rows, buf in _logit_blocks(pos, n_obs, 5):
+        for rows, buf in _row_blocks(len(pos), n_obs, _LOGIT_BLOCK_TERMS, (5,)):
             _, arg, _, denom, v = _logit_utility(pos[rows], x, buf)
             # c V - log(1 + e^V)
             _log1pexp(v, arg, out=denom)
@@ -325,7 +312,7 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
 
     def batch_grad(pos):
         out = np.empty((len(pos), 2))
-        for rows, buf in _logit_blocks(pos, n_obs, 6):
+        for rows, buf in _row_blocks(len(pos), n_obs, _LOGIT_BLOCK_TERMS, (6,)):
             d, arg, two_sin, denom, v = _logit_utility(pos[rows], x, buf)
             # resid = c - sigmoid(V)
             resid = np.subtract(c, _sigmoid(v, buf[5]), out=v)
@@ -410,6 +397,10 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
     return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints)
 
 
+# Candidate points per round of rejection sampling; the datasets' bytes depend on it.
+_REJECTION_BATCH = 65536
+
+
 def rejection_sample(
     target: TargetDensity,
     lower,
@@ -417,7 +408,6 @@ def rejection_sample(
     log_envelope: float,
     n: int,
     rng: RandomSource,
-    batch: int = 65536,
 ) -> np.ndarray:
     """Draw n points from exp(log_f) by rejection against a uniform envelope.
 
@@ -432,8 +422,8 @@ def rejection_sample(
     out = np.empty((n, lower.shape[0]))
     filled = 0
     while filled < n:
-        pts = gen.uniform(lower, upper, size=(batch, lower.shape[0]))
-        logu = np.log(gen.uniform(size=batch))
+        pts = gen.uniform(lower, upper, size=(_REJECTION_BATCH, lower.shape[0]))
+        logu = np.log(gen.uniform(size=_REJECTION_BATCH))
         keep = pts[logu < target.log_f(pts) - log_envelope]
         take = min(n - filled, keep.shape[0])
         out[filled : filled + take] = keep[:take]

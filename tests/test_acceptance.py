@@ -25,8 +25,9 @@ from hsmc.kernels import (
 from hsmc.smc import (
     SmcConfig,
     annealing_sequence,
-    blockwise_sequence,
     diag_gaussian_initial,
+    kde_blocks_sequence,
+    loglik_blocks_sequence,
     resample,
     run_smc,
     uniform_box_initial,
@@ -150,8 +151,8 @@ def _basin_mass_oracle(target, lower, upper, centers, resolution):
 
 def test_criterion_4_smiley_hsmc():
     data = sample_smiley_data(2048, RandomSource(2024))
-    seq = blockwise_sequence(
-        "kde", data, 100, initial=diag_gaussian_initial([0.0, 10.0], [10.0, 20.0])
+    seq = kde_blocks_sequence(
+        data, 100, initial=diag_gaussian_initial([0.0, 10.0], [10.0, 20.0])
     )
     assert seq.n_stages == 21
     cfg = SmcConfig(
@@ -190,8 +191,7 @@ def test_criterion_4_smiley_hsmc():
 
 def test_criterion_5_dropwave_constrained_hsmc():
     data = sample_dropwave_data(4096, RandomSource(31))
-    seq = blockwise_sequence(
-        "kde",
+    seq = kde_blocks_sequence(
         data,
         100,
         constraints=DROPWAVE_BOX,
@@ -228,7 +228,7 @@ def test_criterion_5_dropwave_constrained_hsmc():
 def _logit_replication(seed):
     data = simulate_logit_data(400, (3.0, 3.0), RandomSource(seed))
     init = diag_gaussian_initial([2.0, 1.0], [4.0, 4.0])
-    seq = blockwise_sequence("loglik", data, 50, initial=init)
+    seq = loglik_blocks_sequence(data, 50, initial=init)
     assert seq.n_stages == 8
 
     hsmc_cfg = SmcConfig(
@@ -374,8 +374,8 @@ def test_criterion_7_property_suite():
 
     # determinism: thread count cannot change a run bit for bit
     points = rng.standard_normal((120, 2))
-    seq = blockwise_sequence(
-        "kde", points, 60, initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0])
+    seq = kde_blocks_sequence(
+        points, 60, initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0])
     )
     runs = []
     for n_threads in (1, 4):

@@ -290,12 +290,21 @@ class TestStrictInputs:
         ("mh-chain", "kernel.proposal_scale", "abc"),
         ("sequential", "seed", 2**64),
         ("chain", "seed", 2**64 + 5),
+        # a path field that is not a string
+        ("sequential", "output", True),
+        ("sequential", "output", 5),
+        ("sequential", "output", None),
+        ("chain", "output", ["a", "b"]),
+        ("logit-chain", "target.data", 7),
+        ("sequential", "sequence.data", 5),
     ])
     def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
         if recipe == "sequential":
             mapping = strict_recipe(tmp_path)
         else:
             mapping = chain_recipe("mh" if recipe == "mh-chain" else "hmc")
+        if recipe == "logit-chain":
+            mapping["target"] = {"name": "logit", "data": "logit.csv"}
         set_field(mapping, field, value)
         path = write_config(tmp_path / "c.yaml", mapping)
         assert_rejected_before_output(tmp_path, path, capsys, field)

@@ -21,16 +21,17 @@ from hsmc.smc import (
     SmcConfig,
     TargetSequence,
     annealing_sequence,
-    blockwise_sequence,
     compare_groups,
     correction_weights,
     diag_gaussian_initial,
+    kde_blocks_sequence,
+    loglik_blocks_sequence,
     resample,
     run_smc,
     tempering_sequence,
 )
 from hsmc.smc import _loo_engine_bandwidth, _truncate_weights
-from hsmc.kde import kde_target, loo_log_density_all, silverman_bandwidth
+from hsmc.kde import kde_target, silverman_bandwidth
 from hsmc.targets import dropwave, gaussian, simulate_logit_data
 
 INITIAL_1D = diag_gaussian_initial([0.0], [1.0])
@@ -40,22 +41,22 @@ INITIAL_2D = diag_gaussian_initial([0.0, 0.0], [1.0, 1.0])
 class TestBlockwiseSequence:
     def test_smiley_scale_block_count(self, rng):
         points = rng.standard_normal((2048, 2))
-        seq = blockwise_sequence("kde", points, 100, initial=INITIAL_2D)
+        seq = kde_blocks_sequence(points, 100, initial=INITIAL_2D)
         assert seq.n_stages == 21  # 20 full blocks and one block of 48
 
     def test_dropwave_scale_block_count(self, rng):
         points = rng.standard_normal((4096, 2))
-        seq = blockwise_sequence("kde", points, 100, initial=INITIAL_2D)
+        seq = kde_blocks_sequence(points, 100, initial=INITIAL_2D)
         assert seq.n_stages == 41  # 40 full blocks and one block of 96
 
     def test_logit_block_count(self):
         data = simulate_logit_data(400, (3.0, 3.0), RandomSource(1))
-        seq = blockwise_sequence("loglik", data, 50, initial=INITIAL_2D)
+        seq = loglik_blocks_sequence(data, 50, initial=INITIAL_2D)
         assert seq.n_stages == 8
 
     def test_final_stage_uses_all_data(self, rng):
         points = rng.standard_normal((130, 2))
-        seq = blockwise_sequence("kde", points, 50, initial=INITIAL_2D)
+        seq = kde_blocks_sequence(points, 50, initial=INITIAL_2D)
         assert seq.n_stages == 3
         sd = points.std(axis=0, ddof=1)
         expected = kde_target(points, sd * 130 ** (-0.2))
@@ -66,7 +67,7 @@ class TestBlockwiseSequence:
 
     def test_stage_bandwidth_uses_revealed_data_only(self, rng):
         points = rng.standard_normal((60, 2)) * [1.0, 5.0]
-        seq = blockwise_sequence("kde", points, 20, initial=INITIAL_2D)
+        seq = kde_blocks_sequence(points, 20, initial=INITIAL_2D)
         first = points[:20]
         expected = kde_target(first, first.std(axis=0, ddof=1) * 20 ** (-0.2))
         x = np.array([0.0, 0.0])
@@ -76,20 +77,20 @@ class TestBlockwiseSequence:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            blockwise_sequence("kde", np.empty((0, 2)), 100, initial=INITIAL_2D)
+            kde_blocks_sequence(np.empty((0, 2)), 100, initial=INITIAL_2D)
 
     def test_constraints_propagate(self, rng):
         from hsmc.targets import DROPWAVE_BOX
 
         points = rng.uniform(-2, 2, (64, 2))
-        seq = blockwise_sequence("kde", points, 32, constraints=DROPWAVE_BOX, initial=INITIAL_2D)
+        seq = kde_blocks_sequence(points, 32, constraints=DROPWAVE_BOX, initial=INITIAL_2D)
         assert seq.stages[0].log_f(np.array([[3.0, 0.0]]))[0] == -np.inf
 
     def test_loglik_rejects_constraints(self):
         data = simulate_logit_data(400, (3.0, 3.0), RandomSource(1))
         box = BoxConstraints([-2.0, -2.0], [2.0, 2.0])
-        with pytest.raises(ValueError, match="constraints"):
-            blockwise_sequence("loglik", data, 50, constraints=box, initial=INITIAL_2D)
+        with pytest.raises(TypeError, match="constraints"):
+            loglik_blocks_sequence(data, 50, constraints=box, initial=INITIAL_2D)
 
 
 class TestTemperingSequence:
@@ -162,6 +163,30 @@ class TestAnnealingSequence:
         assert dens[radius > 0.5].sum() / dens.sum() < 1e-6
 
 
+def _kernel_weights_by_brute_force(f, positions, base):
+    """The kernel-weighted rule term by term: (truncated weights, raw weights).
+
+    Bandwidths are ``base`` widened by :func:`_widened_by_brute_force`; the
+    denominator is the balloon leave-one-out density as a double loop; the
+    cap c solves c = sqrt(N) mean(min(w, c)) by bisection.
+    """
+    n, dim = positions.shape
+    h = _widened_by_brute_force(positions, base, min(7, n - 1))
+    loo = np.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                u = (positions[i] - positions[j]) / h[i]
+                loo[i] += np.exp(-0.5 * u @ u) / (np.prod(h[i]) * (2 * np.pi) ** (dim / 2))
+    log_w = f.log_f(positions) - np.log(loo / (n - 1))
+    raw = np.exp(log_w - log_w.max())
+    lo, hi = raw.min(), np.sqrt(n) * raw.mean() + raw.max()
+    for _ in range(200):
+        c = 0.5 * (lo + hi)
+        lo, hi = (c, hi) if c < np.sqrt(n) * np.minimum(raw, c).mean() else (lo, c)
+    return np.minimum(raw, hi), raw
+
+
 class TestCorrectionWeights:
     def test_identical_targets_give_uniform_weights(self, rng):
         f = gaussian([0.0, 0.0], [1.0, 1.0])
@@ -181,14 +206,33 @@ class TestCorrectionWeights:
         np.testing.assert_allclose(w, expected, rtol=1e-12)
 
     def test_loo_mode_matches_bruteforce(self, rng):
-        f1 = gaussian([0.0, 0.0], [1.0, 1.0])
+        # a far straggler, so both guards fire: its kernel widens and its
+        # weight is truncated
+        f1 = gaussian([0.0, 0.0], [100.0, 100.0])
         positions = rng.standard_normal((40, 2))
-        ens = Ensemble(positions)
-        w, _ = correction_weights(ens, f1, None, "loo_kde_ratio")
-        h = silverman_bandwidth(ens)
-        logw = f1.log_f(positions) - loo_log_density_all(positions, h)
-        expected = np.exp(logw - logw.max())
+        positions[0] = [12.0, -9.0]
+        base = positions.std(axis=0, ddof=1) * (4.0 / 160) ** (1 / 6)
+        w, log_next = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio",
+                                         np.array([7.0, 7.0]))
+        expected, raw = _kernel_weights_by_brute_force(f1, positions, base)
+        assert _widened_by_brute_force(positions, base, 7)[0, 0] > base[0]
+        np.testing.assert_array_equal(log_next, f1.log_f(positions))
         np.testing.assert_allclose(w, expected, rtol=1e-9)
+        assert w[0] < raw[0] and w[0] == w.max()
+
+    def test_loo_mode_collapsed_cloud_uses_the_fallback(self, rng):
+        f1 = gaussian([0.0, 0.0], [4.0, 4.0])
+        positions = np.column_stack([rng.standard_normal(16), np.zeros(16)])
+        fallback = np.array([0.5, 0.25])
+        w, _ = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio", fallback)
+        expected, _ = _kernel_weights_by_brute_force(f1, positions, fallback)
+        np.testing.assert_allclose(w, expected, rtol=1e-9)
+
+    def test_loo_mode_collapsed_cloud_without_fallback_raises(self, rng):
+        f1 = gaussian([0.0, 0.0], [4.0, 4.0])
+        positions = np.column_stack([rng.standard_normal(16), np.zeros(16)])
+        with pytest.raises(DegenerateEnsembleError):
+            correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio")
 
     def test_zero_density_particle_gets_zero_weight(self):
         box_target = dropwave()
@@ -391,8 +435,8 @@ class TestRunSmc:
 
     def test_thread_count_does_not_change_results(self, rng):
         points = rng.standard_normal((120, 2))
-        seq = blockwise_sequence("kde", points, 60,
-                                 initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
+        seq = kde_blocks_sequence(points, 60,
+                                  initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
         base = SmcConfig(n_particles=32, n_groups=4, mutation=HmcConfig(1.0, 5, 0.05),
                          weight_mode="loo_kde_ratio", n_threads=1)
         threaded = SmcConfig(n_particles=32, n_groups=4, mutation=HmcConfig(1.0, 5, 0.05),
@@ -404,8 +448,8 @@ class TestRunSmc:
 
     def test_report_row_per_group_and_iteration(self, rng):
         points = rng.standard_normal((90, 2))
-        seq = blockwise_sequence("kde", points, 30,
-                                 initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
+        seq = kde_blocks_sequence(points, 30,
+                                  initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
         cfg = SmcConfig(n_particles=16, n_groups=3, mutation=MhConfig(0.5),
                         weight_mode="theoretical_ratio")
         result = run_smc(seq, cfg, RandomSource(21))
@@ -420,24 +464,31 @@ class TestRunSmc:
         with pytest.raises(TypeError, match="initial"):
             TargetSequence((gaussian([0.0], [1.0]),))
 
-    def test_stages_replay_from_the_documented_streams(self, rng):
-        # stage t of group j: correction from history[j][t-1], selection on
-        # (seed, j, SELECTION_STREAM, t), mutation on (seed, j, MUTATION_STREAM, t)
+    @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
+    def test_stages_replay_from_the_documented_streams(self, rng, mode):
+        # stage t of group j: correction_weights on history[j][t-1] (under
+        # loo_kde_ratio with the initial cloud's Silverman bandwidth as the
+        # fallback), selection on (seed, j, SELECTION_STREAM, t), mutation on
+        # (seed, j, MUTATION_STREAM, t)
         points = rng.standard_normal((60, 2))
-        seq = blockwise_sequence("kde", points, 30,
-                                 initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
+        seq = kde_blocks_sequence(points, 30,
+                                  initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
         cfg = SmcConfig(n_particles=16, n_groups=2, mutation=HmcConfig(1.0, 5, 0.1),
-                        weight_mode="theoretical_ratio")
+                        weight_mode=mode)
         root = RandomSource(17)
         result = run_smc(seq, cfg, root)
         assert [len(h) for h in result.history] == [3, 3]
         for j in range(2):
             history = result.history[j]
+            fallback = None
+            if mode == "loo_kde_ratio":
+                fallback = silverman_bandwidth(history[0][0])
             for t in (1, 2):
                 f_t = seq.stages[t - 1]
                 f_prev = seq.initial.density if t == 1 else seq.stages[t - 2]
                 before = history[t - 1][0]
-                w, _ = correction_weights(before, f_t, f_prev.log_f(before.positions))
+                w, _ = correction_weights(before, f_t, f_prev.log_f(before.positions), mode,
+                                          fallback)
                 selected = resample(before, w, root.derive(j, SELECTION_STREAM, t).generator())
                 mutated, _, accepted, _ = mutate_ensemble(
                     f_t, selected, cfg.mutation, 1, root.derive(j, MUTATION_STREAM, t),
