@@ -186,25 +186,23 @@ def _as_path(value, field: str) -> Path:
     return Path(value)
 
 
-def _build_kernel(spec, context: str = "kernel.") -> HmcConfig | MhConfig:
-    ktype = _tagged(spec, context, "type", KERNEL_KEYS)
+def _build_kernel(spec) -> HmcConfig | MhConfig:
+    """The kernel section; fields the recipe leaves out take the config defaults."""
+    ktype = _tagged(spec, "kernel.", "type", KERNEL_KEYS)
+    fields = {}
+    for key in KERNEL_KEYS[ktype]:
+        if key in spec:
+            value, field = spec[key], "kernel." + key
+            if key == "leapfrog_steps":
+                fields[key] = _as_int(value, field)
+            elif key == "mass_diag" and isinstance(value, list):
+                fields[key] = _as_vector(value, field)
+            else:
+                fields[key] = _as_float(value, field)
     try:
-        if ktype == "hmc":
-            mass = spec.get("mass_diag", 1.0)
-            mass_field = context + "mass_diag"
-            return HmcConfig(
-                mass_diag=_as_vector(mass, mass_field) if isinstance(mass, list)
-                else _as_float(mass, mass_field),
-                leapfrog_steps=_as_int(spec.get("leapfrog_steps", 20), context + "leapfrog_steps"),
-                step_size=_as_float(spec.get("step_size", 0.05), context + "step_size"),
-            )
-        return MhConfig(
-            proposal_scale=_as_float(spec.get("proposal_scale", 1.0), context + "proposal_scale")
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{context}{err}") from err
+        return (HmcConfig if ktype == "hmc" else MhConfig)(**fields)
+    except ValueError as err:
+        raise ConfigError(f"kernel.{err}") from err
 
 
 def parse_config(path) -> RunConfig:
@@ -344,8 +342,8 @@ def _build_target(config: RunConfig) -> TargetDensity:
         cov = _as_vector(_require(spec, "cov_diag", "target."), "target.cov_diag")
         try:
             return gaussian(mean, cov)
-        except ValueError as err:
-            raise ConfigError(f"target.cov_diag: {err}") from err
+        except ValueError as err:  # the message starts with the field it names
+            raise ConfigError(f"target.{err}") from err
     data_path = _resolve_data_path(config, _require(spec, "data", "target."), "target.data")
     return nonlinear_logit_loglik(_read_logit_data(data_path, "target.data"))
 
@@ -354,22 +352,21 @@ def _build_initial(config: RunConfig) -> InitialDistribution:
     spec = config.initial_spec
     gaussian_form = isinstance(spec, dict) and "mean" in spec
     _check_keys(spec, ("mean", "sigma") if gaussian_form else ("lower", "upper"), "initial.")
+    if gaussian_form:
+        mean = _as_vector(spec["mean"], "initial.mean")
+        sigma = _as_vector(_require(spec, "sigma", "initial."), "initial.sigma")
+        try:
+            return diag_gaussian_initial(mean, sigma)
+        except ValueError as err:  # the message starts with the field it names
+            raise ConfigError(f"initial.{err}") from err
+    if "lower" not in spec:
+        raise ConfigError("initial: expected either mean/sigma or lower/upper")
+    lower = _as_vector(spec["lower"], "initial.lower")
+    upper = _as_vector(_require(spec, "upper", "initial."), "initial.upper")
     try:
-        if gaussian_form:
-            return diag_gaussian_initial(
-                _as_vector(_require(spec, "mean", "initial."), "initial.mean"),
-                _as_vector(_require(spec, "sigma", "initial."), "initial.sigma"),
-            )
-        if "lower" in spec:
-            return uniform_box_initial(
-                _as_vector(spec["lower"], "initial.lower"),
-                _as_vector(_require(spec, "upper", "initial."), "initial.upper"),
-            )
-    except ConfigError:
-        raise
+        return uniform_box_initial(lower, upper)
     except ValueError as err:
         raise ConfigError(f"initial: {err}") from err
-    raise ConfigError("initial: expected either mean/sigma or lower/upper")
 
 
 def _build_sequence(config: RunConfig):

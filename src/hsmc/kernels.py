@@ -16,12 +16,15 @@ generator per particle: it derives all particle keys in one vectorized
 SeedSequence pass and takes every step's draws, from one reused Philox,
 before its first step.
 
-Steps carry each row's log f and gradient from one step to the next: a
-row ends where its proposal was accepted or where it started, and the
-last leapfrog gradient is the one at the proposal, so no point is
-evaluated twice.  A row keeps its place in the batch through a
-mutation, so a carried value has the bits that evaluating the new batch
-would give.
+One step function, ``_step``, proposes and accepts for both kernels:
+it builds the random-walk or leapfrog proposal, evaluates log f once
+there and applies one Metropolis test.  Steps carry each row's log f and
+gradient from one step to the next: a row ends where its proposal was
+accepted or where it started, and the last leapfrog gradient is the one
+at the proposal, so no point is evaluated twice and only the first
+Hamiltonian step evaluates a start gradient.  A row keeps its place in
+the batch through a mutation, so a carried value has the bits that
+evaluating the new batch would give.
 """
 
 from __future__ import annotations
@@ -142,22 +145,6 @@ def _reflect_box(
     return q, p
 
 
-def _mh_batch(target, positions, lf0, noise, log_u, scale):
-    """Vectorized symmetric random-walk step from rows with log-densities ``lf0``.
-
-    Returns (new_q, new_lf, accepted, log_a): each row's position and
-    log-density after the step, its accept flag and log accept prob.
-    """
-    proposals = positions + np.sqrt(scale) * noise
-    lf1 = target.log_f(proposals)
-    log_ratio = lf1 - lf0
-    valid = np.isfinite(lf0)
-    log_a = np.where(np.isnan(log_ratio) | ~valid, -np.inf, np.minimum(0.0, log_ratio))
-    accepted = log_u < log_a
-    new_q = np.where(accepted[:, None], proposals, positions)
-    return new_q, np.where(accepted, lf1, lf0), accepted, log_a
-
-
 def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
     """L leapfrog steps, then momentum negation: the proposal map, its own inverse.
 
@@ -179,41 +166,6 @@ def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
         grad = target.grad_log_f(q)
         p = p + (eps if step < config.leapfrog_steps - 1 else 0.5 * eps) * grad
     return q, -p, grad
-
-
-def _hmc_batch(target, positions, lf0, grad0, momenta, log_u, config: HmcConfig):
-    """Vectorized leapfrog proposal with Metropolis correction.
-
-    ``lf0`` and ``grad0`` are log f and its gradient at ``positions``.
-    Returns (new_q, new_lf, new_grad, accepted, log_a): each row's position,
-    log-density and gradient after the step, its accept flag and log accept
-    prob.  Any non-finite gradient or log-density along the trajectory marks
-    the proposal as infinitely uphill, so it is rejected rather than crashing.
-    """
-    mass = config.mass_for(positions.shape[1])
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        kin0 = 0.5 * ((momenta**2) / mass).sum(axis=-1)
-        q, p, grad1 = _leapfrog_batch(target, positions, momenta, grad0, config)
-        lf1 = target.log_f(q)
-        kin1 = 0.5 * ((p**2) / mass).sum(axis=-1)
-        log_ratio = (lf1 - lf0) + (kin0 - kin1)
-        bad = ~np.isfinite(lf0) | np.isnan(log_ratio) | ~np.all(np.isfinite(q), axis=-1)
-        log_a = np.where(bad, -np.inf, np.minimum(0.0, log_ratio))
-    accepted = log_u < log_a
-    keep = accepted[:, None]
-    return (
-        np.where(keep, q, positions), np.where(accepted, lf1, lf0),
-        np.where(keep, grad1, grad0), accepted, log_a,
-    )
-
-
-def _start_gradient(target, positions, kernel: KernelConfig):
-    """grad log f at the rows for a Hamiltonian kernel; None for random walk."""
-    if not isinstance(kernel, HmcConfig):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return target.grad_log_f(positions)
 
 
 def _stage_draws(rng: RandomSource, n: int, dim: int, steps: int):
@@ -242,21 +194,39 @@ def _stage_draws(rng: RandomSource, n: int, dim: int, steps: int):
 
 
 def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
-    """One kernel step of every row from its draws ``noise`` and ``log_u``.
+    """One Metropolis step of every row from its draws ``noise`` and ``log_u``.
 
-    ``lf`` is log f at the rows and ``grad`` its gradient (None for
-    random walk).  Row i's ``dim`` standard normals ``noise[i]`` are the
-    random-walk noise, or the momentum before scaling by sqrt(M), and
-    ``log_u[i]`` is the log uniform of its accept test.  Returns (new
-    positions, new lf, new grad, accepted, log accept prob).
+    ``lf`` is log f at the rows and ``grad`` its gradient; given None, a
+    Hamiltonian step evaluates it.  Row i's ``dim`` standard normals
+    ``noise[i]`` are the random-walk noise, or the momentum before scaling
+    by sqrt(M), and ``log_u[i]`` is the log uniform of its accept test.
+    Rows at zero density, NaN log ratios and divergent trajectories are
+    rejected rather than crashing.  Returns (new positions, new lf, new
+    grad, accepted, log accept prob); new grad is None for random walk.
     """
     if isinstance(kernel, HmcConfig):
-        momenta = np.sqrt(kernel.mass_for(positions.shape[1])) * noise
-        return _hmc_batch(target, positions, lf, grad, momenta, log_u, kernel)
-    new_q, new_lf, accepted, log_a = _mh_batch(
-        target, positions, lf, noise, log_u, kernel.proposal_scale
-    )
-    return new_q, new_lf, None, accepted, log_a
+        mass = kernel.mass_for(positions.shape[1])
+        momenta = np.sqrt(mass) * noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            if grad is None:
+                grad = target.grad_log_f(positions)
+            kin0 = 0.5 * ((momenta**2) / mass).sum(axis=-1)
+            q, p, new_grad = _leapfrog_batch(target, positions, momenta, grad, kernel)
+            lf1 = target.log_f(q)
+            kin1 = 0.5 * ((p**2) / mass).sum(axis=-1)
+            finite = np.all(np.isfinite(q), axis=-1)
+            log_ratio = np.where(finite, (lf1 - lf) + (kin0 - kin1), np.nan)
+    else:
+        q = positions + np.sqrt(kernel.proposal_scale) * noise
+        lf1 = target.log_f(q)
+        log_ratio = lf1 - lf
+        new_grad = None
+    log_a = np.where(np.isnan(log_ratio) | ~np.isfinite(lf), -np.inf, np.minimum(0.0, log_ratio))
+    accepted = log_u < log_a
+    keep = accepted[:, None]
+    if new_grad is not None:
+        new_grad = np.where(keep, new_grad, grad)
+    return np.where(keep, q, positions), np.where(accepted, lf1, lf), new_grad, accepted, log_a
 
 
 def _single_step(kind, target, position, config, rng) -> StepOutcome:
@@ -270,10 +240,9 @@ def _single_step(kind, target, position, config, rng) -> StepOutcome:
     lf = target.log_f(position)
     if not np.isfinite(lf[0]):
         raise ValueError("starting position has non-finite log-density")
-    grad = _start_gradient(target, position, config)
     noise = rng.standard_normal(position.shape)
     log_u = np.log([rng.random()])
-    new_q, _, _, accepted, log_a = _step(target, position, lf, grad, config, noise, log_u)
+    new_q, _, _, accepted, log_a = _step(target, position, lf, None, config, noise, log_u)
     return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
 
 
@@ -331,7 +300,7 @@ def mutate_ensemble(
     ``log_f`` is ``target.log_f`` at the particles, which the caller
     usually has already; the result's ``log_f`` is its value at the final
     particles.  Steps carry log f and the gradient, so only the first
-    step's start gradient is evaluated here.
+    step evaluates a start gradient.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -344,8 +313,7 @@ def mutate_ensemble(
         raise ValueError("log_f must have one entry per particle")
     noise, log_u = _stage_draws(rng, ensemble.n_particles, ensemble.dim, steps)
 
-    positions = ensemble.positions
-    grad = _start_gradient(target, positions, kernel)
+    positions, grad = ensemble.positions, None
     acceptance_count = 0
     for step_noise, step_log_u in zip(noise, log_u):
         positions, lf, grad, accepted, _ = _step(

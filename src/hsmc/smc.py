@@ -90,9 +90,9 @@ def diag_gaussian_initial(mean, sigma) -> InitialDistribution:
     sd = np.atleast_1d(np.asarray(sigma, dtype=float))
     if sd.shape != mu.shape:
         raise ValueError("mean and sigma must have the same length")
-    if np.any(sd <= 0):
-        raise ValueError("sigma must be strictly positive")
-    density = gaussian(mu, sd**2)
+    if np.any(sd <= 0) or not np.all(np.isfinite(sd)):
+        raise ValueError("sigma must be finite and strictly positive")
+    density = gaussian(mu, sd**2)  # rejects a non-finite mean
 
     def sample(n: int, gen: np.random.Generator) -> np.ndarray:
         return mu + sd * gen.standard_normal((n, mu.shape[0]))

@@ -93,8 +93,10 @@ def gaussian(mean, cov_diag) -> TargetDensity:
     var = np.atleast_1d(np.asarray(cov_diag, dtype=float))
     if var.shape != mu.shape:
         raise ValueError("mean and cov_diag must have the same length")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mean must be finite")
     if np.any(var <= 0) or not np.all(np.isfinite(var)):
-        raise ValueError("cov_diag must be strictly positive")
+        raise ValueError("cov_diag must be finite and strictly positive")
 
     def batch_log_f(pos):
         return -0.5 * (((pos - mu) ** 2) / var).sum(axis=-1)
@@ -375,21 +377,13 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
         constraints = f.constraints.intersect(f1.constraints)
     else:
         constraints = f1.constraints
-    if phi in (0.0, 1.0):
-        end = f if phi == 1.0 else f1
-
-        # the other end's box still bounds the support
-        def end_log_f(pos):
-            out = end.log_f(pos)
-            return out if constraints is None else np.where(constraints.contains(pos), out, -np.inf)
-
-        return TargetDensity(f.dim, end_log_f, end.grad_log_f, constraints=constraints)
-
     # both ends check shapes and mask their own boxes, whose intersection
-    # is the bridge's box
+    # is the bridge's box; at phi = 0 or 1 the masked terms are 0 * -inf
     def log_f(pos):
         la, lb = f.log_f(pos), f1.log_f(pos)
-        return np.where(np.isneginf(la) | np.isneginf(lb), -np.inf, phi * la + (1.0 - phi) * lb)
+        with np.errstate(invalid="ignore"):
+            mixed = phi * la + (1.0 - phi) * lb
+        return np.where(np.isneginf(la) | np.isneginf(lb), -np.inf, mixed)
 
     def grad_log_f(pos):
         return phi * f.grad_log_f(pos) + (1.0 - phi) * f1.grad_log_f(pos)

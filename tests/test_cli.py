@@ -11,6 +11,7 @@ import yaml
 
 import hsmc
 from hsmc.cli import ConfigError, generate_data, main, parse_config, run
+from hsmc.kernels import HmcConfig, MhConfig
 
 SRC = str(Path(hsmc.__file__).resolve().parents[1])
 
@@ -122,6 +123,12 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="step_size"):
             parse_config(path)
+
+    @pytest.mark.parametrize("algorithm, default", [("hmc", HmcConfig()), ("mh", MhConfig())])
+    def test_kernel_defaults_are_the_config_defaults(self, tmp_path, algorithm, default):
+        mapping = chain_recipe(algorithm)
+        mapping["kernel"] = {"type": algorithm}
+        assert parse_config(write_config(tmp_path / "c.yaml", mapping)).kernel == default
 
     def test_unknown_algorithm(self, tmp_path):
         path = write_config(tmp_path / "c.yaml", {
@@ -297,10 +304,19 @@ class TestStrictInputs:
         ("chain", "output", ["a", "b"]),
         ("logit-chain", "target.data", 7),
         ("sequential", "sequence.data", 5),
+        # gaussian parameters that are not finite
+        ("sequential", "initial.mean", [float("nan"), 0.0]),
+        ("sequential", "initial.sigma", [float("inf"), 1.0]),
+        ("sequential", "initial.sigma", [float("nan"), 1.0]),
+        ("tempering", "target.mean", [float("nan")] + [0.0] * 5),
+        ("tempering", "target.cov_diag", [float("inf")] + [1.0] * 5),
     ])
     def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
         if recipe == "sequential":
             mapping = strict_recipe(tmp_path)
+        elif recipe == "tempering":
+            mapping = annealing_recipe()
+            mapping["sequence"] = {"kind": "tempering", "phis": [0.5, 1.0]}
         else:
             mapping = chain_recipe("mh" if recipe == "mh-chain" else "hmc")
         if recipe == "logit-chain":

@@ -9,7 +9,7 @@ from conftest import leapfrog_proposal, reflect_into_box
 
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
-from hsmc.kernels import _hmc_batch, _mh_batch, _reflect_box, _stage_draws
+from hsmc.kernels import _reflect_box, _stage_draws, _step
 from hsmc.targets import (
     dropwave, gaussian, nonlinear_logit_loglik, rosenbrock, simulate_logit_data,
 )
@@ -257,11 +257,11 @@ class TestSinglePositionEdge:
         gen, ref = RandomSource(17).generator(), RandomSource(17).generator()
         for _ in range(5):
             out = hmc_step(target, start, hmc_cfg, gen)
-            momentum = np.sqrt(hmc_cfg.mass_for(2)) * ref.standard_normal(2)
+            noise = ref.standard_normal(2)
             log_u = np.log(ref.uniform())
-            q, _, _, acc, log_a = _hmc_batch(
+            q, _, _, acc, log_a = _step(
                 target, start[None], target.log_f(start[None]), target.grad_log_f(start[None]),
-                momentum[None], np.array([log_u]), hmc_cfg,
+                hmc_cfg, noise[None], np.array([log_u]),
             )
             np.testing.assert_array_equal(out.new_position, q[0])
             assert (out.accepted, out.log_accept_prob) == (acc[0], log_a[0])
@@ -269,12 +269,27 @@ class TestSinglePositionEdge:
             out = mh_step(target, start, mh_cfg, gen)
             noise = ref.standard_normal(2)
             log_u = np.log(ref.uniform())
-            q, _, acc, log_a = _mh_batch(
-                target, start[None], target.log_f(start[None]), noise[None], np.array([log_u]), 0.3
+            q, _, _, acc, log_a = _step(
+                target, start[None], target.log_f(start[None]), None,
+                mh_cfg, noise[None], np.array([log_u]),
             )
             np.testing.assert_array_equal(out.new_position, q[0])
             assert (out.accepted, out.log_accept_prob) == (acc[0], log_a[0])
             start = out.new_position
+
+    def test_hmc_start_gradient_evaluated_when_not_given(self):
+        # a step given no gradient evaluates it at the rows: same bits as
+        # passing grad log f there
+        target = rosenbrock()
+        positions = np.array([[0.4, -0.3], [1.2, 0.9], [-0.5, 0.1]])
+        cfg = HmcConfig(mass_diag=[2.0, 0.5], leapfrog_steps=5, step_size=0.1)
+        gen = RandomSource(4).generator()
+        noise, log_u = gen.standard_normal(positions.shape), np.log(gen.uniform(size=3))
+        lf = target.log_f(positions)
+        given = _step(target, positions, lf, target.grad_log_f(positions), cfg, noise, log_u)
+        evaluated = _step(target, positions, lf, None, cfg, noise, log_u)
+        for a, b in zip(given, evaluated):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDetailedBalance:
@@ -317,7 +332,7 @@ class TestDetailedBalance:
         for step in range(n_steps):
             noise = gen.standard_normal((n_chains, 1))
             log_u = np.log(gen.uniform(size=n_chains))
-            x, lf, _, _ = _mh_batch(target, x, lf, noise, log_u, sigma**2)
+            x, lf, _, _, _ = _step(target, x, lf, None, MhConfig(sigma**2), noise, log_u)
             states[step + 1] = (x[:, 0] >= 1.0).astype(np.int8)
 
         prev, curr = states[:-1].ravel(), states[1:].ravel()
