@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -186,6 +187,30 @@ def _as_path(value, field: str) -> Path:
     return Path(value)
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: the default thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _build_box(spec: dict, context: str, finite: bool) -> BoxConstraints:
+    """The ``lower``/``upper`` fields of ``spec`` as a box, naming a bad bound."""
+    bounds = []
+    for key in ("lower", "upper"):
+        field = context + key
+        bound = _as_vector(_require(spec, key, context), field)
+        if np.any(np.isnan(bound)) or (finite and not np.all(np.isfinite(bound))):
+            need = "finite numbers" if finite else "numbers, not NaN"
+            raise ConfigError(f"{field}: expected {need}, got {bound.tolist()}")
+        bounds.append(bound)
+    try:
+        return BoxConstraints(*bounds)
+    except ValueError as err:
+        raise ConfigError(f"{context}upper: {err}") from err
+
+
 def _build_kernel(spec) -> HmcConfig | MhConfig:
     """The kernel section; fields the recipe leaves out take the config defaults."""
     ktype = _tagged(spec, "kernel.", "type", KERNEL_KEYS)
@@ -227,7 +252,7 @@ def parse_config(path) -> RunConfig:
         output = base_dir / output
     kernel = _build_kernel(_require(raw, "kernel", ""))
 
-    threads = _as_int(raw.get("threads", 1), "threads", minimum=1)
+    threads = _as_int(raw.get("threads", _usable_cores()), "threads", minimum=1)
     n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
     record_all = raw.get("record_all", False)
     if not isinstance(record_all, bool):
@@ -361,12 +386,8 @@ def _build_initial(config: RunConfig) -> InitialDistribution:
             raise ConfigError(f"initial.{err}") from err
     if "lower" not in spec:
         raise ConfigError("initial: expected either mean/sigma or lower/upper")
-    lower = _as_vector(spec["lower"], "initial.lower")
-    upper = _as_vector(_require(spec, "upper", "initial."), "initial.upper")
-    try:
-        return uniform_box_initial(lower, upper)
-    except ValueError as err:
-        raise ConfigError(f"initial: {err}") from err
+    box = _build_box(spec, "initial.", finite=True)
+    return uniform_box_initial(box.lower, box.upper)
 
 
 def _build_sequence(config: RunConfig):
@@ -387,10 +408,7 @@ def _build_sequence(config: RunConfig):
             if "constraints" in spec:
                 context = "sequence.constraints."
                 cons = _check_keys(spec["constraints"], ("lower", "upper"), context)
-                constraints = BoxConstraints(
-                    _as_vector(_require(cons, "lower", context), context + "lower"),
-                    _as_vector(_require(cons, "upper", context), context + "upper"),
-                )
+                constraints = _build_box(cons, context, finite=False)
             return kde_blocks_sequence(points, block_size, constraints, initial=initial)
         if kind == "loglik-blocks":
             data = _read_logit_data(data_path, "sequence.data")
@@ -597,7 +615,9 @@ def main(argv=None) -> int:
     run_parser.add_argument("--record-all", action="store_true",
                             help="record every iteration's particles, not just the final ones")
     run_parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads for particle groups (outputs are unaffected)")
+                            help="worker threads (default: the usable cores); they run "
+                                 "particle groups, or each stage's particle rows when there "
+                                 "are fewer groups than threads (outputs are unaffected)")
 
     gen_parser = sub.add_parser("gen-data", help="generate a benchmark dataset")
     gen_parser.add_argument("kind", choices=DATA_KINDS)

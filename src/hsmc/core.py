@@ -108,16 +108,25 @@ class TargetDensity:
     form.  Zero density is represented as ``-inf`` (never NaN), and the
     gradient is finite wherever ``log_f`` is.  ``constraints`` restricts
     the support to a box; samplers bounce trajectories off its walls.
+
+    ``row_step`` comes from the target's constructor, never from a user.
+    A target computes a batch in runs of ``row_step`` rows from its start,
+    and a row's bits may depend on the other rows of its run but on no
+    others, so a batch cut at multiples of ``row_step`` gives the same bits
+    piece by piece as whole.  It is 1 when rows do not depend on their batch.
     """
 
     dim: int
     log_f: Callable[[np.ndarray], np.ndarray]
     grad_log_f: Callable[[np.ndarray], np.ndarray]
     constraints: BoxConstraints | None = None
+    row_step: int = 1
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValueError("dim must be a positive integer")
+        if int(self.row_step) < 1:
+            raise ValueError("row_step must be a positive integer")
         if self.constraints is not None and self.constraints.dim != self.dim:
             raise ValueError("constraints dimension does not match target dim")
 
@@ -163,13 +172,18 @@ def normalize_weights(weights) -> np.ndarray:
     return w / total
 
 
+def _row_step(n_cols: int, terms: int) -> int:
+    """Rows per block of :func:`_row_blocks`."""
+    return max(1, terms // n_cols)
+
+
 def _row_blocks(n_rows: int, n_cols: int, terms: int, shape: tuple = ()):
     """Yield (rows, buf): blocks of about ``terms`` entries of (n_rows, n_cols).
 
     ``buf`` is scratch of shape ``shape + (len(rows), n_cols)``, reused by
     every block: reduce a block before the next one is formed.
     """
-    step = max(1, terms // n_cols)
+    step = _row_step(n_cols, terms)
     buf = np.empty(shape + (min(step, n_rows), n_cols))
     for start in range(0, n_rows, step):
         stop = min(start + step, n_rows)

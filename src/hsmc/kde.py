@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _row_blocks
+from .core import (
+    BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _row_blocks, _row_step,
+)
 from .targets import _make_target
 
 __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
@@ -134,7 +136,10 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
         _, means = _log_kernel_sums(a, b, values=pts)
         return (means - pos) / (h * h)
 
-    return _make_target(dim, batch_log_f, batch_grad, constraints=constraints)
+    # the gradient's (block x points) @ points product can change a row's
+    # last bits with the other rows of its block
+    return _make_target(dim, batch_log_f, batch_grad, constraints=constraints,
+                        row_step=_row_step(n, _BLOCK_TERMS))
 
 
 def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:

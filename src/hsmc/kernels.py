@@ -4,17 +4,21 @@ Random-walk Metropolis-Hastings and a leapfrog Hamiltonian step, both
 with a diagonal mass / scale generalization, plus reflective position
 updates that bounce trajectories off box constraints.  Every step runs on
 an ``(n, dim)`` batch: row i draws ``dim`` normals and then one uniform
-from its own stream.  A batch is therefore bit-identical to stepping its
-rows one at a time whenever the target's rows do not depend on their
-batch, which every built-in target meets except the gradient of a KDE
-target (its last bits can change with the rows around it).
+from its own stream.  A batch cut at multiples of the target's
+``row_step`` therefore steps piece by piece bit-identically to stepping
+it whole.  The step is 1 for targets whose rows do not depend on their
+batch, so their rows can even be stepped one at a time; a KDE target
+computes its gradient in blocks of rows whose products can change a
+row's last bits with the rows around it, and its ``row_step`` is that
+block's height.
+
 ``mutate_ensemble`` steps a whole ensemble, each particle on its own
-derived stream; ``mh_step`` and ``hmc_step`` are the single-position
-edge, a batch of one row.  The streams are those of
-``RandomSource.derive(i).generator()``, but a stage does not build a
-generator per particle: it derives all particle keys in one vectorized
-SeedSequence pass and takes every step's draws, from one reused Philox,
-before its first step.
+derived stream, and can step such pieces on a thread pool; ``mh_step``
+and ``hmc_step`` are the single-position edge, a batch of one row.  The
+streams are those of ``RandomSource.derive(i).generator()``, but a stage
+does not build a generator per particle: it derives all particle keys in
+one vectorized SeedSequence pass and takes every step's draws, from one
+reused Philox, before its first step.
 
 One step function, ``_step``, proposes and accepts for both kernels:
 it builds the random-walk or leapfrog proposal, evaluates log f once
@@ -29,6 +33,7 @@ evaluating the new batch would give.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -276,6 +281,16 @@ def hmc_step(
     return _single_step(HmcConfig, target, position, config, rng)
 
 
+def _chunk_bounds(n: int, chunks: int, row_step: int) -> list[int]:
+    """Bounds of at most ``chunks`` nearly equal runs of n rows, cut at multiples of row_step.
+
+    Cuts that would round to 0 or n are dropped, so a step that leaves no
+    interior cut gives one run.
+    """
+    cuts = {row_step * round(i * n / (chunks * row_step)) for i in range(1, chunks)}
+    return [0, *sorted(c for c in cuts if 0 < c < n), n]
+
+
 def mutate_ensemble(
     target: TargetDensity,
     ensemble: Ensemble,
@@ -283,6 +298,8 @@ def mutate_ensemble(
     steps: int,
     rng: RandomSource,
     log_f: np.ndarray,
+    pool: Executor | None = None,
+    chunks: int = 1,
 ) -> MutationResult:
     """Advance every particle by ``steps`` kernel steps.
 
@@ -301,6 +318,12 @@ def mutate_ensemble(
     usually has already; the result's ``log_f`` is its value at the final
     particles.  Steps carry log f and the gradient, so only the first
     step evaluates a start gradient.
+
+    The rows are cut into at most ``chunks`` runs at multiples of
+    ``target.row_step``, and each run takes all ``steps`` steps as one task
+    on ``pool`` (in turn when there is no pool).  Every row keeps its own
+    draws, and the cuts keep each row's target values, so the result does
+    not depend on ``chunks``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -313,12 +336,19 @@ def mutate_ensemble(
         raise ValueError("log_f must have one entry per particle")
     noise, log_u = _stage_draws(rng, ensemble.n_particles, ensemble.dim, steps)
 
-    positions, grad = ensemble.positions, None
-    acceptance_count = 0
-    for step_noise, step_log_u in zip(noise, log_u):
-        positions, lf, grad, accepted, _ = _step(
-            target, positions, lf, grad, kernel, step_noise, step_log_u
-        )
-        acceptance_count += int(accepted.sum())
+    def trajectory(rows):
+        positions, lf_rows, grad = ensemble.positions[rows], lf[rows], None
+        count = 0
+        for step_noise, step_log_u in zip(noise[:, rows], log_u[:, rows]):
+            positions, lf_rows, grad, accepted, _ = _step(
+                target, positions, lf_rows, grad, kernel, step_noise, step_log_u
+            )
+            count += int(accepted.sum())
+        return positions, lf_rows, accepted, count
 
-    return MutationResult(Ensemble(positions), acceptance_count, accepted, lf)
+    bounds = _chunk_bounds(ensemble.n_particles, chunks, target.row_step)
+    runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    parts = (map if pool is None else pool.map)(trajectory, runs)
+    positions, final_lf, accepted, counts = zip(*parts)
+    return MutationResult(Ensemble(np.concatenate(positions)), sum(counts),
+                          np.concatenate(accepted), np.concatenate(final_lf))

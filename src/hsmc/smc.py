@@ -11,7 +11,9 @@ the current particle cloud, with kernels widened for stragglers and the
 weights truncated.  :func:`correction_weights` computes either rule
 whole, exactly as a run applies it, so a stage is one call each to
 correction, selection and mutation.  Independent particle groups run on
-a thread pool and are compared afterwards as a convergence check.
+a thread pool, or, when there are fewer groups than threads, in turn with
+each mutation's rows split across the pool; groups are compared afterwards
+as a convergence check.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -143,7 +145,13 @@ class TargetSequence:
 
 @dataclass(frozen=True)
 class SmcConfig:
-    """Engine parameters: ensemble sizes, mutation kernel and weight rule."""
+    """Engine parameters: ensemble sizes, mutation kernel and weight rule.
+
+    ``n_threads`` defaults to 1 because the engine calls the stage targets
+    from every thread of its pool, and a caller's own target may not be
+    thread-safe; the CLI builds only built-in targets and defaults to the
+    usable cores.
+    """
 
     n_particles: int
     mutation: KernelConfig
@@ -409,7 +417,10 @@ def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np
     return base[None, :] * widen[:, None]
 
 
-def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource):
+def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
+               pool: ThreadPoolExecutor | None = None):
+    """Group ``group``'s whole run; given a ``pool``, each mutation's rows split across it."""
+    chunks = 1 if pool is None else config.n_threads
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
@@ -436,7 +447,7 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
         idx = resample(labels, w, selection).positions[:, 0].astype(np.intp)
         ens, accepted_count, accepted, log_prev = mutate_ensemble(
             f_t, Ensemble(ens.positions[idx]), config.mutation, config.mutation_steps,
-            group_rng.derive(MUTATION_STREAM, t), log_next[idx],
+            group_rng.derive(MUTATION_STREAM, t), log_next[idx], pool, chunks,
         )
         moments = weighted_moments(ens)
         rows.append(
@@ -459,9 +470,11 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
-    derived random stream, and a pool of ``n_threads`` threads runs the
-    groups; the thread count never changes the results.  The returned
-    history keeps every stage's ensemble.  Raises
+    derived random stream, on a pool of ``n_threads`` threads.  When the
+    groups fill the pool, its threads run whole groups; otherwise the groups
+    run in turn and each stage's mutation splits its rows into ``n_threads``
+    chunks on the pool.  The thread count never changes the results.  The
+    returned history keeps every stage's ensemble.  Raises
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.
     """
@@ -469,8 +482,11 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
         raise TypeError("run_smc needs a RandomSource")
 
     with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-        results = list(pool.map(lambda j: _run_group(j, sequence, config, rng),
-                                range(config.n_groups)))
+        if config.n_groups >= config.n_threads:
+            results = list(pool.map(lambda j: _run_group(j, sequence, config, rng),
+                                    range(config.n_groups)))
+        else:
+            results = [_run_group(j, sequence, config, rng, pool) for j in range(config.n_groups)]
 
     report = RunReport(
         n_particles=config.n_particles,

@@ -9,6 +9,7 @@ batch ``position[None]``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -46,6 +47,7 @@ def _make_target(
     batch_log_f: Callable[[np.ndarray], np.ndarray],
     batch_grad: Callable[[np.ndarray], np.ndarray],
     constraints: BoxConstraints | None = None,
+    row_step: int = 1,
 ) -> TargetDensity:
     """Wrap batched implementations into a TargetDensity.
 
@@ -67,7 +69,8 @@ def _make_target(
     def grad_log_f(position):
         return np.asarray(batch_grad(checked(position)), dtype=float)
 
-    return TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints)
+    return TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints,
+                         row_step=row_step)
 
 
 def rosenbrock() -> TargetDensity:
@@ -359,6 +362,7 @@ def powered(target: TargetDensity, gamma: float) -> TargetDensity:
         lambda pos: gamma * target.log_f(pos),
         lambda pos: gamma * target.grad_log_f(pos),
         constraints=target.constraints,
+        row_step=target.row_step,
     )
 
 
@@ -366,7 +370,8 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
     """Geometric interpolation log f_phi = phi log f + (1 - phi) log f1.
 
     phi must lie in [0, 1]; the support is the intersection of both
-    supports, and zero-density (-inf) terms never produce NaN.
+    supports, and zero-density (-inf) terms never produce NaN.  A cut at
+    a multiple of both ends' row steps is a multiple of each.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
@@ -388,7 +393,8 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
     def grad_log_f(pos):
         return phi * f.grad_log_f(pos) + (1.0 - phi) * f1.grad_log_f(pos)
 
-    return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints)
+    return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints,
+                         row_step=math.lcm(f.row_step, f1.row_step))
 
 
 # Candidate points per round of rejection sampling; the datasets' bytes depend on it.

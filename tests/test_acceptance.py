@@ -231,17 +231,21 @@ def _logit_replication(seed):
     seq = loglik_blocks_sequence(data, 50, initial=init)
     assert seq.n_stages == 8
 
+    # one group on two threads splits each mutation's rows; threads never
+    # change the results, only the wall time
     hsmc_cfg = SmcConfig(
         n_particles=512,
         mutation=HmcConfig(1.0, 20, 0.05),
         mutation_steps=5,
         weight_mode="loo_kde_ratio",
+        n_threads=2,
     )
     smc_cfg = SmcConfig(
         n_particles=512,
         mutation=MhConfig(1.0),
         mutation_steps=1,
         weight_mode="theoretical_ratio",
+        n_threads=2,
     )
     hsmc_run_ = run_smc(seq, hsmc_cfg, RandomSource(seed + 1000))
     smc_run = run_smc(seq, smc_cfg, RandomSource(seed + 2000))
@@ -408,6 +412,7 @@ def test_criterion_8_simulated_annealing():
             n_particles=512,
             mutation=HmcConfig(1.0, 20, 0.02),
             weight_mode="theoretical_ratio",
+            n_threads=2,
         )
         out = run_smc(seq, cfg, RandomSource(seed))
         mean_norm = float(np.linalg.norm(out.ensembles[0].positions, axis=1).mean())

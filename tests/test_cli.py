@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -310,10 +311,20 @@ class TestStrictInputs:
         ("sequential", "initial.sigma", [float("nan"), 1.0]),
         ("tempering", "target.mean", [float("nan")] + [0.0] * 5),
         ("tempering", "target.cov_diag", [float("inf")] + [1.0] * 5),
+        # box bounds that are NaN, or infinite where the box must be finite
+        ("uniform", "initial.lower", [float("nan"), 0.0]),
+        ("uniform", "initial.upper", [float("inf"), 1.0]),
+        ("uniform", "initial.lower", [0.0, -float("inf")]),
+        ("uniform", "initial.upper", [-3.0, 1.0]),  # not above initial.lower
+        ("sequential", "sequence.constraints.lower", [float("nan"), -2.5]),
+        ("sequential", "sequence.constraints.upper", [2.5, float("nan")]),
+        ("sequential", "sequence.constraints.upper", [-3.0, 2.5]),  # not above lower
     ])
     def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
-        if recipe == "sequential":
+        if recipe in ("sequential", "uniform"):
             mapping = strict_recipe(tmp_path)
+            if recipe == "uniform":
+                mapping["initial"] = {"lower": [-2.5, -2.5], "upper": [2.5, 2.5]}
         elif recipe == "tempering":
             mapping = annealing_recipe()
             mapping["sequence"] = {"kind": "tempering", "phis": [0.5, 1.0]}
@@ -484,10 +495,43 @@ class TestRunOutputs:
         config = parse_config(path)
         run(config)
         baseline = (tmp_path / "out" / "particles.csv").read_bytes()
-        from dataclasses import replace
-
         run(replace(config, threads=4))
         assert (tmp_path / "out" / "particles.csv").read_bytes() == baseline
+
+    @pytest.mark.parametrize("kind", ["kde", "logit"])
+    def test_one_group_bytes_do_not_depend_on_threads(self, tmp_path, kind):
+        # one group on two or three threads cuts each mutation's rows into
+        # chunks; the last stage's 1000 KDE points make the row step 131,
+        # which even halves and thirds of 300 particles would miss
+        data_path = tmp_path / "data.csv"
+        if kind == "kde":
+            generate_data("smiley", 1000, 2024, data_path)
+            path = smiley_style_config(
+                tmp_path, data_path, groups=1, particles=300, record_all=True,
+                sequence={"kind": "kde-blocks", "data": str(data_path), "block_size": 250},
+            )
+        else:
+            generate_data("logit", 200, 0, data_path)
+            path = write_config(tmp_path / "config.yaml", {
+                "algorithm": "hsmc", "seed": 3, "output": "out", "particles": 96,
+                "mutation_steps": 2, "record_all": True,
+                "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+                "initial": {"mean": [2.0, 1.0], "sigma": [4.0, 4.0]},
+                "sequence": {"kind": "loglik-blocks", "data": str(data_path),
+                             "block_size": 100},
+            })
+        config = parse_config(path)
+        outputs = set()
+        for threads in (1, 2, 3):
+            assert run(replace(config, threads=threads)) == 0
+            outputs.add(tuple((tmp_path / "out" / name).read_bytes()
+                              for name in ("report.json", "particles.csv")))
+        assert len(outputs) == 1
+
+    def test_threads_default_to_the_usable_cores(self, tmp_path):
+        config = parse_config(tiny_run_config(tmp_path))
+        assert config.threads == len(os.sched_getaffinity(0))
+        assert parse_config(tiny_run_config(tmp_path, threads=1)).threads == 1
 
     def test_blas_threads_do_not_change_bytes(self, tmp_path):
         # 512 particles against 1000 points: a whole-array kernel sum of this
@@ -525,8 +569,6 @@ class TestRunOutputs:
 
     def test_record_all_row_count(self, tmp_path):
         path = tiny_run_config(tmp_path)
-        from dataclasses import replace
-
         config = replace(parse_config(path), record_all=True)
         run(config)
         lines = (tmp_path / "out" / "particles.csv").read_text().splitlines()

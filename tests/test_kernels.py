@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from conftest import leapfrog_proposal, reflect_into_box
 
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
-from hsmc.kernels import _reflect_box, _stage_draws, _step
+from hsmc.kde import kde_target
+from hsmc.kernels import _chunk_bounds, _reflect_box, _stage_draws, _step
 from hsmc.targets import (
     dropwave, gaussian, nonlinear_logit_loglik, rosenbrock, simulate_logit_data,
 )
@@ -416,6 +419,38 @@ class TestMutateEnsemble:
                 pos = mh_step(target, pos, cfg, gen).new_position
             manual[n] = pos
         np.testing.assert_array_equal(result.ensemble.positions, manual)
+
+    @pytest.mark.parametrize("kernel", [HmcConfig(1.0, 5, 0.05), MhConfig(0.05)],
+                             ids=["hmc", "mh"])
+    def test_chunks_give_the_serial_bits_on_a_kde_target(self, rng, kernel):
+        # 1000 points make the row step 131, which halves and thirds of 300
+        # rows miss: cut anywhere else, a KDE gradient row can change bits
+        target = kde_target(rng.standard_normal((1000, 2)), [0.3, 0.4])
+        assert target.row_step == 131
+        ens = Ensemble(rng.standard_normal((300, 2)))
+        lf = target.log_f(ens.positions)
+        source = RandomSource(5).derive(MUTATION_STREAM, 2)
+        serial = mutate_ensemble(target, ens, kernel, 3, source, lf)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for chunks in (2, 3):
+                for executor in (pool, None):
+                    split = mutate_ensemble(target, ens, kernel, 3, source, lf, executor, chunks)
+                    np.testing.assert_array_equal(split.ensemble.positions,
+                                                  serial.ensemble.positions)
+                    np.testing.assert_array_equal(split.log_f, serial.log_f)
+                    np.testing.assert_array_equal(split.accepted, serial.accepted)
+                    assert split.acceptance_count == serial.acceptance_count
+
+    @pytest.mark.parametrize("n, chunks, step, bounds", [
+        (512, 2, 1, [0, 256, 512]),
+        (300, 2, 131, [0, 131, 300]),
+        (300, 3, 131, [0, 131, 262, 300]),
+        (300, 3, 262, [0, 262, 300]),
+        (512, 2, 1310, [0, 512]),  # no interior multiple: one run
+        (5, 8, 1, [0, 1, 2, 3, 4, 5]),
+    ])
+    def test_chunk_bounds_fall_on_row_step_multiples(self, n, chunks, step, bounds):
+        assert _chunk_bounds(n, chunks, step) == bounds
 
     def test_zero_steps_rejected(self, rng):
         ens = Ensemble(rng.standard_normal((4, 2)))

@@ -14,6 +14,7 @@ from hsmc.core import (
     Ensemble,
     RandomSource,
 )
+from hsmc import smc
 from hsmc.kernels import HmcConfig, MhConfig, mutate_ensemble
 from hsmc.smc import (
     IterationRecord,
@@ -446,6 +447,24 @@ class TestRunSmc:
         for ea, eb in zip(a.ensembles, b.ensembles):
             np.testing.assert_array_equal(ea.positions, eb.positions)
 
+    @pytest.mark.parametrize("groups, threads, chunks", [
+        (1, 1, 1), (2, 2, 1), (4, 2, 1), (1, 3, 3), (2, 3, 3),
+    ])
+    def test_rows_split_only_when_groups_leave_threads_idle(self, monkeypatch, groups, threads,
+                                                            chunks):
+        seen = []
+
+        def recording(*args):
+            seen.append(args[-1])  # the chunk count, passed last
+            return mutate_ensemble(*args)
+
+        monkeypatch.setattr(smc, "mutate_ensemble", recording)
+        seq = annealing_sequence(gaussian([0.0], [1.0]), [0.5, 1.0],
+                                 initial=diag_gaussian_initial([0.0], [2.0]))
+        run_smc(seq, SmcConfig(n_particles=8, mutation=MhConfig(0.5), n_groups=groups,
+                               n_threads=threads), RandomSource(1))
+        assert seen == [chunks] * (2 * groups)
+
     def test_report_row_per_group_and_iteration(self, rng):
         points = rng.standard_normal((90, 2))
         seq = kde_blocks_sequence(points, 30,
@@ -523,8 +542,9 @@ class TestEvaluationCounts:
         target, counts = counting(gaussian([0.5, -0.5], [1.0, 2.0]))
         seq = annealing_sequence(target, [0.25, 0.5, 0.75, 1.0],
                                  initial=diag_gaussian_initial([0.0, 0.0], [2.0, 2.0]))
+        # one thread: the counts are plain closure updates, not made under a lock
         cfg = SmcConfig(n_particles=self.N, mutation=mutation, mutation_steps=steps,
-                        weight_mode=mode)
+                        weight_mode=mode, n_threads=1)
         run_smc(seq, cfg, RandomSource(8))
         return counts
 

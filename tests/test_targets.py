@@ -321,6 +321,36 @@ class TestGeometricBridge:
             assert bridge.log_f(inside)[0] == free_end.log_f(inside)[0]
 
 
+class TestRowStep:
+    """The row step a batch may be cut at, derived from the target."""
+
+    def test_kde_step_is_its_block_height(self, rng):
+        for m in (100, 1000, 4096):
+            target = kde_target(rng.standard_normal((m, 2)), 0.5)
+            assert target.row_step == max(1, 2**17 // m)
+
+    def test_targets_whose_rows_stand_alone_have_step_one(self):
+        data = simulate_logit_data(20, (3.0, 3.0), RandomSource(1))
+        for target in (rosenbrock(), gaussian([0.0], [1.0]), smiley(), dropwave(),
+                       nonlinear_logit_loglik(data)):
+            assert target.row_step == 1
+
+    def test_powered_passes_its_targets_step_through(self, rng):
+        kde = kde_target(rng.standard_normal((1000, 2)), 0.5)
+        assert powered(kde, 2.0).row_step == kde.row_step == 131
+
+    def test_bridge_takes_the_lcm_of_its_ends(self, rng):
+        a = kde_target(rng.standard_normal((1000, 2)), 0.5)  # step 131
+        b = kde_target(rng.standard_normal((3000, 2)), 0.5)  # step 43
+        assert geometric_bridge(a, b, 0.5).row_step == 131 * 43
+        assert geometric_bridge(a, dropwave(), 0.5).row_step == 131
+        assert geometric_bridge(dropwave(), powered(b, 3.0), 0.5).row_step == 43
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="row_step"):
+            hsmc.TargetDensity(1, np.zeros, np.zeros, row_step=0)
+
+
 class TestGradientProperty:
     @pytest.mark.parametrize(
         "name",
