@@ -195,20 +195,13 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _build_box(spec: dict, context: str, finite: bool) -> BoxConstraints:
-    """The ``lower``/``upper`` fields of ``spec`` as a box, naming a bad bound."""
-    bounds = []
-    for key in ("lower", "upper"):
-        field = context + key
-        bound = _as_vector(_require(spec, key, context), field)
-        if np.any(np.isnan(bound)) or (finite and not np.all(np.isfinite(bound))):
-            need = "finite numbers" if finite else "numbers, not NaN"
-            raise ConfigError(f"{field}: expected {need}, got {bound.tolist()}")
-        bounds.append(bound)
+def _build_box(spec: dict, context: str, build):
+    """``build(lower, upper)`` from the fields of ``spec``, naming a bad bound."""
+    bounds = [_as_vector(_require(spec, key, context), context + key) for key in ("lower", "upper")]
     try:
-        return BoxConstraints(*bounds)
-    except ValueError as err:
-        raise ConfigError(f"{context}upper: {err}") from err
+        return build(*bounds)
+    except ValueError as err:  # the message starts with the bound it names
+        raise ConfigError(f"{context}{err}") from err
 
 
 def _build_kernel(spec) -> HmcConfig | MhConfig:
@@ -386,8 +379,7 @@ def _build_initial(config: RunConfig) -> InitialDistribution:
             raise ConfigError(f"initial.{err}") from err
     if "lower" not in spec:
         raise ConfigError("initial: expected either mean/sigma or lower/upper")
-    box = _build_box(spec, "initial.", finite=True)
-    return uniform_box_initial(box.lower, box.upper)
+    return _build_box(spec, "initial.", uniform_box_initial)
 
 
 def _build_sequence(config: RunConfig):
@@ -408,7 +400,7 @@ def _build_sequence(config: RunConfig):
             if "constraints" in spec:
                 context = "sequence.constraints."
                 cons = _check_keys(spec["constraints"], ("lower", "upper"), context)
-                constraints = _build_box(cons, context, finite=False)
+                constraints = _build_box(cons, context, BoxConstraints)
             return kde_blocks_sequence(points, block_size, constraints, initial=initial)
         if kind == "loglik-blocks":
             data = _read_logit_data(data_path, "sequence.data")
@@ -616,8 +608,8 @@ def main(argv=None) -> int:
                             help="record every iteration's particles, not just the final ones")
     run_parser.add_argument("--threads", type=int, default=None,
                             help="worker threads (default: the usable cores); they run "
-                                 "particle groups, or each stage's particle rows when there "
-                                 "are fewer groups than threads (outputs are unaffected)")
+                                 "particle groups, or a one-group run's particle rows "
+                                 "(outputs are unaffected)")
 
     gen_parser = sub.add_parser("gen-data", help="generate a benchmark dataset")
     gen_parser.add_argument("kind", choices=DATA_KINDS)

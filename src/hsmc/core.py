@@ -72,12 +72,14 @@ class BoxConstraints:
     def __post_init__(self):
         lower = _readonly(np.atleast_1d(self.lower))
         upper = _readonly(np.atleast_1d(self.upper))
+        # each message starts with the bound it names
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper bounds must be 1-d and equally long")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise ValueError("box bounds must not be NaN")
+        for name, bound in (("lower", lower), ("upper", upper)):
+            if np.any(np.isnan(bound)):
+                raise ValueError(f"{name} bounds must not be NaN, got {bound.tolist()}")
         if not np.all(lower < upper):
-            raise ValueError("every lower bound must be strictly below its upper bound")
+            raise ValueError("upper bounds must lie strictly above the lower bounds")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

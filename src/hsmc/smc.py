@@ -11,9 +11,8 @@ the current particle cloud, with kernels widened for stragglers and the
 weights truncated.  :func:`correction_weights` computes either rule
 whole, exactly as a run applies it, so a stage is one call each to
 correction, selection and mutation.  Independent particle groups run on
-a thread pool, or, when there are fewer groups than threads, in turn with
-each mutation's rows split across the pool; groups are compared afterwards
-as a convergence check.
+a thread pool and are compared afterwards as a convergence check; a run
+of one group splits each mutation's rows across the pool instead.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -105,8 +104,10 @@ def diag_gaussian_initial(mean, sigma) -> InitialDistribution:
 def uniform_box_initial(lower, upper) -> InitialDistribution:
     """Uniform f_0 on a finite box."""
     box = BoxConstraints(lower, upper)
-    if not (np.all(np.isfinite(box.lower)) and np.all(np.isfinite(box.upper))):
-        raise ValueError("uniform initial distribution needs finite bounds")
+    for name, bound in (("lower", box.lower), ("upper", box.upper)):
+        if not np.all(np.isfinite(bound)):
+            raise ValueError(f"{name} bounds of a uniform initial distribution must be "
+                             f"finite, got {bound.tolist()}")
     dim = box.dim
     density = _make_target(dim, lambda pos: np.zeros(len(pos)), np.zeros_like, constraints=box)
 
@@ -417,10 +418,20 @@ def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np
     return base[None, :] * widen[:, None]
 
 
+# Fewest rows a mutation chunk takes, which bounds the threads a one-group
+# run keeps busy.  Small chunks cost little, but threads queue for the
+# interpreter lock between their numpy calls: on a 2-core VM one 512-row
+# logit mutation took 0.52 s as 2 to 16 chunks on 2 threads, and 0.53,
+# 0.68, 0.80 and 1.77 s as one chunk per thread on 4, 8, 16 and 64 threads.
+_MIN_CHUNK_ROWS = 128
+
+
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
                pool: ThreadPoolExecutor | None = None):
     """Group ``group``'s whole run; given a ``pool``, each mutation's rows split across it."""
-    chunks = 1 if pool is None else config.n_threads
+    chunks = 1
+    if pool is not None:
+        chunks = max(1, min(config.n_threads, config.n_particles // _MIN_CHUNK_ROWS))
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
@@ -470,11 +481,11 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
-    derived random stream, on a pool of ``n_threads`` threads.  When the
-    groups fill the pool, its threads run whole groups; otherwise the groups
-    run in turn and each stage's mutation splits its rows into ``n_threads``
-    chunks on the pool.  The thread count never changes the results.  The
-    returned history keeps every stage's ensemble.  Raises
+    derived random stream, on a pool of ``n_threads`` threads that run whole
+    groups.  A run of one group instead splits each stage's mutation into
+    ``n_threads`` chunks of rows on the pool, fewer when a chunk would get
+    under ``_MIN_CHUNK_ROWS`` rows.  The thread count never changes the
+    results.  The returned history keeps every stage's ensemble.  Raises
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.
     """
@@ -482,11 +493,11 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
         raise TypeError("run_smc needs a RandomSource")
 
     with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-        if config.n_groups >= config.n_threads:
+        if config.n_groups == 1:
+            results = [_run_group(0, sequence, config, rng, pool)]
+        else:
             results = list(pool.map(lambda j: _run_group(j, sequence, config, rng),
                                     range(config.n_groups)))
-        else:
-            results = [_run_group(j, sequence, config, rng, pool) for j in range(config.n_groups)]
 
     report = RunReport(
         n_particles=config.n_particles,

@@ -501,19 +501,19 @@ class TestRunOutputs:
     @pytest.mark.parametrize("kind", ["kde", "logit"])
     def test_one_group_bytes_do_not_depend_on_threads(self, tmp_path, kind):
         # one group on two or three threads cuts each mutation's rows into
-        # chunks; the last stage's 1000 KDE points make the row step 131,
-        # which even halves and thirds of 300 particles would miss
+        # two or three chunks; the last stage's 1000 KDE points make the row
+        # step 131, which even halves and thirds of 400 particles would miss
         data_path = tmp_path / "data.csv"
         if kind == "kde":
             generate_data("smiley", 1000, 2024, data_path)
             path = smiley_style_config(
-                tmp_path, data_path, groups=1, particles=300, record_all=True,
+                tmp_path, data_path, groups=1, particles=400, record_all=True,
                 sequence={"kind": "kde-blocks", "data": str(data_path), "block_size": 250},
             )
         else:
             generate_data("logit", 200, 0, data_path)
             path = write_config(tmp_path / "config.yaml", {
-                "algorithm": "hsmc", "seed": 3, "output": "out", "particles": 96,
+                "algorithm": "hsmc", "seed": 3, "output": "out", "particles": 384,
                 "mutation_steps": 2, "record_all": True,
                 "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
                 "initial": {"mean": [2.0, 1.0], "sigma": [4.0, 4.0]},

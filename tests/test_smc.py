@@ -447,11 +447,14 @@ class TestRunSmc:
         for ea, eb in zip(a.ensembles, b.ensembles):
             np.testing.assert_array_equal(ea.positions, eb.positions)
 
-    @pytest.mark.parametrize("groups, threads, chunks", [
-        (1, 1, 1), (2, 2, 1), (4, 2, 1), (1, 3, 3), (2, 3, 3),
+    @pytest.mark.parametrize("groups, threads, particles, chunks", [
+        (1, 1, 512, 1), (1, 3, 512, 3), (1, 3, 300, 2), (1, 64, 512, 4), (1, 2, 100, 1),
+        (2, 2, 512, 1), (4, 2, 512, 1), (2, 3, 512, 1), (2, 64, 512, 1),
     ])
-    def test_rows_split_only_when_groups_leave_threads_idle(self, monkeypatch, groups, threads,
-                                                            chunks):
+    def test_rows_split_only_in_one_group_runs(self, monkeypatch, groups, threads, particles,
+                                               chunks):
+        # one group splits its rows across the threads, at least
+        # _MIN_CHUNK_ROWS = 128 to a chunk; more groups map on the pool whole
         seen = []
 
         def recording(*args):
@@ -461,7 +464,7 @@ class TestRunSmc:
         monkeypatch.setattr(smc, "mutate_ensemble", recording)
         seq = annealing_sequence(gaussian([0.0], [1.0]), [0.5, 1.0],
                                  initial=diag_gaussian_initial([0.0], [2.0]))
-        run_smc(seq, SmcConfig(n_particles=8, mutation=MhConfig(0.5), n_groups=groups,
+        run_smc(seq, SmcConfig(n_particles=particles, mutation=MhConfig(0.5), n_groups=groups,
                                n_threads=threads), RandomSource(1))
         assert seen == [chunks] * (2 * groups)
 
@@ -542,9 +545,8 @@ class TestEvaluationCounts:
         target, counts = counting(gaussian([0.5, -0.5], [1.0, 2.0]))
         seq = annealing_sequence(target, [0.25, 0.5, 0.75, 1.0],
                                  initial=diag_gaussian_initial([0.0, 0.0], [2.0, 2.0]))
-        # one thread: the counts are plain closure updates, not made under a lock
         cfg = SmcConfig(n_particles=self.N, mutation=mutation, mutation_steps=steps,
-                        weight_mode=mode, n_threads=1)
+                        weight_mode=mode)
         run_smc(seq, cfg, RandomSource(8))
         return counts
 
