@@ -39,7 +39,9 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import Ensemble, RandomSource, TargetDensity, _child_keys, _readonly
+from .core import (
+    Ensemble, RandomSource, TargetDensity, _child_keys, _chunk_bounds, _readonly,
+)
 
 __all__ = [
     "HmcConfig",
@@ -279,16 +281,6 @@ def hmc_step(
     Box-constrained targets bounce off the walls during position updates.
     """
     return _single_step(HmcConfig, target, position, config, rng)
-
-
-def _chunk_bounds(n: int, chunks: int, row_step: int) -> list[int]:
-    """Bounds of at most ``chunks`` nearly equal runs of n rows, cut at multiples of row_step.
-
-    Cuts that would round to 0 or n are dropped, so a step that leaves no
-    interior cut gives one run.
-    """
-    cuts = {row_step * round(i * n / (chunks * row_step)) for i in range(1, chunks)}
-    return [0, *sorted(c for c in cuts if 0 < c < n), n]
 
 
 def mutate_ensemble(

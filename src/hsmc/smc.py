@@ -46,6 +46,7 @@ from .core import (
     Ensemble,
     RandomSource,
     TargetDensity,
+    _chunk_count,
     normalize_weights,
 )
 from .diagnostics import effective_sample_size, weighted_moments
@@ -418,20 +419,12 @@ def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np
     return base[None, :] * widen[:, None]
 
 
-# Fewest rows a mutation chunk takes, which bounds the threads a one-group
-# run keeps busy.  Small chunks cost little, but threads queue for the
-# interpreter lock between their numpy calls: on a 2-core VM one 512-row
-# logit mutation took 0.52 s as 2 to 16 chunks on 2 threads, and 0.53,
-# 0.68, 0.80 and 1.77 s as one chunk per thread on 4, 8, 16 and 64 threads.
-_MIN_CHUNK_ROWS = 128
-
-
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
                pool: ThreadPoolExecutor | None = None):
     """Group ``group``'s whole run; given a ``pool``, each mutation's rows split across it."""
     chunks = 1
     if pool is not None:
-        chunks = max(1, min(config.n_threads, config.n_particles // _MIN_CHUNK_ROWS))
+        chunks = _chunk_count(config.n_particles, config.n_threads)
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
@@ -484,7 +477,7 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     derived random stream, on a pool of ``n_threads`` threads that run whole
     groups.  A run of one group instead splits each stage's mutation into
     ``n_threads`` chunks of rows on the pool, fewer when a chunk would get
-    under ``_MIN_CHUNK_ROWS`` rows.  The thread count never changes the
+    under ``core._MIN_CHUNK_ROWS`` rows.  The thread count never changes the
     results.  The returned history keeps every stage's ensemble.  Raises
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.

@@ -83,9 +83,10 @@ def rosenbrock() -> TargetDensity:
     def batch_grad(pos):
         x, y = pos[:, 0], pos[:, 1]
         d = y - x * x
-        gx = (20.0 * x * d - 2.0 * x) / 8.0
-        gy = -10.0 * d / 8.0
-        return np.stack([gx, gy], axis=-1)
+        out = np.empty((len(pos), 2))
+        out[:, 0] = (20.0 * x * d - 2.0 * x) / 8.0
+        out[:, 1] = -10.0 * d / 8.0
+        return out
 
     return _make_target(2, batch_log_f, batch_grad)
 
@@ -158,9 +159,10 @@ def smiley() -> TargetDensity:
         gx = np.stack([g1x, g2x, g3x], axis=-1)
         gy = np.stack([g1y, g2y, g3y], axis=-1)
         total = w.sum(axis=-1)
-        return np.stack(
-            [(w * gx).sum(axis=-1) / total, (w * gy).sum(axis=-1) / total], axis=-1
-        )
+        out = np.empty((len(pos), 2))
+        out[:, 0] = (w * gx).sum(axis=-1) / total
+        out[:, 1] = (w * gy).sum(axis=-1) / total
+        return out
 
     return _make_target(2, batch_log_f, batch_grad)
 

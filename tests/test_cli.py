@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,8 +12,13 @@ import pytest
 import yaml
 
 import hsmc
-from hsmc.cli import ConfigError, generate_data, main, parse_config, run
+from hsmc.cli import (
+    ConfigError, _grid_log_f, _write_grid, _write_particles, generate_data, main, parse_config,
+    run,
+)
+from hsmc.core import RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig
+from hsmc.targets import dropwave, sample_smiley_data
 
 SRC = str(Path(hsmc.__file__).resolve().parents[1])
 
@@ -493,16 +499,18 @@ class TestRunOutputs:
     def test_threads_do_not_change_bytes(self, tmp_path):
         path = tiny_run_config(tmp_path)
         config = parse_config(path)
+        names = ("particles.csv", "grid.csv")
         run(config)
-        baseline = (tmp_path / "out" / "particles.csv").read_bytes()
+        baseline = [(tmp_path / "out" / name).read_bytes() for name in names]
         run(replace(config, threads=4))
-        assert (tmp_path / "out" / "particles.csv").read_bytes() == baseline
+        assert [(tmp_path / "out" / name).read_bytes() for name in names] == baseline
 
     @pytest.mark.parametrize("kind", ["kde", "logit"])
     def test_one_group_bytes_do_not_depend_on_threads(self, tmp_path, kind):
-        # one group on two or three threads cuts each mutation's rows into
-        # two or three chunks; the last stage's 1000 KDE points make the row
-        # step 131, which even halves and thirds of 400 particles would miss
+        # one group on two or three threads cuts each mutation's rows, and
+        # the grid's, into two or three chunks; the last stage's 1000 KDE
+        # points make the row step 131, which even halves and thirds of 400
+        # particles would miss
         data_path = tmp_path / "data.csv"
         if kind == "kde":
             generate_data("smiley", 1000, 2024, data_path)
@@ -525,8 +533,31 @@ class TestRunOutputs:
         for threads in (1, 2, 3):
             assert run(replace(config, threads=threads)) == 0
             outputs.add(tuple((tmp_path / "out" / name).read_bytes()
-                              for name in ("report.json", "particles.csv")))
+                              for name in ("report.json", "particles.csv", "grid.csv")))
         assert len(outputs) == 1
+
+    def test_grid_beyond_the_box_does_not_depend_on_threads(self, tmp_path):
+        data_path = tmp_path / "drop.csv"
+        generate_data("dropwave", 200, 4, data_path)
+        path = write_config(tmp_path / "c.yaml", {
+            "algorithm": "hsmc", "seed": 3, "output": "out", "particles": 32,
+            "kernel": {"type": "hmc", "step_size": 0.05, "leapfrog_steps": 5},
+            "initial": {"mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
+            "sequence": {"kind": "kde-blocks", "data": str(data_path), "block_size": 100,
+                         "constraints": {"lower": [-2.5, -2.5], "upper": [2.5, 2.5]}},
+            "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0]},
+        })
+        config = parse_config(path)
+        grids = set()
+        for threads in (1, 2, 3):
+            assert run(replace(config, threads=threads)) == 0
+            grids.add((tmp_path / "out" / "grid.csv").read_bytes())
+        assert len(grids) == 1
+        grid = np.genfromtxt(tmp_path / "out" / "grid.csv", delimiter=",", names=True)
+        inside = (np.abs(grid["x"]) <= 2.5) & (np.abs(grid["y"]) <= 2.5)
+        assert np.all(grid["log_f"][~inside] == -np.inf)
+        assert np.all(np.isfinite(grid["log_f"][inside]))
+        assert 0 < inside.sum() < len(grid)
 
     def test_threads_default_to_the_usable_cores(self, tmp_path):
         config = parse_config(tiny_run_config(tmp_path))
@@ -644,6 +675,75 @@ class TestRunOutputs:
             "target": {"name": "logit", "data": str(tmp_path / "missing.csv")},
         })
         assert main(["run", str(path)]) == 1
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``rows``, the reference of the column writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestColumnWriter:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 2.0**70]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_particles_match_csv_writer(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        n = 1300  # three batches, the last one partial
+        coords = rng.standard_normal(n * dim) * 10.0 ** rng.integers(-300, 300, n * dim)
+        coords[: len(self.SPECIAL)] = self.SPECIAL
+        positions = rng.permutation(coords).reshape(n, dim)
+        big = np.iinfo(np.int64)
+        group = rng.integers(0, 5, n)
+        iteration = rng.integers(big.min, big.max, n)
+        iteration[:2] = big.min, big.max
+        particle_id = np.arange(n) * 2**40
+        accepted = rng.random(n) < 0.5
+
+        _write_particles(tmp_path / "p.csv", group, iteration, particle_id, positions, accepted)
+        header = ["group", "iteration", "particle_id", *(f"x{d}" for d in range(dim)),
+                  "weight", "accepted"]
+        rows = [
+            [int(g), int(t), int(i)] + [repr(float(c)) for c in row] + ["1.0", int(a)]
+            for g, t, i, row, a in zip(group, iteration, particle_id, positions, accepted)
+        ]
+        expected = csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "p.csv").read_bytes() == expected
+
+    def test_grid_matches_csv_writer(self, tmp_path):
+        target = dropwave()
+        lower, upper = np.array([-4.0, -3.0]), np.array([3.5, 4.0])
+        _write_grid(tmp_path / "g.csv", target, lower, upper, 41, threads=3)
+        gx, gy = np.meshgrid(np.linspace(-4.0, 3.5, 41), np.linspace(-3.0, 4.0, 41),
+                             indexing="ij")
+        points = np.column_stack([gx.ravel(), gy.ravel()])
+        rows = [[repr(float(v)) for v in (x, y, f)]
+                for (x, y), f in zip(points, target.log_f(points))]
+        expected = csv_writer_bytes(tmp_path / "ref.csv", ["x", "y", "log_f"], rows)
+        assert (tmp_path / "g.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_grid_cuts_fall_on_row_step_multiples(self, threads):
+        # each row's value is its place in a run of row_step rows, so a cut
+        # anywhere else would change the values after it
+        step = 131
+        target = TargetDensity(
+            dim=2, log_f=lambda pos: (np.arange(len(pos)) % step).astype(float),
+            grad_log_f=np.zeros_like, row_step=step,
+        )
+        points = np.zeros((101 * 101, 2))
+        np.testing.assert_array_equal(_grid_log_f(target, points, threads),
+                                      target.log_f(points))
+
+    def test_dataset_matches_csv_writer(self, tmp_path):
+        assert generate_data("smiley", 700, 5, tmp_path / "s.csv") == 0
+        points = sample_smiley_data(700, RandomSource(5))
+        rows = [[repr(float(x)), repr(float(y))] for x, y in points]
+        expected = csv_writer_bytes(tmp_path / "ref.csv", ["x", "y"], rows)
+        assert (tmp_path / "s.csv").read_bytes() == expected
 
 
 class TestInstalledEntryPoint:

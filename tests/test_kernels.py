@@ -9,10 +9,12 @@ from scipy.stats import norm
 
 from conftest import leapfrog_proposal, reflect_into_box
 
-from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource, TargetDensity
+from hsmc.core import (
+    MUTATION_STREAM, Ensemble, RandomSource, TargetDensity, _chunk_bounds, _chunk_count,
+)
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
 from hsmc.kde import kde_target
-from hsmc.kernels import _chunk_bounds, _reflect_box, _stage_draws, _step
+from hsmc.kernels import _reflect_box, _stage_draws, _step
 from hsmc.targets import (
     dropwave, gaussian, nonlinear_logit_loglik, rosenbrock, simulate_logit_data,
 )
@@ -451,6 +453,12 @@ class TestMutateEnsemble:
     ])
     def test_chunk_bounds_fall_on_row_step_multiples(self, n, chunks, step, bounds):
         assert _chunk_bounds(n, chunks, step) == bounds
+
+    @pytest.mark.parametrize("n, threads, chunks", [
+        (512, 2, 2), (512, 64, 4), (10201, 3, 3), (255, 4, 1), (100, 8, 1), (256, 1, 1),
+    ])
+    def test_chunk_count_keeps_min_rows_a_chunk(self, n, threads, chunks):
+        assert _chunk_count(n, threads) == chunks
 
     def test_zero_steps_rejected(self, rng):
         ens = Ensemble(rng.standard_normal((4, 2)))
