@@ -20,7 +20,6 @@ at a time, in batches of ``_WRITE_BATCH_ROWS`` rows, with the bytes
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -429,26 +428,24 @@ def _build_sequence(config: RunConfig):
         raise ConfigError(f"sequence: {err}") from err
 
 
-def _cells(column, rows: slice):
+def _cells(column: np.ndarray, rows: slice):
     """The strings of one column's ``rows``; see :func:`_write_csv`."""
-    if isinstance(column, str):
-        return itertools.repeat(column, rows.stop - rows.start)
     part = column[rows].tolist()
     return part if column.dtype == object else map(repr, part)
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write a table a column at a time, with the bytes ``csv.writer`` writes.
 
-    A column is an array of ints (written with str) or of floats (with
-    repr), an object array of cells already written as strings, or one
-    string for every row.  No cell needs quoting.
+    A column is an array of ints (written with str), of floats (with
+    repr) or of objects: cells already written as strings.  No cell needs
+    quoting.
     """
-    n_rows = max(len(c) for c in columns if not isinstance(c, str))
+    n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _WRITE_BATCH_ROWS):
-            rows = slice(start, min(start + _WRITE_BATCH_ROWS, n_rows))
+            rows = slice(start, start + _WRITE_BATCH_ROWS)
             lines = map(",".join, zip(*(_cells(c, rows) for c in columns)))
             fh.write("\r\n".join(lines) + "\r\n")
 
@@ -459,8 +456,8 @@ def _write_particles(path: Path, group, iteration, particle_id, positions, accep
     header += ["weight", "accepted"]
     # sequential rows are recorded after selection and chain states count
     # once each, so every weight is 1
-    columns = [group, iteration, particle_id, *positions.T, "1.0",
-               np.asarray(accepted, dtype=np.int8)]
+    columns = [group, iteration, particle_id, *positions.T,
+               np.full(len(positions), "1.0", dtype=object), np.asarray(accepted, dtype=np.int8)]
     _write_csv(path, header, columns)
 
 
@@ -607,8 +604,11 @@ def _run_sequential(config: RunConfig) -> int:
 
 
 def _write_outputs(config, target, particles, report, cloud) -> None:
-    """Write particles.csv (``particles`` holds its group, iteration,
-    particle_id, positions and accepted columns), report.json and grid.csv."""
+    """Write particles.csv, report.json and, for 2-dim targets, grid.csv.
+
+    ``particles`` holds the group, iteration, particle_id, positions and
+    accepted columns of particles.csv.
+    """
     config.output.mkdir(parents=True, exist_ok=True)
     _write_particles(config.output / "particles.csv", *particles)
     with open(config.output / "report.json", "w") as fh:
