@@ -8,13 +8,19 @@ Subcommands:
   directory.
 * ``gen-data <kind> <n> <seed> <out>`` writes benchmark datasets.
 
+This module reads and writes every file; the library modules only
+compute.  Both dataset kinds are read by :func:`_read_columns`, which
+gives every malformed file the same checks and messages, and every CSV
+is written by :func:`_write_csv`: a column at a time, in batches of
+``_WRITE_BATCH_ROWS`` rows, with the bytes ``csv.writer`` would write.
+``report.json`` is the run report's dataclass fields, in their order,
+between ``algorithm``/``seed`` and ``group_divergence``.
+
 Outputs contain no timestamps and floats are written with full
 round-trip precision, so identical configs and seeds produce
 byte-identical files regardless of ``--threads``.  The threads run
 particle groups or a one-group run's row chunks, and then evaluate the
-grid in row chunks cut as a mutation's are.  Tables are written a column
-at a time, in batches of ``_WRITE_BATCH_ROWS`` rows, with the bytes
-``csv.writer`` would write.
+grid in row chunks cut as a mutation's are.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +203,18 @@ def _as_path(value, field: str) -> Path:
     return Path(value)
 
 
+def _checked(prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, raising its ValueError as a ConfigError led by ``prefix``.
+
+    The builders' messages start with the field they name, so ``prefix``
+    is that field's section, or a data file's field and path.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{prefix}{err}") from err
+
+
 def _usable_cores() -> int:
     """The CPUs this process may run on: the default thread count."""
     try:
@@ -208,10 +226,7 @@ def _usable_cores() -> int:
 def _build_box(spec: dict, context: str, build):
     """``build(lower, upper)`` from the fields of ``spec``, naming a bad bound."""
     bounds = [_as_vector(_require(spec, key, context), context + key) for key in ("lower", "upper")]
-    try:
-        return build(*bounds)
-    except ValueError as err:  # the message starts with the bound it names
-        raise ConfigError(f"{context}{err}") from err
+    return _checked(context, build, *bounds)
 
 
 def _build_kernel(spec) -> HmcConfig | MhConfig:
@@ -227,10 +242,7 @@ def _build_kernel(spec) -> HmcConfig | MhConfig:
                 fields[key] = _as_vector(value, field)
             else:
                 fields[key] = _as_float(value, field)
-    try:
-        return (HmcConfig if ktype == "hmc" else MhConfig)(**fields)
-    except ValueError as err:
-        raise ConfigError(f"kernel.{err}") from err
+    return _checked("kernel.", HmcConfig if ktype == "hmc" else MhConfig, **fields)
 
 
 def parse_config(path) -> RunConfig:
@@ -317,10 +329,7 @@ def parse_config(path) -> RunConfig:
     else:
         dim = _build_sequence(config).dim
     if isinstance(kernel, HmcConfig):
-        try:
-            kernel.mass_for(dim)
-        except ValueError as err:
-            raise ConfigError(f"kernel.{err}") from err
+        _checked("kernel.", kernel.mass_for, dim)
     if grid_spec is not None and dim != 2:
         raise ConfigError(f"grid: grid.csv is written for 2-dim targets only, not {dim}-dim")
     return config
@@ -335,25 +344,31 @@ def _resolve_data_path(config: RunConfig, value, field: str) -> Path:
     return data_path
 
 
-def _read_logit_data(path: Path, field: str) -> LogitData:
-    try:
-        return LogitData.from_csv(path)
-    except ValueError as err:
-        raise ConfigError(f"{field}: {path}: {err}") from err
+def _read_columns(path: Path, names: tuple[str, ...], field: str) -> np.ndarray:
+    """The ``names`` columns of a CSV dataset as an (n, len(names)) array.
 
-
-def _read_points(path: Path, field: str) -> np.ndarray:
-    """The x and y columns of a point-cloud CSV, every cell a finite number."""
+    The file needs a header row and at least one data row, and every cell
+    read must be a finite number; otherwise the ConfigError names ``field``
+    and ``path``.
+    """
     try:
         rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-        points = np.column_stack([rows["x"], rows["y"]])
+        table = np.column_stack([rows[name] for name in names])
     except ValueError as err:  # a missing column or a ragged row
         raise ConfigError(f"{field}: {path}: {err}") from err
-    bad = np.argwhere(~np.isfinite(points))
+    if not len(table):
+        raise ConfigError(f"{field}: {path}: no data rows")
+    bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         row, col = bad[0]
-        raise ConfigError(f"{field}: {path}: data row {row + 1}: {'xy'[col]} is not finite")
-    return points
+        raise ConfigError(f"{field}: {path}: data row {row + 1}: {names[col]} is not finite")
+    return table
+
+
+def _logit_data(path: Path, field: str) -> LogitData:
+    """The logit dataset at ``path``; a bad offer or choice names ``field`` and ``path``."""
+    offers, choices = _read_columns(path, ("x", "choice"), field).T
+    return _checked(f"{field}: {path}: ", LogitData, offers, choices)
 
 
 def _build_target(config: RunConfig) -> TargetDensity:
@@ -368,12 +383,9 @@ def _build_target(config: RunConfig) -> TargetDensity:
     if name == "gaussian":
         mean = _as_vector(_require(spec, "mean", "target."), "target.mean")
         cov = _as_vector(_require(spec, "cov_diag", "target."), "target.cov_diag")
-        try:
-            return gaussian(mean, cov)
-        except ValueError as err:  # the message starts with the field it names
-            raise ConfigError(f"target.{err}") from err
+        return _checked("target.", gaussian, mean, cov)
     data_path = _resolve_data_path(config, _require(spec, "data", "target."), "target.data")
-    return nonlinear_logit_loglik(_read_logit_data(data_path, "target.data"))
+    return nonlinear_logit_loglik(_logit_data(data_path, "target.data"))
 
 
 def _build_initial(config: RunConfig) -> InitialDistribution:
@@ -383,10 +395,7 @@ def _build_initial(config: RunConfig) -> InitialDistribution:
     if gaussian_form:
         mean = _as_vector(spec["mean"], "initial.mean")
         sigma = _as_vector(_require(spec, "sigma", "initial."), "initial.sigma")
-        try:
-            return diag_gaussian_initial(mean, sigma)
-        except ValueError as err:  # the message starts with the field it names
-            raise ConfigError(f"initial.{err}") from err
+        return _checked("initial.", diag_gaussian_initial, mean, sigma)
     if "lower" not in spec:
         raise ConfigError("initial: expected either mean/sigma or lower/upper")
     return _build_box(spec, "initial.", uniform_box_initial)
@@ -405,7 +414,7 @@ def _build_sequence(config: RunConfig):
             block_size = _require(spec, "block_size", "sequence.")
             block_size = _as_int(block_size, "sequence.block_size", minimum=1)
         if kind == "kde-blocks":
-            points = _read_points(data_path, "sequence.data")
+            points = _read_columns(data_path, ("x", "y"), "sequence.data")
             constraints = None
             if "constraints" in spec:
                 context = "sequence.constraints."
@@ -413,7 +422,7 @@ def _build_sequence(config: RunConfig):
                 constraints = _build_box(cons, context, BoxConstraints)
             return kde_blocks_sequence(points, block_size, constraints, initial=initial)
         if kind == "loglik-blocks":
-            data = _read_logit_data(data_path, "sequence.data")
+            data = _logit_data(data_path, "sequence.data")
             return loglik_blocks_sequence(data, block_size, initial=initial)
         field = "phis" if kind == "tempering" else "gammas"
         ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
@@ -518,15 +527,6 @@ def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray
     return lo - margin, hi + margin, resolution
 
 
-def _report_jsonable(config: RunConfig, report: RunReport) -> dict:
-    return {
-        "algorithm": config.algorithm,
-        "seed": config.seed,
-        **report.to_jsonable(),
-        "group_divergence": compare_groups(report) if report.n_groups >= 2 else None,
-    }
-
-
 def _run_mcmc(config: RunConfig) -> int:
     target = _build_target(config)
     start = np.array(config.start)
@@ -611,8 +611,10 @@ def _write_outputs(config, target, particles, report, cloud) -> None:
     """
     config.output.mkdir(parents=True, exist_ok=True)
     _write_particles(config.output / "particles.csv", *particles)
+    divergence = compare_groups(report) if report.n_groups >= 2 else None
     with open(config.output / "report.json", "w") as fh:
-        json.dump(_report_jsonable(config, report), fh, indent=2)
+        json.dump({"algorithm": config.algorithm, "seed": config.seed, **asdict(report),
+                   "group_divergence": divergence}, fh, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
     if target.dim == 2:
         lower, upper, resolution = _grid_bounds(config, target, cloud)
@@ -642,10 +644,11 @@ def generate_data(kind: str, n: int, seed: int, out) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     rng = RandomSource(seed)
     if kind == "logit":
-        simulate_logit_data(n, (3.0, 3.0), rng).to_csv(out)
-        return 0
-    points = sample_smiley_data(n, rng) if kind == "smiley" else sample_dropwave_data(n, rng)
-    _write_csv(out, ["x", "y"], list(points.T))
+        data = simulate_logit_data(n, (3.0, 3.0), rng)
+        _write_csv(out, ["x", "choice"], [data.offers, data.choices.astype(np.int64)])
+    else:
+        points = sample_smiley_data(n, rng) if kind == "smiley" else sample_dropwave_data(n, rng)
+        _write_csv(out, ["x", "y"], list(points.T))
     return 0
 
 

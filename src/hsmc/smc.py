@@ -190,18 +190,6 @@ class IterationRecord:
     mean: np.ndarray
     cov_diag: np.ndarray
 
-    def to_jsonable(self) -> dict:
-        return {
-            "group": self.group,
-            "iteration": self.iteration,
-            "acceptance_count": self.acceptance_count,
-            "ess": float(self.ess),
-            "weight_min": float(self.weight_min),
-            "weight_max": float(self.weight_max),
-            "mean": [float(v) for v in self.mean],
-            "cov_diag": [float(v) for v in self.cov_diag],
-        }
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -214,14 +202,6 @@ class RunReport:
 
     def final_rows(self) -> list[IterationRecord]:
         return [r for r in self.rows if r.iteration == self.n_iterations]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "n_groups": self.n_groups,
-            "n_iterations": self.n_iterations,
-            "rows": [r.to_jsonable() for r in self.rows],
-        }
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,8 @@ batch ``position[None]``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -216,19 +214,6 @@ class LogitData:
 
     def subset(self, n: int) -> "LogitData":
         return LogitData(self.offers[:n], self.choices[:n])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "choice"])
-            for x, c in zip(self.offers, self.choices):
-                writer.writerow([repr(float(x)), int(c)])
-
-    @classmethod
-    def from_csv(cls, path) -> "LogitData":
-        rows = np.genfromtxt(Path(path), delimiter=",", names=True)
-        data = np.atleast_1d(rows)
-        return cls(data["x"], data["choice"])
 
 
 # Particle x observation terms per block of rows in the logit layer.  A

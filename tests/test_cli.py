@@ -12,13 +12,15 @@ import pytest
 import yaml
 
 import hsmc
+from hsmc import cli
 from hsmc.cli import (
-    ConfigError, _grid_log_f, _write_grid, _write_particles, generate_data, main, parse_config,
-    run,
+    ConfigError, _grid_log_f, _read_columns, _write_grid, _write_particles, generate_data, main,
+    parse_config, run,
 )
 from hsmc.core import RandomSource, TargetDensity
 from hsmc.kernels import HmcConfig, MhConfig
-from hsmc.targets import dropwave, sample_smiley_data
+from hsmc.smc import compare_groups
+from hsmc.targets import dropwave, sample_smiley_data, simulate_logit_data
 
 SRC = str(Path(hsmc.__file__).resolve().parents[1])
 
@@ -384,26 +386,45 @@ class TestStrictInputs:
         path = write_config(tmp_path / "c.yaml", self.logit_recipe(section, data_path))
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"{section}.data" in err and "every offer must be a finite number" in err
+        assert f"{section}.data: {data_path}: data row 2: x is not finite" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("edit", ["no y column", "blank", "text", "inf"])
-    def test_bad_point_data_named(self, tmp_path, capsys, edit):
-        mapping = strict_recipe(tmp_path)
-        data_path = Path(mapping["sequence"]["data"])
+    # point-file cases keep bare ids; logit cases carry their dataset and section
+    @pytest.mark.parametrize("dataset, edit", [
+        pytest.param(dataset, edit, id={"missing column": "no y column"}.get(edit, edit)
+                     if dataset == "points" else f"{dataset}-{edit}")
+        for dataset in ("points", "logit-target", "logit-sequence")
+        for edit in ("missing column", "ragged", "header only", "blank", "text", "inf")
+    ])
+    def test_bad_point_data_named(self, tmp_path, capsys, dataset, edit):
+        # both dataset kinds go through one reader, with the same checks
+        if dataset == "points":
+            section, mapping = "sequence", strict_recipe(tmp_path)
+            data_path = Path(mapping["sequence"]["data"])
+        else:
+            section, data_path = dataset.split("-")[1], tmp_path / "logit.csv"
+            generate_data("logit", 100, 3, data_path)
+            mapping = self.logit_recipe(section, data_path)
         lines = data_path.read_text().splitlines()
-        x, y = lines[7].split(",")
-        if edit == "no y column":
+        column = lines[0].split(",")[1]
+        x, _ = lines[7].split(",")
+        if edit == "missing column":
             lines[0] = "x,z"
+            problem = f"no field of name {column}"
+        elif edit == "ragged":
+            lines[7] += ",1"
+            problem = "Line #8 (got 3 columns instead of 2)"
+        elif edit == "header only":
+            del lines[1:]
+            problem = "no data rows"
         else:
             lines[7] = f"{x},{dict(blank='', text='abc', inf='inf')[edit]}"
+            problem = f"data row 7: {column} is not finite"
         data_path.write_text("\n".join(lines) + "\n")
         path = write_config(tmp_path / "c.yaml", mapping)
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "sequence.data" in err and str(data_path) in err
-        problem = "no field of name y" if edit == "no y column" else "row 7: y is not finite"
-        assert problem in err
+        assert f"{section}.data: {data_path}: " in err and problem in err
         assert not (tmp_path / "out").exists()
 
     def test_integral_numbers_accepted(self, tmp_path):
@@ -464,6 +485,14 @@ class TestGenerateData:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,choice"
         assert len(lines) == 401
+
+    def test_logit_round_trip(self, tmp_path):
+        out = tmp_path / "logit.csv"
+        assert generate_data("logit", 25, 2, out) == 0
+        offers, choices = _read_columns(out, ("x", "choice"), "target.data").T
+        data = simulate_logit_data(25, (3.0, 3.0), RandomSource(2))
+        np.testing.assert_array_equal(offers, data.offers)
+        np.testing.assert_array_equal(choices, data.choices)
 
     def test_invalid_count(self, tmp_path):
         with pytest.raises(ConfigError, match="n"):
@@ -738,12 +767,71 @@ class TestColumnWriter:
         np.testing.assert_array_equal(_grid_log_f(target, points, threads),
                                       target.log_f(points))
 
-    def test_dataset_matches_csv_writer(self, tmp_path):
-        assert generate_data("smiley", 700, 5, tmp_path / "s.csv") == 0
-        points = sample_smiley_data(700, RandomSource(5))
-        rows = [[repr(float(x)), repr(float(y))] for x, y in points]
-        expected = csv_writer_bytes(tmp_path / "ref.csv", ["x", "y"], rows)
-        assert (tmp_path / "s.csv").read_bytes() == expected
+    @pytest.mark.parametrize("kind", ["smiley", "logit"])
+    def test_dataset_matches_csv_writer(self, tmp_path, kind):
+        assert generate_data(kind, 700, 5, tmp_path / "d.csv") == 0
+        if kind == "smiley":
+            header = ["x", "y"]
+            points = sample_smiley_data(700, RandomSource(5))
+            rows = [[repr(float(x)), repr(float(y))] for x, y in points]
+        else:
+            header = ["x", "choice"]
+            data = simulate_logit_data(700, (3.0, 3.0), RandomSource(5))
+            rows = [[repr(float(x)), int(c)] for x, c in zip(data.offers, data.choices)]
+        expected = csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "d.csv").read_bytes() == expected
+
+
+def report_field_by_field(config, report) -> bytes:
+    """report.json built one field at a time, the reference of the dataclass dump."""
+    rows = [
+        {
+            "group": r.group,
+            "iteration": r.iteration,
+            "acceptance_count": r.acceptance_count,
+            "ess": float(r.ess),
+            "weight_min": float(r.weight_min),
+            "weight_max": float(r.weight_max),
+            "mean": [float(v) for v in r.mean],
+            "cov_diag": [float(v) for v in r.cov_diag],
+        }
+        for r in report.rows
+    ]
+    document = {
+        "algorithm": config.algorithm,
+        "seed": config.seed,
+        "n_particles": report.n_particles,
+        "n_groups": report.n_groups,
+        "n_iterations": report.n_iterations,
+        "rows": rows,
+        "group_divergence": compare_groups(report) if report.n_groups >= 2 else None,
+    }
+    return (json.dumps(document, indent=2) + "\n").encode()
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("recipe", ["sequential", "chain"])
+    def test_report_matches_field_by_field(self, tmp_path, monkeypatch, recipe):
+        if recipe == "sequential":
+            path = tiny_run_config(tmp_path)
+        else:
+            mapping = chain_recipe("mh")
+            mapping["groups"] = 2
+            path = write_config(tmp_path / "c.yaml", mapping)
+        reports = []
+        write_outputs = cli._write_outputs
+
+        def recording(config, target, particles, report, cloud):
+            reports.append(report)
+            write_outputs(config, target, particles, report, cloud)
+
+        monkeypatch.setattr(cli, "_write_outputs", recording)
+        config = parse_config(path)
+        assert run(config) == 0
+        [report] = reports
+        assert report.n_groups == 2
+        expected = report_field_by_field(config, report)
+        assert (tmp_path / "out" / "report.json").read_bytes() == expected
 
 
 class TestInstalledEntryPoint:

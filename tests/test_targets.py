@@ -233,15 +233,6 @@ class TestSimulateLogitData:
         data = simulate_logit_data(100_000, (3.0, 0.0), RandomSource(11))
         assert abs(data.choices.mean() - 0.5) < 0.01
 
-    def test_csv_roundtrip(self, tmp_path):
-        data = simulate_logit_data(25, (3.0, 3.0), RandomSource(2))
-        path = tmp_path / "logit.csv"
-        data.to_csv(path)
-        assert path.read_text().splitlines()[0] == "x,choice"
-        back = LogitData.from_csv(path)
-        np.testing.assert_array_equal(back.offers, data.offers)
-        np.testing.assert_array_equal(back.choices, data.choices)
-
 
 class TestPowered:
     def test_identity_at_one(self, rng):
