@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -352,8 +353,13 @@ def _read_columns(path: Path, names: tuple[str, ...], field: str) -> np.ndarray:
     and ``path``.
     """
     try:
-        rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        with warnings.catch_warnings():
+            # genfromtxt warns of a file with no header row, then fails on it
+            warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
+            rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
         table = np.column_stack([rows[name] for name in names])
+    except UserWarning as err:
+        raise ConfigError(f"{field}: {path}: no header row") from err
     except ValueError as err:  # a missing column or a ragged row
         raise ConfigError(f"{field}: {path}: {err}") from err
     if not len(table):

@@ -2,11 +2,18 @@
 
 Provides KDE-backed target densities (with optional box support) and the
 leave-one-out density estimate that drives kernel-based correction
-weights.  All log-densities are computed through log-sum-exp so thousands
-of kernels cannot underflow.  Every kernel sum runs over blocks of rows
-small enough to stay in a core's cache, and each block is reduced to what
-the caller needs before the next one is formed, so no full
-(positions x points) array is ever built.
+weights.  Every kernel sum runs over blocks of rows small enough to stay
+in a core's cache, and each block is reduced to what the caller needs
+before the next one is formed, so no full (positions x points) array is
+ever built.
+
+A KDE target centres positions and points at the points' mean, and its
+block product is the whole exponent -|z_i - y_j|^2 / 2, which is never
+above 0: each block needs one product, one exp and one sum.  A row whose
+sum falls below a floor lies farther than about 35 bandwidths from every
+point; it is recomputed through log-sum-exp, shifted by its largest term,
+as are the leave-one-out and nearest-neighbour sums, so thousands of
+kernels cannot underflow.
 """
 
 from __future__ import annotations
@@ -26,13 +33,19 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # core's L2 cache, and each numpy call on it holds the GIL released long
 # enough for a second group thread to overlap: on a 2-core Xeon VM, blocks
 # of 2^15 terms left two threads no faster than one.  A block's matrix
-# products make 2^17 multiply-adds per inner coordinate: k + 1 of them for
-# k dimensions (k for the gradient, 2k with per-particle bandwidths).
-# OpenBLAS 0.3.31 keeps products of up to 6 * 2^17 multiply-adds on the
-# calling thread (it splits those of 2^20), so for k <= 5 (k <= 3 with
-# per-particle bandwidths) and up to 2^17 points the group pool keeps the
-# cores and the bits do not depend on the BLAS thread setting.
+# products make 2^17 multiply-adds per inner coordinate: k + 2 of them for
+# a KDE target in k dimensions (k + 1 for leave-one-out sums, k for the
+# gradient, 2k with per-particle bandwidths).  OpenBLAS 0.3.31 keeps
+# products of up to 6 * 2^17 multiply-adds on the calling thread (it
+# splits those of 2^20), so for k <= 4 (k <= 3 with per-particle
+# bandwidths) and up to 2^17 points the group pool keeps the cores and the
+# bits do not depend on the BLAS thread setting.
 _BLOCK_TERMS = 1 << 17
+
+# A KDE row whose unshifted kernel sum is below this lies farther than about
+# 35 bandwidths from every point.  Above it, the terms exp lost to underflow
+# (each under e^-708) are a negligible part of the sum.
+_SUM_FLOOR = float(np.exp(-600.0))
 
 
 def _as_bandwidth(bandwidth, dim: int) -> np.ndarray:
@@ -46,20 +59,33 @@ def _as_bandwidth(bandwidth, dim: int) -> np.ndarray:
     return h
 
 
-def _half_sq_rows(x: np.ndarray):
-    """Row factors a, c of -|x_i - y_j|^2 / 2 = (a @ b)[i, j] + c[i].
+def _sq_dist_rows(x: np.ndarray) -> np.ndarray:
+    """Row factor a = [x, 1, -|x|^2 / 2] of -|x_i - y_j|^2 / 2 = (a @ b)[i, j].
 
-    b comes from :func:`_half_sq_cols`: the column term -|y_j|^2 / 2 rides
-    in the product as one more coordinate.  The row term c is constant
-    along a row, so it stays out of the exponent and is added to the row's
-    log-sum afterwards.
+    b comes from :func:`_sq_dist_cols`.  ``a[:, :-1] @ b[:-1]`` leaves out
+    the row term ``a[:, -1]``, which is constant along a row, for sums that
+    add it to the row's log-sum afterwards.
     """
-    return np.column_stack([x, np.ones(len(x))]), -0.5 * (x * x).sum(axis=1)
+    return np.column_stack([x, np.ones(len(x)), -0.5 * (x * x).sum(axis=1)])
 
 
-def _half_sq_cols(y: np.ndarray) -> np.ndarray:
-    """Column factor b of -|x_i - y_j|^2 / 2, see :func:`_half_sq_rows`."""
-    return np.ascontiguousarray(np.column_stack([y, -0.5 * (y * y).sum(axis=1)]).T)
+def _sq_dist_cols(y: np.ndarray) -> np.ndarray:
+    """Column factor b = [y; -|y|^2 / 2; 1], see :func:`_sq_dist_rows`."""
+    return np.ascontiguousarray(np.column_stack([y, -0.5 * (y * y).sum(axis=1), np.ones(len(y))]).T)
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into ``out``, by GEMM also for one row of a.
+
+    numpy sends a one-row product to gemv, which rounds differently from
+    the GEMM of longer blocks; as the first row of a two-row product, a row
+    has the same bits in a block of any length.
+    """
+    if len(a) == 1:
+        out[:] = (np.repeat(a, 2, axis=0) @ b)[:1]
+    else:
+        np.matmul(a, b, out=out)
+    return out
 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
@@ -69,44 +95,69 @@ def _product_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
     points.  The block's array is reused, so reduce s before the next block.
     """
     for rows, s in _row_blocks(a.shape[0], b.shape[1], _BLOCK_TERMS):
-        np.matmul(a[rows], b, out=s)
+        _product(a[rows], b, s)
         if exclude_self:
             i = np.arange(s.shape[0])
             s[i, rows.start + i] = -np.inf
         yield rows, s
 
 
-def _log_kernel_sums(a, b, values=None, exclude_self: bool = False):
-    """Row-wise log sum_j exp(s_ij) of s = a @ b, block by block.
+def _shifted_sums(s: np.ndarray, values=None):
+    """Row-wise log sum_j exp(s_ij), shifted by each row's largest term.
 
-    Given ``values`` (m, k), also returns the (n, k) means of its rows
-    under each row's weights exp(s_ij); otherwise the second result is None.
+    Given ``values`` (m, k), also returns the (n, k) means of its rows under
+    each row's weights exp(s_ij); otherwise the second result is None.
+    Overwrites s.
+    """
+    shift = s.max(axis=1)
+    s -= shift[:, None]
+    np.exp(s, out=s)
+    total = s.sum(axis=1)
+    means = None if values is None else (s @ values) / total[:, None]
+    return shift + np.log(total), means
+
+
+def _kde_sums(a, b, values=None):
+    """Row-wise log sum_j exp(s_ij) of s = a @ b <= 0, and the means of ``values``.
+
+    a and b come from :func:`_sq_dist_rows` and :func:`_sq_dist_cols`, so
+    exp(s) is summed unshifted.  Rows whose sum falls below _SUM_FLOOR are
+    recomputed by :func:`_shifted_sums` from the product without the row
+    term, with the other such rows of their block only: a row's log-sum
+    does not depend on its batch, and a batch cut at multiples of the
+    block's rows keeps every bit.
     """
     n = a.shape[0]
     log_sums = np.empty(n)
     means = None if values is None else np.empty((n, values.shape[1]))
-    for rows, s in _product_blocks(a, b, exclude_self):
-        shift = s.max(axis=1)
-        s -= shift[:, None]
+    for rows, s in _product_blocks(a, b):
         np.exp(s, out=s)
         total = s.sum(axis=1)
-        log_sums[rows] = shift + np.log(total)
+        far = np.flatnonzero(total < _SUM_FLOOR)
+        total[far] = 1.0
+        log_sums[rows] = np.log(total)
         if means is not None:
             means[rows] = (s @ values) / total[:, None]
+        if len(far):
+            a_far = a[rows][far]
+            s_far = _product(a_far[:, :-1], b[:-1], s[: len(far)])
+            far_sums, far_means = _shifted_sums(s_far, values)
+            log_sums[rows.start + far] = far_sums + a_far[:, -1]
+            if means is not None:
+                means[rows.start + far] = far_means
     return log_sums, means
 
 
 def _kth_neighbour_distance(positions: np.ndarray, scale: np.ndarray, k: int) -> np.ndarray:
     """Distance from each row to its k-th nearest other row, in units of ``scale``."""
     z = positions / scale
-    a, c = _half_sq_rows(z)
-    b = _half_sq_cols(z)
+    a = _sq_dist_rows(z)
     n = len(z)
     kth = np.empty(n)
-    for rows, s in _product_blocks(a, b, exclude_self=True):
+    for rows, s in _product_blocks(a[:, :-1], _sq_dist_cols(z)[:-1], exclude_self=True):
         # the k-th nearest neighbour has the k-th largest -|z_i - z_j|^2 / 2
         kth[rows] = np.partition(s, n - k, axis=1)[:, n - k]
-    return np.sqrt(np.maximum(-2.0 * (kth + c), 0.0))
+    return np.sqrt(np.maximum(-2.0 * (kth + a[:, -1]), 0.0))
 
 
 def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> TargetDensity:
@@ -115,8 +166,9 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     log f(t) = log [ (1 / (n prod h)) sum_m prod_d phi((t_d - p_md) / h_d) ];
     the gradient is analytic: (kernel-weighted mean of the points - t) / h^2.
     Both are reduced block by block from one matrix product per block of
-    positions.  ``constraints`` are attached unmodified, so the kernel
-    itself is untouched and samplers simply bounce off the box.
+    positions, taken about the points' mean so that data far from the
+    origin keep their precision.  ``constraints`` are attached unmodified,
+    so the kernel itself is untouched and samplers simply bounce off the box.
     """
     pts = np.atleast_2d(np.array(points, dtype=float))
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -124,20 +176,22 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     n, dim = pts.shape
     h = _as_bandwidth(bandwidth, dim)
     const = -np.log(n) - np.log(h).sum() - 0.5 * dim * _LOG_2PI
-    b = _half_sq_cols(pts / h)
+    centre = pts.mean(axis=0)
+    y = (pts - centre) / h
+    b = _sq_dist_cols(y)
 
     def batch_log_f(pos):
-        a, c = _half_sq_rows(pos / h)
-        log_sums, _ = _log_kernel_sums(a, b)
-        return log_sums + c + const
+        log_sums, _ = _kde_sums(_sq_dist_rows((pos - centre) / h), b)
+        return log_sums + const
 
     def batch_grad(pos):
-        a, _ = _half_sq_rows(pos / h)
-        _, means = _log_kernel_sums(a, b, values=pts)
-        return (means - pos) / (h * h)
+        z = (pos - centre) / h
+        _, means = _kde_sums(_sq_dist_rows(z), b, values=y)
+        return (means - z) / h
 
-    # the gradient's (block x points) @ points product can change a row's
-    # last bits with the other rows of its block
+    # the gradient's (block x points) @ points product, and the far rows a
+    # block recomputes together, can change a row's last bits with the
+    # other rows of its block
     return _make_target(dim, batch_log_f, batch_grad, constraints=constraints,
                         row_step=_row_step(n, _BLOCK_TERMS))
 
@@ -158,8 +212,8 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
     if h.ndim <= 1:
         h = _as_bandwidth(bandwidth, dim)
         z = positions / h
-        a, c = _half_sq_rows(z)
-        b = _half_sq_cols(z)
+        a = _sq_dist_rows(z)
+        a, c, b = a[:, :-1], a[:, -1], _sq_dist_cols(z)[:-1]
         log_h_sum = np.log(h).sum()
     else:
         if h.shape != (n, dim):
@@ -173,7 +227,9 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
         b = np.ascontiguousarray(np.column_stack([positions, positions**2]).T)
         c = -0.5 * (positions * positions * inv2).sum(axis=1)
         log_h_sum = np.log(h).sum(axis=1)
-    log_sums, _ = _log_kernel_sums(a, b, exclude_self=True)
+    log_sums = np.empty(n)
+    for rows, s in _product_blocks(a, b, exclude_self=True):
+        log_sums[rows], _ = _shifted_sums(s)
     return log_sums + c - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
 
 

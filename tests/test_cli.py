@@ -394,7 +394,8 @@ class TestStrictInputs:
         pytest.param(dataset, edit, id={"missing column": "no y column"}.get(edit, edit)
                      if dataset == "points" else f"{dataset}-{edit}")
         for dataset in ("points", "logit-target", "logit-sequence")
-        for edit in ("missing column", "ragged", "header only", "blank", "text", "inf")
+        for edit in ("missing column", "ragged", "header only", "empty file", "blank", "text",
+                     "inf")
     ])
     def test_bad_point_data_named(self, tmp_path, capsys, dataset, edit):
         # both dataset kinds go through one reader, with the same checks
@@ -417,10 +418,13 @@ class TestStrictInputs:
         elif edit == "header only":
             del lines[1:]
             problem = "no data rows"
+        elif edit == "empty file":
+            lines = None
+            problem = "no header row"
         else:
             lines[7] = f"{x},{dict(blank='', text='abc', inf='inf')[edit]}"
             problem = f"data row 7: {column} is not finite"
-        data_path.write_text("\n".join(lines) + "\n")
+        data_path.write_text("" if lines is None else "\n".join(lines) + "\n")
         path = write_config(tmp_path / "c.yaml", mapping)
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err

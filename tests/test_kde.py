@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from conftest import assert_gradient_matches
 
@@ -78,7 +79,7 @@ class TestKdeTarget:
                     g, gaussian_kernel_grad_log(x, points, h), rtol=1e-10, atol=1e-10
                 )
             # a one-row batch evaluates as that row of the larger batch
-            assert t.log_f(xs[-1:])[0] == pytest.approx(log_f[-1], abs=1e-13)
+            assert t.log_f(xs[-1:])[0] == log_f[-1]
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
@@ -98,12 +99,52 @@ class TestKdeTarget:
     @settings(max_examples=25, deadline=None)
     def test_log_f_rows_do_not_depend_on_their_batch(self, seed, n_points):
         # f(pos[idx]) == f(pos)[idx] exactly, with batches spanning several
-        # blocks of rows: a resampled particle keeps its log-density
+        # blocks of rows, batches whose last block has one row, and rows
+        # about 130 bandwidths beyond every point: a resampled particle
+        # keeps its log-density
         gen = np.random.default_rng(seed)
         target = kde_target(gen.standard_normal((n_points, 2)), [0.3, 0.5])
         pos = 2.0 * gen.standard_normal((600, 2))
-        idx = gen.integers(0, 600, size=gen.integers(1, 700))
-        np.testing.assert_array_equal(target.log_f(pos[idx]), target.log_f(pos)[idx])
+        pos[gen.random(600) < 0.1] += 40.0
+        whole = target.log_f(pos)
+        for size in (gen.integers(1, 700), 1, target.row_step + 1):
+            idx = gen.integers(0, 600, size=size)
+            np.testing.assert_array_equal(target.log_f(pos[idx]), whole[idx])
+
+    def test_rows_beyond_every_kernel(self, rng):
+        # every term of a row about 130 bandwidths from the points underflows
+        # unshifted; such rows are summed in log space
+        h = np.array([0.3, 0.5])
+        points = rng.standard_normal((2048, 2))
+        t = kde_target(points, h)
+        pos = 2.0 * rng.standard_normal((300, 2))
+        far = rng.random(300) < 0.3
+        pos[far] += 40.0
+        log_f, grad = t.log_f(pos), t.grad_log_f(pos)
+        assert np.all(np.isfinite(log_f)) and np.all(np.isfinite(grad))
+        exponents = -0.5 * (((pos[far, None, :] - points) / h) ** 2).sum(axis=-1)
+        expected = (logsumexp(exponents, axis=1) - np.log(len(points)) - np.log(h).sum()
+                    - np.log(2 * np.pi))
+        w = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+        expected_grad = (w @ points / w.sum(axis=1)[:, None] - pos[far]) / h**2
+        np.testing.assert_allclose(log_f[far], expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad[far], expected_grad, rtol=1e-12, atol=0)
+        # a batch cut at multiples of row_step keeps every bit, gradient included
+        cuts = [0, t.row_step, 3 * t.row_step, len(pos)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.testing.assert_array_equal(t.log_f(pos[lo:hi]), log_f[lo:hi])
+            np.testing.assert_array_equal(t.grad_log_f(pos[lo:hi]), grad[lo:hi])
+
+    def test_data_far_from_the_origin(self, rng):
+        # positions and points are taken about the points' mean, so an
+        # offset of 1e6 costs no precision
+        h = [0.3, 0.5]
+        points = rng.standard_normal((500, 2))
+        xs = 2.0 * rng.standard_normal((50, 2))
+        near, offset = kde_target(points, h), kde_target(points + 1e6, h)
+        np.testing.assert_allclose(offset.log_f(xs + 1e6), near.log_f(xs), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(offset.grad_log_f(xs + 1e6), near.grad_log_f(xs),
+                                   rtol=0, atol=1e-8)
 
     def test_gradient_matches_finite_differences(self, rng):
         points = rng.standard_normal((30, 2)) * [1.0, 3.0]

@@ -447,6 +447,24 @@ class TestRunSmc:
         for ea, eb in zip(a.ensembles, b.ensembles):
             np.testing.assert_array_equal(ea.positions, eb.positions)
 
+    def test_rows_beyond_every_kernel_do_not_depend_on_threads(self, rng):
+        # a flattened KDE stage keeps the particles about 130 bandwidths from
+        # every point, so one group's row chunks carry rows whose kernel sums
+        # are taken in log space
+        points = rng.standard_normal((1000, 2))
+        seq = annealing_sequence(kde_target(points, [0.3, 0.3]), [1e-4, 2e-4],
+                                 initial=diag_gaussian_initial([40.0, 40.0], [5.0, 5.0]))
+        runs = [run_smc(seq, SmcConfig(n_particles=512, mutation=HmcConfig(1.0, 5, 1.0),
+                                       n_threads=threads), RandomSource(5))
+                for threads in (1, 2, 3)]
+        final = runs[0].ensembles[0].positions
+        nearest = np.sqrt(((final[:, None, :] - points) ** 2).sum(axis=-1)).min(axis=1)
+        assert np.mean(nearest > 35 * 0.3) > 0.9
+        for run in runs[1:]:
+            for (ea, fa), (eb, fb) in zip(runs[0].history[0], run.history[0], strict=True):
+                np.testing.assert_array_equal(ea.positions, eb.positions)
+                np.testing.assert_array_equal(fa, fb)
+
     @pytest.mark.parametrize("groups, threads, particles, chunks", [
         (1, 1, 512, 1), (1, 3, 512, 3), (1, 3, 300, 2), (1, 64, 512, 4), (1, 2, 100, 1),
         (2, 2, 512, 1), (4, 2, 512, 1), (2, 3, 512, 1), (2, 64, 512, 1),
