@@ -9,7 +9,7 @@ from .core import (
     TargetDensity,
     normalize_weights,
 )
-from .diagnostics import MomentSummary, effective_sample_size, mode_mass, weighted_moments
+from .diagnostics import MomentSummary, effective_sample_size, weighted_moments
 from .kde import kde_target, loo_log_density_all, silverman_bandwidth
 from .kernels import (
     HmcConfig,

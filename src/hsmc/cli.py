@@ -18,9 +18,10 @@ between ``algorithm``/``seed`` and ``group_divergence``.
 
 Outputs contain no timestamps and floats are written with full
 round-trip precision, so identical configs and seeds produce
-byte-identical files regardless of ``--threads``.  The threads run
-particle groups or a one-group run's row chunks, and then evaluate the
-grid in row chunks cut as a mutation's are.
+byte-identical files regardless of ``--threads``.  The threads run the
+particle groups, each group cutting its mutations' rows into chunks for
+the threads the groups leave over, and then evaluate the grid in row
+chunks cut as a mutation's are.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import yaml
 
 from .core import (
     BoxConstraints, DegenerateWeightsError, RandomSource, TargetDensity, _chunk_bounds,
-    _chunk_count,
+    _chunk_count, _map_chunks,
 )
 from .kernels import HmcConfig, MhConfig, hmc_step, mh_step
 from .smc import (
@@ -484,11 +485,9 @@ def _grid_log_f(target: TargetDensity, points: np.ndarray, threads: int) -> np.n
     """
     chunks = _chunk_count(len(points), threads)
     bounds = _chunk_bounds(len(points), chunks, target.row_step)
-    if len(bounds) == 2:
-        return target.log_f(points)
     runs = [points[a:b] for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        return np.concatenate(list(pool.map(target.log_f, runs)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(_map_chunks(target.log_f, runs, pool))
 
 
 def _write_grid(path: Path, target: TargetDensity, lower, upper, resolution: int,
@@ -668,8 +667,9 @@ def main(argv=None) -> int:
                             help="record every iteration's particles, not just the final ones")
     run_parser.add_argument("--threads", type=int, default=None,
                             help="worker threads (default: the usable cores); they run "
-                                 "particle groups, or a one-group run's particle rows, "
-                                 "and then evaluate the grid (outputs are unaffected)")
+                                 "the particle groups, each group's particle rows split "
+                                 "over the threads the groups leave over, and then "
+                                 "evaluate the grid (outputs are unaffected)")
 
     gen_parser = sub.add_parser("gen-data", help="generate a benchmark dataset")
     gen_parser.add_argument("kind", choices=DATA_KINDS)

@@ -13,6 +13,7 @@ travel as RandomSources, not inside it.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -192,11 +193,11 @@ def _row_blocks(n_rows: int, n_cols: int, terms: int, shape: tuple = ()):
         yield slice(start, stop), buf[..., : stop - start, :]
 
 
-# Fewest rows a chunk takes, which bounds the threads a one-group run keeps
-# busy.  Small chunks cost little, but threads queue for the interpreter lock
-# between their numpy calls: on a 2-core VM one 512-row logit mutation took
-# 0.52 s as 2 to 16 chunks on 2 threads, and 0.53, 0.68, 0.80 and 1.77 s as
-# one chunk per thread on 4, 8, 16 and 64 threads.
+# Fewest rows a chunk takes, which bounds the threads a group's mutation or
+# the grid keeps busy.  Small chunks cost little, but threads queue for the
+# interpreter lock between their numpy calls: on a 2-core VM one 512-row
+# logit mutation took 0.52 s as 2 to 16 chunks on 2 threads, and 0.53, 0.68,
+# 0.80 and 1.77 s as one chunk per thread on 4, 8, 16 and 64 threads.
 _MIN_CHUNK_ROWS = 128
 
 
@@ -207,6 +208,20 @@ def _chunk_count(n_rows: int, threads: int) -> int:
     of mutation chunks and of the CLI's grid.
     """
     return max(1, min(threads, n_rows // _MIN_CHUNK_ROWS))
+
+
+def _map_chunks(fn: Callable, runs: list, pool: Executor) -> list:
+    """``[fn(run) for run in runs]``, with every run but the first offered to ``pool``.
+
+    The caller computes the first run and then, in order, every run no
+    worker has started yet, before it waits for the runs the workers took.
+    No thread waits on a task that has not started, so a task may itself
+    map chunks on the same bounded pool without deadlock.
+    """
+    futures = [pool.submit(fn, run) for run in runs[1:]]
+    first = fn(runs[0])
+    mine = [fn(run) if future.cancel() else None for run, future in zip(runs[1:], futures)]
+    return [first] + [r if f.cancelled() else f.result() for r, f in zip(mine, futures)]
 
 
 def _chunk_bounds(n: int, chunks: int, row_step: int) -> list[int]:

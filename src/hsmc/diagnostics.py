@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import DegenerateWeightsError, Ensemble
 
-__all__ = ["MomentSummary", "weighted_moments", "effective_sample_size", "mode_mass"]
+__all__ = ["MomentSummary", "weighted_moments", "effective_sample_size"]
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,3 @@ def effective_sample_size(weights) -> float:
     # need not round correctly, so rescaling w by 2**k could move the last bit
     return float(total * total / denom)
 
-
-def mode_mass(ensemble: Ensemble, mode_centers) -> np.ndarray:
-    """Fraction of the ensemble's particles nearest to each mode center.
-
-    Particles are assigned to their nearest center in Euclidean distance;
-    the returned fractions sum to 1 and permuting the centers permutes the
-    fractions.
-    """
-    centers = np.atleast_2d(np.asarray(mode_centers, dtype=float))
-    if centers.shape[0] < 1 or centers.size == 0:
-        raise ValueError("need at least one mode center")
-    if centers.shape[1] != ensemble.dim:
-        raise ValueError("mode centers must match the ensemble dimension")
-    d2 = ((ensemble.positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    nearest = d2.argmin(axis=1)
-    return np.bincount(nearest, minlength=centers.shape[0]) / ensemble.n_particles

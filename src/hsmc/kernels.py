@@ -40,7 +40,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
-    Ensemble, RandomSource, TargetDensity, _child_keys, _chunk_bounds, _readonly,
+    Ensemble, RandomSource, TargetDensity, _child_keys, _chunk_bounds, _map_chunks, _readonly,
 )
 
 __all__ = [
@@ -312,10 +312,11 @@ def mutate_ensemble(
     step evaluates a start gradient.
 
     The rows are cut into at most ``chunks`` runs at multiples of
-    ``target.row_step``, and each run takes all ``steps`` steps as one task
-    on ``pool`` (in turn when there is no pool).  Every row keeps its own
-    draws, and the cuts keep each row's target values, so the result does
-    not depend on ``chunks``.
+    ``target.row_step``, and each run takes all ``steps`` steps as one task.
+    The caller steps the first run, and the others too unless a worker of
+    ``pool`` has started them (all in turn when there is no pool).  Every
+    row keeps its own draws, and the cuts keep each row's target values, so
+    the result does not depend on ``chunks``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -340,7 +341,7 @@ def mutate_ensemble(
 
     bounds = _chunk_bounds(ensemble.n_particles, chunks, target.row_step)
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    parts = (map if pool is None else pool.map)(trajectory, runs)
+    parts = map(trajectory, runs) if pool is None else _map_chunks(trajectory, runs, pool)
     positions, final_lf, accepted, counts = zip(*parts)
     return MutationResult(Ensemble(np.concatenate(positions)), sum(counts),
                           np.concatenate(accepted), np.concatenate(final_lf))

@@ -11,8 +11,9 @@ the current particle cloud, with kernels widened for stragglers and the
 weights truncated.  :func:`correction_weights` computes either rule
 whole, exactly as a run applies it, so a stage is one call each to
 correction, selection and mutation.  Independent particle groups run on
-a thread pool and are compared afterwards as a convergence check; a run
-of one group splits each mutation's rows across the pool instead.
+a thread pool and are compared afterwards as a convergence check; each
+group cuts its mutations' rows into chunks for the threads the groups
+leave over.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -30,7 +31,7 @@ gradient itself.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -149,10 +150,12 @@ class TargetSequence:
 class SmcConfig:
     """Engine parameters: ensemble sizes, mutation kernel and weight rule.
 
-    ``n_threads`` defaults to 1 because the engine calls the stage targets
-    from every thread of its pool, and a caller's own target may not be
-    thread-safe; the CLI builds only built-in targets and defaults to the
-    usable cores.
+    The groups run on a pool of ``n_threads`` threads, and each group cuts
+    its mutations' rows into chunks for ``ceil(n_threads / n_groups)`` of
+    them.  ``n_threads`` defaults to 1 because the engine calls the stage
+    targets from every thread of its pool, and a caller's own target may
+    not be thread-safe; the CLI builds only built-in targets and defaults
+    to the usable cores.
     """
 
     n_particles: int
@@ -400,11 +403,9 @@ def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np
 
 
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
-               pool: ThreadPoolExecutor | None = None):
-    """Group ``group``'s whole run; given a ``pool``, each mutation's rows split across it."""
-    chunks = 1
-    if pool is not None:
-        chunks = _chunk_count(config.n_particles, config.n_threads)
+               pool: Executor):
+    """Group ``group``'s whole run, each mutation's rows cut into chunks on ``pool``."""
+    chunks = _chunk_count(config.n_particles, -(-config.n_threads // config.n_groups))
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
@@ -454,11 +455,12 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
-    derived random stream, on a pool of ``n_threads`` threads that run whole
-    groups.  A run of one group instead splits each stage's mutation into
-    ``n_threads`` chunks of rows on the pool, fewer when a chunk would get
-    under ``core._MIN_CHUNK_ROWS`` rows.  The thread count never changes the
-    results.  The returned history keeps every stage's ensemble.  Raises
+    derived random stream, as a task on a pool of ``n_threads`` threads.
+    Each group cuts every stage's mutation into one chunk of rows for each
+    of its ``ceil(n_threads / n_groups)`` threads, fewer when a chunk would
+    get under ``core._MIN_CHUNK_ROWS`` rows, and hands the chunks after its
+    first to the same pool.  The thread count never changes the results.
+    The returned history keeps every stage's ensemble.  Raises
     :class:`DegenerateWeightsError` (carrying the stage index) when every
     particle dies under some stage.
     """
@@ -466,11 +468,8 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
         raise TypeError("run_smc needs a RandomSource")
 
     with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-        if config.n_groups == 1:
-            results = [_run_group(0, sequence, config, rng, pool)]
-        else:
-            results = list(pool.map(lambda j: _run_group(j, sequence, config, rng),
-                                    range(config.n_groups)))
+        results = list(pool.map(lambda j: _run_group(j, sequence, config, rng, pool),
+                                range(config.n_groups)))
 
     report = RunReport(
         n_particles=config.n_particles,

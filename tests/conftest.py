@@ -46,6 +46,23 @@ def leapfrog_proposal(target, positions, momenta, config):
     return q, p
 
 
+def mode_mass(ensemble, mode_centers):
+    """Fraction of the ensemble's particles nearest to each mode center.
+
+    Particles are assigned to their nearest center in Euclidean distance;
+    the returned fractions sum to 1 and permuting the centers permutes the
+    fractions.
+    """
+    centers = np.atleast_2d(np.asarray(mode_centers, dtype=float))
+    if centers.shape[0] < 1 or centers.size == 0:
+        raise ValueError("need at least one mode center")
+    if centers.shape[1] != ensemble.dim:
+        raise ValueError("mode centers must match the ensemble dimension")
+    d2 = ((ensemble.positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+    nearest = d2.argmin(axis=1)
+    return np.bincount(nearest, minlength=centers.shape[0]) / ensemble.n_particles
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

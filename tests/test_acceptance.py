@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import assert_gradient_matches, leapfrog_proposal, reflect_into_box
+from conftest import assert_gradient_matches, leapfrog_proposal, mode_mass, reflect_into_box
 
 import hsmc
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource
-from hsmc.diagnostics import effective_sample_size, mode_mass
+from hsmc.diagnostics import effective_sample_size
 from hsmc.kde import loo_log_density_all, silverman_bandwidth
 from hsmc.kernels import (
     HmcConfig,

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +12,7 @@ from hsmc.core import (
     Ensemble,
     RandomSource,
     _child_keys,
+    _map_chunks,
     normalize_weights,
 )
 
@@ -146,3 +150,61 @@ class TestChildKeys:
         for i in range(5):
             state = source.derive(i).generator().bit_generator.state["state"]
             np.testing.assert_array_equal(keys[i], state["key"])
+
+
+def _finishes(call, timeout=30.0):
+    """Run ``call`` on a daemon thread; return (finished, its result, the thread's ident)."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive(), out, thread.ident
+
+
+class TestMapChunks:
+    def test_the_caller_runs_what_no_worker_started(self):
+        # the pool's only worker is held, so a helper that waited on a queued
+        # run would never return
+        started, release = threading.Event(), threading.Event()
+
+        def hold():
+            started.set()
+            release.wait()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                pool.submit(hold)
+                assert started.wait(30.0)
+                finished, out, caller = _finishes(
+                    lambda: _map_chunks(lambda run: (run, threading.get_ident()), [0, 1, 2, 3],
+                                        pool))
+            finally:
+                release.set()
+        assert finished, "_map_chunks waited on a run no worker had started"
+        assert out == [[(run, caller) for run in range(4)]]
+
+    def test_nested_maps_finish_on_one_worker(self):
+        # groups that map their own chunks on the pool the groups run on
+        pool = ThreadPoolExecutor(max_workers=1)
+
+        def group(g):
+            return _map_chunks(lambda c: (g, c), [0, 1, 2], pool)
+
+        try:
+            finished, out, _ = _finishes(lambda: _map_chunks(group, [0, 1, 2, 3], pool))
+        finally:
+            # cancelling what is queued frees a worker stuck on a queued chunk
+            pool.shutdown(cancel_futures=True)
+        assert finished, "nested maps deadlocked the pool"
+        assert out == [[[(g, c) for c in range(3)] for g in range(4)]]
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_an_error_in_a_run_reaches_the_caller(self, failing):
+        def fn(run):
+            if run == failing:
+                raise ValueError(f"run {run} failed")
+            return run
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(ValueError, match=f"run {failing} failed"):
+                _map_chunks(fn, [0, 1, 2, 3], pool)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mode_mass
+
 from hsmc.core import DegenerateWeightsError, Ensemble
-from hsmc.diagnostics import effective_sample_size, mode_mass, weighted_moments
+from hsmc.diagnostics import effective_sample_size, weighted_moments
 
 
 class TestWeightedMoments:

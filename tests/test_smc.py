@@ -447,6 +447,24 @@ class TestRunSmc:
         for ea, eb in zip(a.ensembles, b.ensembles):
             np.testing.assert_array_equal(ea.positions, eb.positions)
 
+        # 384 particles a group and stages of 1200 and 2400 points, whose row
+        # steps are 109 and 54: at 3 and 5 threads every group cuts its rows
+        # into 2 or 3 chunks, which run beside the other groups on one pool
+        seq = kde_blocks_sequence(rng.standard_normal((2400, 2)), 1200,
+                                  initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
+        assert [stage.row_step for stage in seq.stages] == [109, 54]
+        for groups in (2, 4):
+            runs = [run_smc(seq, SmcConfig(n_particles=384, n_groups=groups,
+                                           mutation=HmcConfig(1.0, 5, 0.05),
+                                           weight_mode="loo_kde_ratio", n_threads=threads),
+                            RandomSource(9))
+                    for threads in (1, 3, 5)]
+            for run in runs[1:]:
+                for ha, hb in zip(runs[0].history, run.history, strict=True):
+                    for (ea, fa), (eb, fb) in zip(ha, hb, strict=True):
+                        np.testing.assert_array_equal(ea.positions, eb.positions)
+                        np.testing.assert_array_equal(fa, fb)
+
     def test_rows_beyond_every_kernel_do_not_depend_on_threads(self, rng):
         # a flattened KDE stage keeps the particles about 130 bandwidths from
         # every point, so one group's row chunks carry rows whose kernel sums
@@ -467,12 +485,13 @@ class TestRunSmc:
 
     @pytest.mark.parametrize("groups, threads, particles, chunks", [
         (1, 1, 512, 1), (1, 3, 512, 3), (1, 3, 300, 2), (1, 64, 512, 4), (1, 2, 100, 1),
-        (2, 2, 512, 1), (4, 2, 512, 1), (2, 3, 512, 1), (2, 64, 512, 1),
+        (2, 2, 512, 1), (4, 2, 512, 1), (2, 3, 512, 2), (2, 64, 512, 4),
     ])
-    def test_rows_split_only_in_one_group_runs(self, monkeypatch, groups, threads, particles,
-                                               chunks):
-        # one group splits its rows across the threads, at least
-        # _MIN_CHUNK_ROWS = 128 to a chunk; more groups map on the pool whole
+    def test_groups_cut_rows_for_their_share_of_threads(self, monkeypatch, groups, threads,
+                                                         particles, chunks):
+        # each group cuts its rows into one chunk for each of its
+        # ceil(threads / groups) threads, at least _MIN_CHUNK_ROWS = 128 to a
+        # chunk
         seen = []
 
         def recording(*args):
