@@ -669,7 +669,8 @@ def main(argv=None) -> int:
                             help="worker threads (default: the usable cores); they run "
                                  "the particle groups, each group's particle rows split "
                                  "over the threads the groups leave over, and then "
-                                 "evaluate the grid (outputs are unaffected)")
+                                 "evaluate the grid (outputs are unaffected; threads "
+                                 "beyond the usable cores cost time)")
 
     gen_parser = sub.add_parser("gen-data", help="generate a benchmark dataset")
     gen_parser.add_argument("kind", choices=DATA_KINDS)

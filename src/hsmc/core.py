@@ -117,6 +117,14 @@ class TargetDensity:
     and a row's bits may depend on the other rows of its run but on no
     others, so a batch cut at multiples of ``row_step`` gives the same bits
     piece by piece as whole.  It is 1 when rows do not depend on their batch.
+
+    ``log_f_and_grad``, when set, maps a batch to ``(log_f, grad_log_f)``
+    at once, with exactly the bits of the two separate calls.  It is not a
+    constructor argument: a target's own constructor sets it, with
+    ``object.__setattr__``, when both calls share most of their work, and
+    when it is None :func:`_log_f_and_grad` composes the two callables.
+    ``replace`` builds a target without it, so a wrapper of ``log_f`` or
+    ``grad_log_f`` made with ``replace`` is always the density it evaluates.
     """
 
     dim: int
@@ -124,6 +132,8 @@ class TargetDensity:
     grad_log_f: Callable[[np.ndarray], np.ndarray]
     constraints: BoxConstraints | None = None
     row_step: int = 1
+    log_f_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, init=False)
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -132,6 +142,13 @@ class TargetDensity:
             raise ValueError("row_step must be a positive integer")
         if self.constraints is not None and self.constraints.dim != self.dim:
             raise ValueError("constraints dimension does not match target dim")
+
+
+def _log_f_and_grad(target: TargetDensity, positions: np.ndarray):
+    """``(target.log_f(positions), target.grad_log_f(positions))``, fused when the target can."""
+    if target.log_f_and_grad is not None:
+        return target.log_f_and_grad(positions)
+    return target.log_f(positions), target.grad_log_f(positions)
 
 
 @dataclass(frozen=True)

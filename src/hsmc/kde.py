@@ -9,11 +9,15 @@ ever built.
 
 A KDE target centres positions and points at the points' mean, and its
 block product is the whole exponent -|z_i - y_j|^2 / 2, which is never
-above 0: each block needs one product, one exp and one sum.  A row whose
-sum falls below a floor lies farther than about 35 bandwidths from every
-point; it is recomputed through log-sum-exp, shifted by its largest term,
-as are the leave-one-out and nearest-neighbour sums, so thousands of
-kernels cannot underflow.
+above 0: each block needs one product and one exp, then a row sum for
+log f and, for the gradient, one product with [points, 1], whose last
+column is the sum the kernel-weighted means divide by.  A fused log f and
+gradient call takes both from the same exp.  A row whose sum falls below
+a floor lies farther than about 35 bandwidths from every point; it is
+recomputed through log-sum-exp, shifted by its largest term, as are the
+leave-one-out and nearest-neighbour sums, so thousands of kernels cannot
+underflow.  The floor test, the log, the division and that fallback run
+once per call, not once per block.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # enough for a second group thread to overlap: on a 2-core Xeon VM, blocks
 # of 2^15 terms left two threads no faster than one.  A block's matrix
 # products make 2^17 multiply-adds per inner coordinate: k + 2 of them for
-# a KDE target in k dimensions (k + 1 for leave-one-out sums, k for the
-# gradient, 2k with per-particle bandwidths).  OpenBLAS 0.3.31 keeps
-# products of up to 6 * 2^17 multiply-adds on the calling thread (it
-# splits those of 2^20), so for k <= 4 (k <= 3 with per-particle
-# bandwidths) and up to 2^17 points the group pool keeps the cores and the
-# bits do not depend on the BLAS thread setting.
+# a KDE target in k dimensions (k + 1 for leave-one-out sums and for the
+# gradient's product with [points, 1], 2k with per-particle bandwidths).
+# OpenBLAS 0.3.31 keeps products of up to 6 * 2^17 multiply-adds on the
+# calling thread (it splits those of 2^20), so for k <= 4 (k <= 3 with
+# per-particle bandwidths) and up to 2^17 points the group pool keeps the
+# cores and the bits do not depend on the BLAS thread setting.
 _BLOCK_TERMS = 1 << 17
 
 # A KDE row whose unshifted kernel sum is below this lies farther than about
@@ -117,34 +121,60 @@ def _shifted_sums(s: np.ndarray, values=None):
     return shift + np.log(total), means
 
 
-def _kde_sums(a, b, values=None):
+def _far_sums(a, b, far, values=None):
+    """:func:`_shifted_sums` of the rows ``far`` of a @ b, with their row terms.
+
+    a and b are as in :func:`_kde_sums`.  The far rows of each block of
+    that function's rows are recomputed together, and with no others, so a
+    batch cut at multiples of the block's rows keeps every bit.
+    """
+    log_sums = np.empty(len(far))
+    means = None if values is None else np.empty((len(far), values.shape[1]))
+    block = far // _row_step(b.shape[1], _BLOCK_TERMS)
+    for idx in np.split(np.arange(len(far)), np.flatnonzero(np.diff(block)) + 1):
+        a_far = a[far[idx]]
+        s = _product(a_far[:, :-1], b[:-1], np.empty((len(idx), b.shape[1])))
+        sums, mu = _shifted_sums(s, values)
+        log_sums[idx] = sums + a_far[:, -1]
+        if means is not None:
+            means[idx] = mu
+    return log_sums, means
+
+
+def _kde_sums(a, b, values=None, log=True):
     """Row-wise log sum_j exp(s_ij) of s = a @ b <= 0, and the means of ``values``.
 
     a and b come from :func:`_sq_dist_rows` and :func:`_sq_dist_cols`, so
-    exp(s) is summed unshifted.  Rows whose sum falls below _SUM_FLOOR are
-    recomputed by :func:`_shifted_sums` from the product without the row
-    term, with the other such rows of their block only: a row's log-sum
-    does not depend on its batch, and a batch cut at multiples of the
-    block's rows keeps every bit.
+    exp(s) is summed unshifted.  ``values`` is [y, 1], (m, k + 1): one
+    product exp(s) @ values per block gives the rows' weighted sums of y
+    and, in its last column, the sums the means of y divide by.  The
+    log-sums, wanted when ``log`` is set, come from ``s.sum`` instead, so
+    they have the same bits with or without ``values``.  Either result is
+    None when not asked for.  Rows whose sum falls below _SUM_FLOOR are
+    recomputed by :func:`_far_sums` from the product without the row term.
     """
     n = a.shape[0]
-    log_sums = np.empty(n)
-    means = None if values is None else np.empty((n, values.shape[1]))
+    total = np.empty(n) if log else None
+    weighted = None if values is None else np.empty((n, values.shape[1]))
     for rows, s in _product_blocks(a, b):
         np.exp(s, out=s)
-        total = s.sum(axis=1)
+        if weighted is not None:
+            np.matmul(s, values, out=weighted[rows])
+        if total is not None:
+            s.sum(axis=1, out=total[rows])
+    log_sums = means = None
+    if total is not None:
         far = np.flatnonzero(total < _SUM_FLOOR)
         total[far] = 1.0
-        log_sums[rows] = np.log(total)
-        if means is not None:
-            means[rows] = (s @ values) / total[:, None]
+        log_sums = np.log(total)
         if len(far):
-            a_far = a[rows][far]
-            s_far = _product(a_far[:, :-1], b[:-1], s[: len(far)])
-            far_sums, far_means = _shifted_sums(s_far, values)
-            log_sums[rows.start + far] = far_sums + a_far[:, -1]
-            if means is not None:
-                means[rows.start + far] = far_means
+            log_sums[far] = _far_sums(a, b, far)[0]
+    if weighted is not None:
+        far = np.flatnonzero(weighted[:, -1] < _SUM_FLOOR)
+        weighted[far, -1] = 1.0
+        means = weighted[:, :-1] / weighted[:, -1:]
+        if len(far):
+            means[far] = _far_sums(a, b, far, values[:, :-1])[1]
     return log_sums, means
 
 
@@ -165,10 +195,11 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
 
     log f(t) = log [ (1 / (n prod h)) sum_m prod_d phi((t_d - p_md) / h_d) ];
     the gradient is analytic: (kernel-weighted mean of the points - t) / h^2.
-    Both are reduced block by block from one matrix product per block of
-    positions, taken about the points' mean so that data far from the
-    origin keep their precision.  ``constraints`` are attached unmodified,
-    so the kernel itself is untouched and samplers simply bounce off the box.
+    Both are reduced block by block from the exp of one matrix product per
+    block of positions, taken about the points' mean so that data far from
+    the origin keep their precision; the target's ``log_f_and_grad`` takes
+    both from one such pass.  ``constraints`` are attached unmodified, so
+    the kernel itself is untouched and samplers simply bounce off the box.
     """
     pts = np.atleast_2d(np.array(points, dtype=float))
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -179,6 +210,7 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     centre = pts.mean(axis=0)
     y = (pts - centre) / h
     b = _sq_dist_cols(y)
+    y1 = np.column_stack([y, np.ones(n)])
 
     def batch_log_f(pos):
         log_sums, _ = _kde_sums(_sq_dist_rows((pos - centre) / h), b)
@@ -186,14 +218,20 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
 
     def batch_grad(pos):
         z = (pos - centre) / h
-        _, means = _kde_sums(_sq_dist_rows(z), b, values=y)
+        _, means = _kde_sums(_sq_dist_rows(z), b, y1, log=False)
         return (means - z) / h
 
-    # the gradient's (block x points) @ points product, and the far rows a
-    # block recomputes together, can change a row's last bits with the
-    # other rows of its block
+    def batch_log_f_and_grad(pos):
+        z = (pos - centre) / h
+        log_sums, means = _kde_sums(_sq_dist_rows(z), b, y1)
+        return log_sums + const, (means - z) / h
+
+    # the gradient's (block x points) @ [points, 1] product, and the far
+    # rows a block recomputes together, can change a row's last bits with
+    # the other rows of its block
     return _make_target(dim, batch_log_f, batch_grad, constraints=constraints,
-                        row_step=_row_step(n, _BLOCK_TERMS))
+                        row_step=_row_step(n, _BLOCK_TERMS),
+                        batch_log_f_and_grad=batch_log_f_and_grad)
 
 
 def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:

@@ -22,11 +22,15 @@ reused Philox, before its first step.
 
 One step function, ``_step``, proposes and accepts for both kernels:
 it builds the random-walk or leapfrog proposal, evaluates log f once
-there and applies one Metropolis test.  Steps carry each row's log f and
-gradient from one step to the next: a row ends where its proposal was
-accepted or where it started, and the last leapfrog gradient is the one
-at the proposal, so no point is evaluated twice and only the first
-Hamiltonian step evaluates a start gradient.  A row keeps its place in
+there and applies one Metropolis test.  The last leapfrog step takes log
+f and the gradient at the proposal in one call of the target's
+``log_f_and_grad`` when it has one, so a KDE target forms each
+proposal's kernel sums once; other targets make the two separate calls.
+Steps carry each row's log f and gradient from one step to the next: a
+row ends where its proposal was accepted or where it started, and the
+last leapfrog gradient is the one at the proposal, so no point is
+evaluated twice and only the first Hamiltonian step evaluates a start
+gradient.  A row keeps its place in
 the batch through a mutation, so a carried value has the bits that
 evaluating the new batch would give.
 """
@@ -40,7 +44,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
-    Ensemble, RandomSource, TargetDensity, _child_keys, _chunk_bounds, _map_chunks, _readonly,
+    Ensemble, RandomSource, TargetDensity, _child_keys, _chunk_bounds, _log_f_and_grad,
+    _map_chunks, _readonly,
 )
 
 __all__ = [
@@ -155,13 +160,16 @@ def _reflect_box(
 def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
     """L leapfrog steps, then momentum negation: the proposal map, its own inverse.
 
-    ``grad0`` is grad log f at ``positions``.  Returns (q, p, grad log f at q);
-    that last gradient is the final half step's, so it is evaluated once.
+    ``grad0`` is grad log f at ``positions``.  Returns (q, p, log f at q,
+    grad log f at q).  The last step, whose gradient is the final half
+    step's, evaluates both at once with :func:`core._log_f_and_grad`, so a
+    target with a fused ``log_f_and_grad`` takes one pass at the proposal.
     """
     mass = config.mass_for(positions.shape[1])
     eps = config.step_size
     box = target.constraints
     lower = box.lower if box is not None else None
+    last = config.leapfrog_steps - 1
 
     q = positions
     # half step momentum; note grad U = -grad log f
@@ -170,9 +178,10 @@ def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
         q = q + eps * p / mass
         if box is not None:
             q, p = _reflect_box(q, p, lower, box.upper)
-        grad = target.grad_log_f(q)
-        p = p + (eps if step < config.leapfrog_steps - 1 else 0.5 * eps) * grad
-    return q, -p, grad
+        if step < last:
+            p = p + eps * target.grad_log_f(q)
+    lf, grad = _log_f_and_grad(target, q)
+    return q, -(p + 0.5 * eps * grad), lf, grad
 
 
 def _stage_draws(rng: RandomSource, n: int, dim: int, steps: int):
@@ -204,7 +213,9 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
     """One Metropolis step of every row from its draws ``noise`` and ``log_u``.
 
     ``lf`` is log f at the rows and ``grad`` its gradient; given None, a
-    Hamiltonian step evaluates it.  Row i's ``dim`` standard normals
+    Hamiltonian step evaluates it.  A random-walk step evaluates log f at
+    the proposal; a Hamiltonian step takes it, with the gradient there,
+    from :func:`_leapfrog_batch`.  Row i's ``dim`` standard normals
     ``noise[i]`` are the random-walk noise, or the momentum before scaling
     by sqrt(M), and ``log_u[i]`` is the log uniform of its accept test.
     Rows at zero density, NaN log ratios and divergent trajectories are
@@ -218,8 +229,7 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
             if grad is None:
                 grad = target.grad_log_f(positions)
             kin0 = 0.5 * ((momenta**2) / mass).sum(axis=-1)
-            q, p, new_grad = _leapfrog_batch(target, positions, momenta, grad, kernel)
-            lf1 = target.log_f(q)
+            q, p, lf1, new_grad = _leapfrog_batch(target, positions, momenta, grad, kernel)
             kin1 = 0.5 * ((p**2) / mass).sum(axis=-1)
             finite = np.all(np.isfinite(q), axis=-1)
             log_ratio = np.where(finite, (lf1 - lf) + (kin0 - kin1), np.nan)

@@ -46,11 +46,13 @@ def _make_target(
     batch_grad: Callable[[np.ndarray], np.ndarray],
     constraints: BoxConstraints | None = None,
     row_step: int = 1,
+    batch_log_f_and_grad: Callable[[np.ndarray], tuple] | None = None,
 ) -> TargetDensity:
     """Wrap batched implementations into a TargetDensity.
 
     Adds the ``(n, dim)`` shape check and -inf masking of everything
-    outside the constraint box.
+    outside the constraint box, to the fused ``batch_log_f_and_grad`` too
+    when it is given.
     """
 
     def checked(position) -> np.ndarray:
@@ -59,16 +61,27 @@ def _make_target(
             raise ValueError(f"positions must have shape (n, dim) = (n, {dim}), got {pos.shape}")
         return pos
 
+    def masked(pos, out):
+        out = np.asarray(out, dtype=float)
+        return out if constraints is None else np.where(constraints.contains(pos), out, -np.inf)
+
     def log_f(position):
         pos = checked(position)
-        out = np.asarray(batch_log_f(pos), dtype=float)
-        return out if constraints is None else np.where(constraints.contains(pos), out, -np.inf)
+        return masked(pos, batch_log_f(pos))
 
     def grad_log_f(position):
         return np.asarray(batch_grad(checked(position)), dtype=float)
 
-    return TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints,
-                         row_step=row_step)
+    def log_f_and_grad(position):
+        pos = checked(position)
+        out, grad = batch_log_f_and_grad(pos)
+        return masked(pos, out), np.asarray(grad, dtype=float)
+
+    target = TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints,
+                           row_step=row_step)
+    if batch_log_f_and_grad is not None:
+        object.__setattr__(target, "log_f_and_grad", log_f_and_grad)
+    return target
 
 
 def rosenbrock() -> TargetDensity:

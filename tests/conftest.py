@@ -40,7 +40,7 @@ def reflect_into_box(q, p, lower, upper):
 def leapfrog_proposal(target, positions, momenta, config):
     """The leapfrog trajectory map on a batch of (n, dim) phase points."""
     positions = np.asarray(positions, dtype=float)
-    q, p, _ = _leapfrog_batch(
+    q, p, _, _ = _leapfrog_batch(
         target, positions, np.asarray(momenta, dtype=float), target.grad_log_f(positions), config
     )
     return q, p

@@ -71,6 +71,9 @@ class TestKdeTarget:
             xs = rng.standard_normal((n, 2)) * 1.5
             log_f = t.log_f(xs)
             grad = t.grad_log_f(xs)
+            fused_log_f, fused_grad = t.log_f_and_grad(xs)
+            np.testing.assert_array_equal(fused_log_f, log_f)
+            np.testing.assert_array_equal(fused_grad, grad)
             for x, value, g in zip(xs, log_f, grad):
                 assert value == pytest.approx(
                     np.log(gaussian_kernel_density(x, points, h)), abs=1e-12
@@ -134,6 +137,22 @@ class TestKdeTarget:
         for lo, hi in zip(cuts, cuts[1:]):
             np.testing.assert_array_equal(t.log_f(pos[lo:hi]), log_f[lo:hi])
             np.testing.assert_array_equal(t.grad_log_f(pos[lo:hi]), grad[lo:hi])
+
+    @pytest.mark.parametrize("box", [None, BoxConstraints([-2.0, -2.0], [41.0, 41.0])])
+    def test_fused_call_has_the_bits_of_the_separate_calls(self, box, rng):
+        # with rows about 130 bandwidths beyond every point, rows outside
+        # the box, and batches cut at multiples of row_step
+        t = kde_target(rng.standard_normal((2048, 2)), [0.3, 0.5], box)
+        pos = 2.0 * rng.standard_normal((300, 2))
+        pos[rng.random(300) < 0.3] += 40.0
+        log_f, grad = t.log_f(pos), t.grad_log_f(pos)
+        if box is not None:
+            assert 0 < np.isneginf(log_f).sum() < len(pos)
+        cuts = [0, t.row_step, 3 * t.row_step, len(pos)]
+        for lo, hi in zip([0, *cuts], [len(pos), *cuts[1:]]):
+            fused_log_f, fused_grad = t.log_f_and_grad(pos[lo:hi])
+            np.testing.assert_array_equal(fused_log_f, log_f[lo:hi])
+            np.testing.assert_array_equal(fused_grad, grad[lo:hi])
 
     def test_data_far_from_the_origin(self, rng):
         # positions and points are taken about the points' mean, so an

@@ -558,9 +558,11 @@ class TestRunSmc:
             assert result.ensembles[j] is history[-1][0]
 
 
-def counting(target):
-    """``target`` with the rows passed to log_f and grad_log_f counted."""
-    counts = {"log_f": 0, "grad": 0}
+def counting(target, counts):
+    """``target`` with the rows passed to log_f and grad_log_f added to ``counts``.
+
+    A target with a native log_f_and_grad has its rows counted under "fused".
+    """
 
     def log_f(pos):
         counts["log_f"] += len(pos)
@@ -570,7 +572,16 @@ def counting(target):
         counts["grad"] += len(pos)
         return target.grad_log_f(pos)
 
-    return replace(target, log_f=log_f, grad_log_f=grad_log_f), counts
+    def log_f_and_grad(pos):
+        counts["fused"] += len(pos)
+        return target.log_f_and_grad(pos)
+
+    # replace drops the native fused call; the counted target sets its own
+    counted = replace(target, log_f=log_f, grad_log_f=grad_log_f)
+    if target.log_f_and_grad is not None:
+        counts.setdefault("fused", 0)
+        object.__setattr__(counted, "log_f_and_grad", log_f_and_grad)
+    return counted
 
 
 class TestEvaluationCounts:
@@ -578,10 +589,12 @@ class TestEvaluationCounts:
 
     N, T = 16, 4
 
-    def run_counted(self, mutation, steps, mode):
-        target, counts = counting(gaussian([0.5, -0.5], [1.0, 2.0]))
-        seq = annealing_sequence(target, [0.25, 0.5, 0.75, 1.0],
-                                 initial=diag_gaussian_initial([0.0, 0.0], [2.0, 2.0]))
+    def run_counted(self, mutation, steps, mode, seq=None):
+        if seq is None:
+            seq = annealing_sequence(gaussian([0.5, -0.5], [1.0, 2.0]), [0.25, 0.5, 0.75, 1.0],
+                                     initial=diag_gaussian_initial([0.0, 0.0], [2.0, 2.0]))
+        counts = {"log_f": 0, "grad": 0}
+        seq = TargetSequence(tuple(counting(t, counts) for t in seq.stages), seq.initial)
         cfg = SmcConfig(n_particles=self.N, mutation=mutation, mutation_steps=steps,
                         weight_mode=mode)
         run_smc(seq, cfg, RandomSource(8))
@@ -597,17 +610,38 @@ class TestEvaluationCounts:
                           "grad": self.T * (n + steps * leapfrog * n)}
 
     @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
+    def test_hmc_stage_on_a_fused_target(self, mode):
+        # per stage: N log f rows at the correction; per step (L - 1) N
+        # gradient rows and N fused rows at the proposals, with no log f
+        # rows there; N start-gradient rows
+        n, steps, leapfrog = self.N, 3, 5
+        points = np.random.default_rng(4).standard_normal((200, 2))
+        seq = kde_blocks_sequence(points, 50, initial=diag_gaussian_initial([0.0, 0.0],
+                                                                            [2.0, 2.0]))
+        assert seq.n_stages == self.T
+        counts = self.run_counted(HmcConfig(1.0, leapfrog, 0.1), steps, mode, seq)
+        assert counts == {"log_f": self.T * n, "fused": self.T * steps * n,
+                          "grad": self.T * (1 + steps * (leapfrog - 1)) * n}
+
+    @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
     def test_mh_smc_makes_two_evaluations_per_particle_and_stage(self, mode):
         counts = self.run_counted(MhConfig(0.5), 1, mode)
         assert counts == {"log_f": self.T * 2 * self.N, "grad": 0}
 
     def test_mutation_hands_back_the_final_log_f(self, rng):
-        target = gaussian([0.5, -0.5], [1.0, 2.0])
-        ens = Ensemble(rng.standard_normal((self.N, 2)))
-        for kernel in (HmcConfig(1.0, 5, 0.1), MhConfig(0.5)):
-            result = mutate_ensemble(target, ens, kernel, 3, RandomSource(2),
-                                     target.log_f(ens.positions))
-            np.testing.assert_array_equal(result.log_f, target.log_f(result.ensemble.positions))
+        # the boxed KDE target's proposals take log f from its fused call;
+        # a replace-d KDE target with a prior added must not
+        box = BoxConstraints([-2.0, -2.0], [2.0, 2.0])
+        kde = kde_target(rng.standard_normal((200, 2)), 0.5, box)
+        with_prior = replace(kde, log_f=lambda pos: kde.log_f(pos) - 0.5 * (pos**2).sum(axis=1),
+                             grad_log_f=lambda pos: kde.grad_log_f(pos) - pos)
+        ens = Ensemble(np.clip(rng.standard_normal((self.N, 2)), -1.9, 1.9))
+        for target in (gaussian([0.5, -0.5], [1.0, 2.0]), kde, with_prior):
+            for kernel in (HmcConfig(1.0, 5, 0.1), MhConfig(0.5)):
+                result = mutate_ensemble(target, ens, kernel, 3, RandomSource(2),
+                                         target.log_f(ens.positions))
+                np.testing.assert_array_equal(result.log_f,
+                                              target.log_f(result.ensemble.positions))
 
 
 def _report_from_group_stats(stats, n_particles):

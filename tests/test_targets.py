@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from conftest import assert_gradient_matches
 
 import hsmc
 from hsmc import targets
-from hsmc.core import RandomSource
+from hsmc.core import RandomSource, _log_f_and_grad
 from hsmc.kde import kde_target
 from hsmc.targets import (
     DROPWAVE_BOX,
@@ -340,6 +342,44 @@ class TestRowStep:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="row_step"):
             hsmc.TargetDensity(1, np.zeros, np.zeros, row_step=0)
+
+
+def assert_fused_call_matches(target, pos):
+    """The fused log f and gradient have the bits of the two separate calls."""
+    log_f, grad = _log_f_and_grad(target, pos)
+    np.testing.assert_array_equal(log_f, target.log_f(pos))
+    np.testing.assert_array_equal(grad, target.grad_log_f(pos))
+
+
+class TestFusedCall:
+    """``log_f_and_grad``, native or composed, against ``log_f`` and ``grad_log_f``."""
+
+    @pytest.mark.parametrize(
+        "name", ["rosenbrock", "gaussian", "smiley", "dropwave", "logit", "powered", "bridge"])
+    def test_targets_without_a_native_call_compose_their_two_calls(self, name, rng):
+        kde = kde_target(rng.standard_normal((1000, 2)), 0.5, DROPWAVE_BOX)
+        target = {
+            "rosenbrock": rosenbrock,
+            "gaussian": lambda: gaussian([1.0, -2.0], [2.0, 0.5]),
+            "smiley": smiley,
+            "dropwave": dropwave,
+            "logit": lambda: nonlinear_logit_loglik(
+                simulate_logit_data(60, (3.0, 3.0), RandomSource(3))),
+            "powered": lambda: powered(kde, 2.5),
+            # the KDE end's box masks log f; the terms are 0 * -inf at phi = 1
+            "bridge": lambda: geometric_bridge(kde, gaussian([0.0, 0.0], [4.0, 4.0]), 1.0),
+        }[name]()
+        # no native call, so they make the calls they make without one
+        assert target.log_f_and_grad is None
+        assert_fused_call_matches(target, rng.uniform(-3.0, 3.0, size=(300, 2)))
+
+    def test_the_native_call_is_not_a_constructor_argument(self, rng):
+        kde = kde_target(rng.standard_normal((200, 2)), 0.5)
+        assert kde.log_f_and_grad is not None
+        # a replace-d wrapper evaluates its own log_f, never a stale fused call
+        assert replace(kde, log_f=lambda pos: kde.log_f(pos) + 1.0).log_f_and_grad is None
+        with pytest.raises(TypeError):
+            hsmc.TargetDensity(2, kde.log_f, kde.grad_log_f, log_f_and_grad=kde.log_f_and_grad)
 
 
 class TestGradientProperty:
