@@ -39,13 +39,12 @@ import numpy as np
 import yaml
 
 from .core import (
-    BoxConstraints, DegenerateWeightsError, RandomSource, TargetDensity, _chunk_bounds,
-    _chunk_count, _map_chunks,
+    BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity,
+    _chunk_bounds, _chunk_count, _map_chunks,
 )
 from .kernels import HmcConfig, MhConfig, hmc_step, mh_step
 from .smc import (
     InitialDistribution,
-    IterationRecord,
     RunReport,
     SmcConfig,
     annealing_sequence,
@@ -56,6 +55,7 @@ from .smc import (
     run_smc,
     tempering_sequence,
     uniform_box_initial,
+    _iteration_record,
 )
 from .targets import (
     LogitData,
@@ -534,46 +534,28 @@ def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray
 
 def _run_mcmc(config: RunConfig) -> int:
     target = _build_target(config)
-    start = np.array(config.start)
     step = hmc_step if config.algorithm == "hmc" else mh_step
     root = RandomSource(config.seed)
+    groups, length = config.n_groups, config.iterations + 1
 
-    report_rows = []
-    chains, accepted_flags = [], []
-    for j in range(config.n_groups):
+    positions = np.empty((groups, length, len(config.start)))
+    accepted = np.ones((groups, length), dtype=bool)
+    positions[:, 0] = config.start
+    rows = []
+    for j in range(groups):
         gen = root.derive(j).generator()
-        chain, accepted = [start], [True]
-        for _ in range(config.iterations):
-            out = step(target, chain[-1], config.kernel, gen)
-            chain.append(out.new_position)
-            accepted.append(out.accepted)
-        samples = np.array(chain)
-        chains.append(samples)
-        accepted_flags.extend(accepted)
-        report_rows.append(
-            IterationRecord(
-                group=j,
-                iteration=config.iterations,
-                acceptance_count=sum(accepted[1:]),
-                ess=float(samples.shape[0]),
-                weight_min=1.0 / samples.shape[0],
-                weight_max=1.0 / samples.shape[0],
-                mean=samples.mean(axis=0),
-                cov_diag=samples.var(axis=0),
-            )
-        )
+        for i in range(1, length):
+            out = step(target, positions[j, i - 1], config.kernel, gen)
+            positions[j, i], accepted[j, i] = out.new_position, out.accepted
+        # each chain state counts once: unit weights
+        rows.append(_iteration_record(j, config.iterations, int(accepted[j, 1:].sum()),
+                                      Ensemble(positions[j]), np.ones(length)))
 
-    report = RunReport(
-        n_particles=config.iterations + 1,
-        n_groups=config.n_groups,
-        n_iterations=config.iterations,
-        rows=tuple(report_rows),
-    )
-    length = config.iterations + 1
-    positions = np.vstack(chains)
-    particles = (np.repeat(np.arange(config.n_groups), length),
-                 np.tile(np.arange(length), config.n_groups),
-                 np.zeros(len(positions), dtype=int), positions, np.array(accepted_flags))
+    report = RunReport(n_particles=length, n_groups=groups, n_iterations=config.iterations,
+                       rows=tuple(rows))
+    positions = positions.reshape(-1, positions.shape[2])
+    particles = (np.repeat(np.arange(groups), length), np.tile(np.arange(length), groups),
+                 np.zeros(len(positions), dtype=int), positions, accepted.ravel())
     _write_outputs(config, target, particles, report, positions)
     return 0
 

@@ -20,17 +20,9 @@ class MomentSummary:
 
 
 def weighted_moments(ensemble: Ensemble) -> MomentSummary:
-    """Sample mean and diagonal covariance of an equally weighted ensemble.
-
-    Population normalization (divide by N).  The moments are dot products
-    with the weight vector 1/N: a plain ``mean(axis=0)`` rounds differently
-    and would change the last bits of the values a report records.
-    """
-    w = np.full(ensemble.n_particles, 1.0 / ensemble.n_particles)
-    mean = w @ ensemble.positions
-    centered = ensemble.positions - mean
-    cov_diag = w @ (centered**2)
-    return MomentSummary(mean, cov_diag)
+    """Population mean and variance (divide by N) of equally weighted rows."""
+    positions = ensemble.positions
+    return MomentSummary(positions.mean(axis=0), positions.var(axis=0))
 
 
 def effective_sample_size(weights) -> float:

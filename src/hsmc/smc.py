@@ -402,6 +402,16 @@ def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np
     return base[None, :] * widen[:, None]
 
 
+def _iteration_record(group: int, iteration: int, accepted: int, ensemble: Ensemble,
+                      weights) -> IterationRecord:
+    """The report row of ``ensemble``, whose ESS and weight extrema come from ``weights``."""
+    probs = normalize_weights(weights)
+    moments = weighted_moments(ensemble)
+    return IterationRecord(group, iteration, accepted, effective_sample_size(weights),
+                           float(probs.min()), float(probs.max()), moments.mean,
+                           moments.covariance_diag)
+
+
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
                pool: Executor):
     """Group ``group``'s whole run, each mutation's rows cut into chunks on ``pool``."""
@@ -423,7 +433,6 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
         try:
             w, log_next = correction_weights(ens, f_t, log_prev, config.weight_mode,
                                              bandwidth_fallback)
-            probs = normalize_weights(w)
         except DegenerateWeightsError as err:
             raise DegenerateWeightsError(
                 f"degenerate weights at stage {t} of group {group}: {err}", stage=t
@@ -434,19 +443,7 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
             f_t, Ensemble(ens.positions[idx]), config.mutation, config.mutation_steps,
             group_rng.derive(MUTATION_STREAM, t), log_next[idx], pool, chunks,
         )
-        moments = weighted_moments(ens)
-        rows.append(
-            IterationRecord(
-                group=group,
-                iteration=t,
-                acceptance_count=accepted_count,
-                ess=effective_sample_size(w),
-                weight_min=float(probs.min()),
-                weight_max=float(probs.max()),
-                mean=moments.mean,
-                cov_diag=moments.covariance_diag,
-            )
-        )
+        rows.append(_iteration_record(group, t, accepted_count, ens, w))
         history.append((ens, accepted))
     return rows, tuple(history)
 

@@ -677,6 +677,26 @@ class TestRunOutputs:
         lines = (tmp_path / "out" / "particles.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 51  # header + (iterations + start) per chain
 
+    def test_mcmc_report_rows_weigh_states_equally(self, tmp_path):
+        iterations = 50
+        path = write_config(tmp_path / "mh.yaml", {
+            "algorithm": "mh", "seed": 5, "output": "out",
+            "iterations": iterations, "groups": 2, "start": [0.0, 0.0],
+            "kernel": {"type": "mh", "proposal_scale": 0.2},
+            "target": {"name": "rosenbrock"},
+        })
+        assert run(parse_config(path)) == 0
+        table = np.genfromtxt(tmp_path / "out" / "particles.csv", delimiter=",", names=True)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [row["group"] for row in report["rows"]] == [0, 1]
+        for row in report["rows"]:
+            chain = np.column_stack([table["x0"], table["x1"]])[table["group"] == row["group"]]
+            assert len(chain) == iterations + 1
+            assert row["ess"] == float(iterations + 1)
+            assert row["weight_min"] == row["weight_max"] == 1 / (iterations + 1)
+            assert row["mean"] == chain.mean(axis=0).tolist()
+            assert row["cov_diag"] == chain.var(axis=0).tolist()
+
     @staticmethod
     def degenerate_config(tmp_path):
         data_path = tmp_path / "points.csv"
