@@ -269,7 +269,6 @@ def parse_config(path) -> RunConfig:
         output = base_dir / output
     kernel = _build_kernel(_require(raw, "kernel", ""))
 
-    threads = _as_int(raw.get("threads", _usable_cores()), "threads", minimum=1)
     n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
     record_all = raw.get("record_all", False)
     if not isinstance(record_all, bool):
@@ -287,6 +286,8 @@ def parse_config(path) -> RunConfig:
         iterations = _as_int(_require(raw, "iterations", ""), "iterations", minimum=1)
         n_particles = 0
         mutation_steps = 1
+        # a chain steps one state at a time, and its grid is one small call
+        threads = 1
         start = raw.get("start")
         start = _as_vector(start, "start") if start is not None else None
         if raw["kernel"]["type"] != algorithm:
@@ -299,6 +300,7 @@ def parse_config(path) -> RunConfig:
         iterations = 0
         n_particles = _as_int(_require(raw, "particles", ""), "particles", minimum=2)
         mutation_steps = _as_int(raw.get("mutation_steps", 1), "mutation_steps", minimum=1)
+        threads = _as_int(raw.get("threads", _usable_cores()), "threads", minimum=1)
 
     config = RunConfig(
         algorithm=algorithm,
@@ -478,13 +480,9 @@ def _write_particles(path: Path, group, iteration, particle_id, positions, accep
 
 
 def _grid_log_f(target: TargetDensity, points: np.ndarray, threads: int) -> np.ndarray:
-    """``target.log_f(points)`` in row chunks on ``threads`` threads, cut as a mutation's are.
-
-    The cuts fall on multiples of ``target.row_step``, so the thread count
-    does not change the bits.
-    """
+    """``target.log_f(points)`` in row chunks on ``threads`` threads, cut as a mutation's are."""
     chunks = _chunk_count(len(points), threads)
-    bounds = _chunk_bounds(len(points), chunks, target.row_step)
+    bounds = _chunk_bounds(len(points), chunks)
     runs = [points[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.concatenate(_map_chunks(target.log_f, runs, pool))

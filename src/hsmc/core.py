@@ -112,43 +112,29 @@ class TargetDensity:
     gradient is finite wherever ``log_f`` is.  ``constraints`` restricts
     the support to a box; samplers bounce trajectories off its walls.
 
-    ``row_step`` comes from the target's constructor, never from a user.
-    A target computes a batch in runs of ``row_step`` rows from its start,
-    and a row's bits may depend on the other rows of its run but on no
-    others, so a batch cut at multiples of ``row_step`` gives the same bits
-    piece by piece as whole.  It is 1 when rows do not depend on their batch.
-
-    ``log_f_and_grad``, when set, maps a batch to ``(log_f, grad_log_f)``
-    at once, with exactly the bits of the two separate calls.  It is not a
-    constructor argument: a target's own constructor sets it, with
-    ``object.__setattr__``, when both calls share most of their work, and
-    when it is None :func:`_log_f_and_grad` composes the two callables.
-    ``replace`` builds a target without it, so a wrapper of ``log_f`` or
-    ``grad_log_f`` made with ``replace`` is always the density it evaluates.
+    ``log_f_and_grad`` maps a batch to ``(log_f, grad_log_f)`` at once,
+    with exactly the bits of the two separate calls.  It is not a
+    constructor argument: the target composes it from ``log_f`` and
+    ``grad_log_f``, and a target's own constructor replaces it, with
+    ``object.__setattr__``, by one call when both share most of their work.
+    ``replace`` composes it anew, so a wrapper of ``log_f`` or
+    ``grad_log_f`` made with ``replace`` always evaluates what it wraps.
     """
 
     dim: int
     log_f: Callable[[np.ndarray], np.ndarray]
     grad_log_f: Callable[[np.ndarray], np.ndarray]
     constraints: BoxConstraints | None = None
-    row_step: int = 1
-    log_f_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, init=False)
+    log_f_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValueError("dim must be a positive integer")
-        if int(self.row_step) < 1:
-            raise ValueError("row_step must be a positive integer")
         if self.constraints is not None and self.constraints.dim != self.dim:
             raise ValueError("constraints dimension does not match target dim")
-
-
-def _log_f_and_grad(target: TargetDensity, positions: np.ndarray):
-    """``(target.log_f(positions), target.grad_log_f(positions))``, fused when the target can."""
-    if target.log_f_and_grad is not None:
-        return target.log_f_and_grad(positions)
-    return target.log_f(positions), target.grad_log_f(positions)
+        log_f, grad_log_f = self.log_f, self.grad_log_f
+        object.__setattr__(self, "log_f_and_grad", lambda pos: (log_f(pos), grad_log_f(pos)))
 
 
 @dataclass(frozen=True)
@@ -179,6 +165,23 @@ class Ensemble:
         return self.positions.shape[1]
 
 
+def _as_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int, once it is an integral number of at least ``minimum``.
+
+    int() would truncate 2.7 to 2 and take True as 1; the ValueError names
+    ``name``.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if isinstance(value, bool) or count is None or count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return count
+
+
 def normalize_weights(weights) -> np.ndarray:
     """Return weights divided by their sum (sums to 1 within 1e-12).
 
@@ -190,24 +193,6 @@ def normalize_weights(weights) -> np.ndarray:
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateWeightsError("weights sum to zero or are non-finite")
     return w / total
-
-
-def _row_step(n_cols: int, terms: int) -> int:
-    """Rows per block of :func:`_row_blocks`."""
-    return max(1, terms // n_cols)
-
-
-def _row_blocks(n_rows: int, n_cols: int, terms: int, shape: tuple = ()):
-    """Yield (rows, buf): blocks of about ``terms`` entries of (n_rows, n_cols).
-
-    ``buf`` is scratch of shape ``shape + (len(rows), n_cols)``, reused by
-    every block: reduce a block before the next one is formed.
-    """
-    step = _row_step(n_cols, terms)
-    buf = np.empty(shape + (min(step, n_rows), n_cols))
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        yield slice(start, stop), buf[..., : stop - start, :]
 
 
 # Fewest rows a chunk takes, which bounds the threads a group's mutation or
@@ -241,13 +226,9 @@ def _map_chunks(fn: Callable, runs: list, pool: Executor) -> list:
     return [first] + [r if f.cancelled() else f.result() for r, f in zip(mine, futures)]
 
 
-def _chunk_bounds(n: int, chunks: int, row_step: int) -> list[int]:
-    """Bounds of at most ``chunks`` nearly equal runs of n rows, cut at multiples of row_step.
-
-    Cuts that would round to 0 or n are dropped, so a step that leaves no
-    interior cut gives one run.
-    """
-    cuts = {row_step * round(i * n / (chunks * row_step)) for i in range(1, chunks)}
+def _chunk_bounds(n: int, chunks: int) -> list[int]:
+    """Bounds of at most ``chunks`` nearly equal runs of n rows."""
+    cuts = {round(i * n / chunks) for i in range(1, chunks)}
     return [0, *sorted(c for c in cuts if 0 < c < n), n]
 
 

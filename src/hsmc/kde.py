@@ -5,7 +5,9 @@ leave-one-out density estimate that drives kernel-based correction
 weights.  Every kernel sum runs over blocks of rows small enough to stay
 in a core's cache, and each block is reduced to what the caller needs
 before the next one is formed, so no full (positions x points) array is
-ever built.
+ever built.  Every block over the same points has one height, the last
+one padded with zero rows, so a row's bits never depend on the other
+rows of its batch.
 
 A KDE target centres positions and points at the points' mean, and its
 block product is the whole exponent -|z_i - y_j|^2 / 2, which is never
@@ -24,20 +26,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _row_blocks, _row_step,
-)
+from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity
 from .targets import _make_target
 
 __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Kernel terms per block of rows.  A block (1 MB of float64) stays in a
-# core's L2 cache, and each numpy call on it holds the GIL released long
-# enough for a second group thread to overlap: on a 2-core Xeon VM, blocks
-# of 2^15 terms left two threads no faster than one.  A block's matrix
-# products make 2^17 multiply-adds per inner coordinate: k + 2 of them for
+# Most kernel terms per block of rows.  A block (at most 1 MB of float64)
+# stays in a core's L2 cache, and each numpy call on it holds the GIL
+# released long enough for a second group thread to overlap: on a 2-core
+# Xeon VM, blocks of 2^15 terms left two threads no faster than one.  A
+# block's matrix products make at most 2^17 multiply-adds per inner
+# coordinate: k + 2 of them for
 # a KDE target in k dimensions (k + 1 for leave-one-out sums and for the
 # gradient's product with [points, 1], 2k with per-particle bandwidths).
 # OpenBLAS 0.3.31 keeps products of up to 6 * 2^17 multiply-adds on the
@@ -45,6 +46,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # per-particle bandwidths) and up to 2^17 points the group pool keeps the
 # cores and the bits do not depend on the BLAS thread setting.
 _BLOCK_TERMS = 1 << 17
+
+# Most rows per block.  Every product of a kernel sum over m points has
+# one height, a power of two: on OpenBLAS 0.3.31 a row of such a product,
+# at heights 2 to 128 and m = 64 to 40,000, kept its bits in every place
+# of the block, while at heights such as 5, 65 or 131 rows changed with
+# their neighbours.
+_MAX_BLOCK_ROWS = 128
 
 # A KDE row whose unshifted kernel sum is below this lies farther than about
 # 35 bandwidths from every point.  Above it, the terms exp lost to underflow
@@ -78,31 +86,39 @@ def _sq_dist_cols(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.column_stack([y, -0.5 * (y * y).sum(axis=1), np.ones(len(y))]).T)
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into ``out``, by GEMM also for one row of a.
+def _block_height(n_cols: int) -> int:
+    """Rows of every product block of a kernel sum over ``n_cols`` points.
 
-    numpy sends a one-row product to gemv, which rounds differently from
-    the GEMM of longer blocks; as the first row of a two-row product, a row
-    has the same bits in a block of any length.
+    The largest power of two that is at most _MAX_BLOCK_ROWS and at most
+    max(1, _BLOCK_TERMS // n_cols).  OpenBLAS 0.3.31 gives a row of a
+    product of such a height the same bits in every place of the block,
+    so a row computed in a block of this height, padded or not, does not
+    depend on the rows around it.
     """
-    if len(a) == 1:
-        out[:] = (np.repeat(a, 2, axis=0) @ b)[:1]
-    else:
-        np.matmul(a, b, out=out)
-    return out
+    return min(_MAX_BLOCK_ROWS, 1 << (max(1, _BLOCK_TERMS // n_cols).bit_length() - 1))
 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
-    """Yield (rows, s) with s = a[rows] @ b, about _BLOCK_TERMS entries at a time.
+    """Yield (rows, s): a[rows] @ b in the first rows of s, _block_height rows a block.
 
+    Every product has that height: the last block is padded with zero rows
+    of a, whose rows of s are 0, so exp stays on its fast path there, and
+    callers keep only s's first ``rows.stop - rows.start`` rows.
     ``exclude_self`` sets s[i, i] to -inf, for a and b built from the same
     points.  The block's array is reused, so reduce s before the next block.
     """
-    for rows, s in _row_blocks(a.shape[0], b.shape[1], _BLOCK_TERMS):
-        _product(a[rows], b, s)
+    height = _block_height(b.shape[1])
+    s = np.empty((height, b.shape[1]))
+    padded = np.zeros((height, a.shape[1]))
+    for start in range(0, len(a), height):
+        rows = slice(start, min(start + height, len(a)))
+        block = a[rows]
+        if len(block) < height:
+            padded[: len(block)] = block
+        np.matmul(block if len(block) == height else padded, b, out=s)
         if exclude_self:
-            i = np.arange(s.shape[0])
-            s[i, rows.start + i] = -np.inf
+            i = np.arange(len(block))
+            s[i, start + i] = -np.inf
         yield rows, s
 
 
@@ -121,23 +137,20 @@ def _shifted_sums(s: np.ndarray, values=None):
     return shift + np.log(total), means
 
 
-def _far_sums(a, b, far, values=None):
-    """:func:`_shifted_sums` of the rows ``far`` of a @ b, with their row terms.
+def _far_sums(a, b, values=None):
+    """:func:`_shifted_sums` of the rows of a @ b, with their row terms.
 
-    a and b are as in :func:`_kde_sums`.  The far rows of each block of
-    that function's rows are recomputed together, and with no others, so a
-    batch cut at multiples of the block's rows keeps every bit.
+    a and b are as in :func:`_kde_sums`; a holds only the far rows, in
+    blocks of their own, which no row's bits depend on.
     """
-    log_sums = np.empty(len(far))
-    means = None if values is None else np.empty((len(far), values.shape[1]))
-    block = far // _row_step(b.shape[1], _BLOCK_TERMS)
-    for idx in np.split(np.arange(len(far)), np.flatnonzero(np.diff(block)) + 1):
-        a_far = a[far[idx]]
-        s = _product(a_far[:, :-1], b[:-1], np.empty((len(idx), b.shape[1])))
+    log_sums = np.empty(len(a))
+    means = None if values is None else np.empty((len(a), values.shape[1]))
+    for rows, s in _product_blocks(a[:, :-1], b[:-1]):
         sums, mu = _shifted_sums(s, values)
-        log_sums[idx] = sums + a_far[:, -1]
+        real = rows.stop - rows.start
+        log_sums[rows] = sums[:real] + a[rows, -1]
         if means is not None:
-            means[idx] = mu
+            means[rows] = mu[:real]
     return log_sums, means
 
 
@@ -158,23 +171,24 @@ def _kde_sums(a, b, values=None, log=True):
     weighted = None if values is None else np.empty((n, values.shape[1]))
     for rows, s in _product_blocks(a, b):
         np.exp(s, out=s)
+        real = rows.stop - rows.start
         if weighted is not None:
-            np.matmul(s, values, out=weighted[rows])
+            weighted[rows] = (s @ values)[:real]
         if total is not None:
-            s.sum(axis=1, out=total[rows])
+            s[:real].sum(axis=1, out=total[rows])
     log_sums = means = None
     if total is not None:
         far = np.flatnonzero(total < _SUM_FLOOR)
         total[far] = 1.0
         log_sums = np.log(total)
         if len(far):
-            log_sums[far] = _far_sums(a, b, far)[0]
+            log_sums[far] = _far_sums(a[far], b)[0]
     if weighted is not None:
         far = np.flatnonzero(weighted[:, -1] < _SUM_FLOOR)
         weighted[far, -1] = 1.0
         means = weighted[:, :-1] / weighted[:, -1:]
         if len(far):
-            means[far] = _far_sums(a, b, far, values[:, :-1])[1]
+            means[far] = _far_sums(a[far], b, values[:, :-1])[1]
     return log_sums, means
 
 
@@ -186,7 +200,7 @@ def _kth_neighbour_distance(positions: np.ndarray, scale: np.ndarray, k: int) ->
     kth = np.empty(n)
     for rows, s in _product_blocks(a[:, :-1], _sq_dist_cols(z)[:-1], exclude_self=True):
         # the k-th nearest neighbour has the k-th largest -|z_i - z_j|^2 / 2
-        kth[rows] = np.partition(s, n - k, axis=1)[:, n - k]
+        kth[rows] = np.partition(s[: rows.stop - rows.start], n - k, axis=1)[:, n - k]
     return np.sqrt(np.maximum(-2.0 * (kth + a[:, -1]), 0.0))
 
 
@@ -226,11 +240,7 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
         log_sums, means = _kde_sums(_sq_dist_rows(z), b, y1)
         return log_sums + const, (means - z) / h
 
-    # the gradient's (block x points) @ [points, 1] product, and the far
-    # rows a block recomputes together, can change a row's last bits with
-    # the other rows of its block
     return _make_target(dim, batch_log_f, batch_grad, constraints=constraints,
-                        row_step=_row_step(n, _BLOCK_TERMS),
                         batch_log_f_and_grad=batch_log_f_and_grad)
 
 
@@ -267,7 +277,7 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
         log_h_sum = np.log(h).sum(axis=1)
     log_sums = np.empty(n)
     for rows, s in _product_blocks(a, b, exclude_self=True):
-        log_sums[rows], _ = _shifted_sums(s)
+        log_sums[rows], _ = _shifted_sums(s[: rows.stop - rows.start])
     return log_sums + c - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
 
 

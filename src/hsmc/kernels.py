@@ -4,13 +4,9 @@ Random-walk Metropolis-Hastings and a leapfrog Hamiltonian step, both
 with a diagonal mass / scale generalization, plus reflective position
 updates that bounce trajectories off box constraints.  Every step runs on
 an ``(n, dim)`` batch: row i draws ``dim`` normals and then one uniform
-from its own stream.  A batch cut at multiples of the target's
-``row_step`` therefore steps piece by piece bit-identically to stepping
-it whole.  The step is 1 for targets whose rows do not depend on their
-batch, so their rows can even be stepped one at a time; a KDE target
-computes its gradient in blocks of rows whose products can change a
-row's last bits with the rows around it, and its ``row_step`` is that
-block's height.
+from its own stream.  No built-in target's rows depend on their batch,
+so a batch cut anywhere steps piece by piece bit-identically to stepping
+it whole, and its rows can even be stepped one at a time.
 
 ``mutate_ensemble`` steps a whole ensemble, each particle on its own
 derived stream, and can step such pieces on a thread pool; ``mh_step``
@@ -24,15 +20,14 @@ One step function, ``_step``, proposes and accepts for both kernels:
 it builds the random-walk or leapfrog proposal, evaluates log f once
 there and applies one Metropolis test.  The last leapfrog step takes log
 f and the gradient at the proposal in one call of the target's
-``log_f_and_grad`` when it has one, so a KDE target forms each
-proposal's kernel sums once; other targets make the two separate calls.
+``log_f_and_grad``, so a KDE target forms each proposal's kernel sums
+once; other targets compose it from the two separate calls.
 Steps carry each row's log f and gradient from one step to the next: a
 row ends where its proposal was accepted or where it started, and the
 last leapfrog gradient is the one at the proposal, so no point is
 evaluated twice and only the first Hamiltonian step evaluates a start
-gradient.  A row keeps its place in
-the batch through a mutation, so a carried value has the bits that
-evaluating the new batch would give.
+gradient.  A carried value has the bits that evaluating the new batch
+would give, since no row depends on its batch.
 """
 
 from __future__ import annotations
@@ -44,8 +39,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
-    Ensemble, RandomSource, TargetDensity, _child_keys, _chunk_bounds, _log_f_and_grad,
-    _map_chunks, _readonly,
+    Ensemble, RandomSource, TargetDensity, _as_count, _child_keys, _chunk_bounds, _map_chunks,
+    _readonly,
 )
 
 __all__ = [
@@ -77,9 +72,8 @@ class HmcConfig:
         if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
             raise ValueError("mass_diag components must be strictly positive")
         object.__setattr__(self, "mass_diag", mass)
-        if int(self.leapfrog_steps) < 1:
-            raise ValueError("leapfrog_steps must be at least 1")
-        object.__setattr__(self, "leapfrog_steps", int(self.leapfrog_steps))
+        object.__setattr__(self, "leapfrog_steps",
+                           _as_count(self.leapfrog_steps, "leapfrog_steps", 1))
         if not np.isfinite(self.step_size) or self.step_size <= 0:
             raise ValueError("step_size must be strictly positive")
 
@@ -162,8 +156,8 @@ def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
 
     ``grad0`` is grad log f at ``positions``.  Returns (q, p, log f at q,
     grad log f at q).  The last step, whose gradient is the final half
-    step's, evaluates both at once with :func:`core._log_f_and_grad`, so a
-    target with a fused ``log_f_and_grad`` takes one pass at the proposal.
+    step's, evaluates both at once with ``target.log_f_and_grad``, so a
+    target with a native one takes one pass at the proposal.
     """
     mass = config.mass_for(positions.shape[1])
     eps = config.step_size
@@ -180,7 +174,7 @@ def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
             q, p = _reflect_box(q, p, lower, box.upper)
         if step < last:
             p = p + eps * target.grad_log_f(q)
-    lf, grad = _log_f_and_grad(target, q)
+    lf, grad = target.log_f_and_grad(q)
     return q, -(p + 0.5 * eps * grad), lf, grad
 
 
@@ -309,8 +303,8 @@ def mutate_ensemble(
     (seed, group, MUTATION_STREAM, stage).  Particle i consumes its own
     stream ``rng.derive(i)``, so the result does not depend on execution
     order, and it matches stepping particles one by one with the same
-    streams when the target's rows do not depend on their batch (see the
-    module docstring).  The streams' keys come from one vectorized
+    streams when the target's rows do not depend on their batch, as no
+    built-in target's do.  The streams' keys come from one vectorized
     SeedSequence pass, and all ``steps`` steps' draws are taken before
     the first step; the draws are the ones each particle's own generator
     gives.  Per-particle failures (zero density, divergent trajectories)
@@ -321,12 +315,12 @@ def mutate_ensemble(
     particles.  Steps carry log f and the gradient, so only the first
     step evaluates a start gradient.
 
-    The rows are cut into at most ``chunks`` runs at multiples of
-    ``target.row_step``, and each run takes all ``steps`` steps as one task.
-    The caller steps the first run, and the others too unless a worker of
-    ``pool`` has started them (all in turn when there is no pool).  Every
-    row keeps its own draws, and the cuts keep each row's target values, so
-    the result does not depend on ``chunks``.
+    The rows are cut into at most ``chunks`` nearly equal runs, and each
+    run takes all ``steps`` steps as one task.  The caller steps the first
+    run, and the others too unless a worker of ``pool`` has started them
+    (all in turn when there is no pool).  Every row keeps its own draws
+    and its own target values, so the result does not depend on
+    ``chunks``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -349,7 +343,7 @@ def mutate_ensemble(
             count += int(accepted.sum())
         return positions, lf_rows, accepted, count
 
-    bounds = _chunk_bounds(ensemble.n_particles, chunks, target.row_step)
+    bounds = _chunk_bounds(ensemble.n_particles, chunks)
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     parts = map(trajectory, runs) if pool is None else _map_chunks(trajectory, runs, pool)
     positions, final_lf, accepted, counts = zip(*parts)

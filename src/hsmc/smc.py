@@ -24,9 +24,7 @@ Each density is evaluated once per point per stage.  The correction's
 log f_t follows each survivor through selection and is the mutation's
 start value, and under "theoretical_ratio" the mutation's final log f_t
 is the next correction's denominator.  Only log-densities cross
-selection: a KDE gradient's last bits can depend on the row's place in
-its batch, which selection reorders, so the mutation computes its start
-gradient itself.
+selection, so the mutation computes its start gradient itself.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .core import (
     Ensemble,
     RandomSource,
     TargetDensity,
+    _as_count,
     _chunk_count,
     normalize_weights,
 )
@@ -166,18 +165,13 @@ class SmcConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        if int(self.n_particles) < 2:
-            raise ValueError("n_particles must be at least 2")
-        if int(self.n_groups) < 1:
-            raise ValueError("n_groups must be at least 1")
-        if int(self.mutation_steps) < 1:
-            raise ValueError("mutation_steps must be at least 1")
+        for name, minimum in (("n_particles", 2), ("n_groups", 1), ("mutation_steps", 1),
+                              ("n_threads", 1)):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name, minimum))
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
         if not isinstance(self.mutation, (HmcConfig, MhConfig)):
             raise ValueError("mutation must be an HmcConfig or MhConfig")
-        if int(self.n_threads) < 1:
-            raise ValueError("n_threads must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,12 @@ batch ``position[None]``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import BoxConstraints, RandomSource, TargetDensity, _readonly, _row_blocks
+from .core import BoxConstraints, RandomSource, TargetDensity, _readonly
 
 __all__ = [
     "LogitData",
@@ -45,7 +44,6 @@ def _make_target(
     batch_log_f: Callable[[np.ndarray], np.ndarray],
     batch_grad: Callable[[np.ndarray], np.ndarray],
     constraints: BoxConstraints | None = None,
-    row_step: int = 1,
     batch_log_f_and_grad: Callable[[np.ndarray], tuple] | None = None,
 ) -> TargetDensity:
     """Wrap batched implementations into a TargetDensity.
@@ -77,8 +75,7 @@ def _make_target(
         out, grad = batch_log_f_and_grad(pos)
         return masked(pos, out), np.asarray(grad, dtype=float)
 
-    target = TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints,
-                           row_step=row_step)
+    target = TargetDensity(dim=dim, log_f=log_f, grad_log_f=grad_log_f, constraints=constraints)
     if batch_log_f_and_grad is not None:
         object.__setattr__(target, "log_f_and_grad", log_f_and_grad)
     return target
@@ -238,6 +235,19 @@ class LogitData:
 _LOGIT_BLOCK_TERMS = 1 << 14
 
 
+def _row_blocks(n_rows: int, n_cols: int, terms: int, shape: tuple = ()):
+    """Yield (rows, buf): blocks of about ``terms`` entries of (n_rows, n_cols).
+
+    ``buf`` is scratch of shape ``shape + (len(rows), n_cols)``, reused by
+    every block: reduce a block before the next one is formed.
+    """
+    step = max(1, terms // n_cols)
+    buf = np.empty(shape + (min(step, n_rows), n_cols))
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        yield slice(start, stop), buf[..., : stop - start, :]
+
+
 def _logit_utility(beta, x, buf):
     """V(x) = 2 sin(b2 x) / (1 + 0.5 (b1 - x)^2) for rows (b1, b2) of ``beta``.
 
@@ -362,7 +372,6 @@ def powered(target: TargetDensity, gamma: float) -> TargetDensity:
         lambda pos: gamma * target.log_f(pos),
         lambda pos: gamma * target.grad_log_f(pos),
         constraints=target.constraints,
-        row_step=target.row_step,
     )
 
 
@@ -370,8 +379,7 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
     """Geometric interpolation log f_phi = phi log f + (1 - phi) log f1.
 
     phi must lie in [0, 1]; the support is the intersection of both
-    supports, and zero-density (-inf) terms never produce NaN.  A cut at
-    a multiple of both ends' row steps is a multiple of each.
+    supports, and zero-density (-inf) terms never produce NaN.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
@@ -393,8 +401,7 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
     def grad_log_f(pos):
         return phi * f.grad_log_f(pos) + (1.0 - phi) * f1.grad_log_f(pos)
 
-    return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints,
-                         row_step=math.lcm(f.row_step, f1.row_step))
+    return TargetDensity(f.dim, log_f, grad_log_f, constraints=constraints)
 
 
 # Candidate points per round of rejection sampling; the datasets' bytes depend on it.

@@ -17,7 +17,8 @@ from hsmc.cli import (
     ConfigError, _grid_log_f, _read_columns, _write_grid, _write_particles, generate_data, main,
     parse_config, run,
 )
-from hsmc.core import RandomSource, TargetDensity
+from hsmc.core import RandomSource
+from hsmc.kde import kde_target
 from hsmc.kernels import HmcConfig, MhConfig
 from hsmc.smc import compare_groups
 from hsmc.targets import dropwave, sample_smiley_data, simulate_logit_data
@@ -697,6 +698,20 @@ class TestRunOutputs:
             assert row["mean"] == chain.mean(axis=0).tolist()
             assert row["cov_diag"] == chain.var(axis=0).tolist()
 
+    def test_chain_grid_runs_on_one_thread(self, tmp_path, monkeypatch):
+        # a chain run reads no threads field and takes no --threads flag
+        seen = []
+
+        def recording(target, points, threads):
+            seen.append(threads)
+            return target.log_f(points)
+
+        monkeypatch.setattr(cli, "_grid_log_f", recording)
+        config = parse_config(write_config(tmp_path / "c.yaml", chain_recipe("mh")))
+        assert config.threads == 1
+        assert run(config) == 0
+        assert seen == [1]
+
     @staticmethod
     def degenerate_config(tmp_path):
         data_path = tmp_path / "points.csv"
@@ -779,15 +794,13 @@ class TestColumnWriter:
         assert (tmp_path / "g.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-    def test_grid_cuts_fall_on_row_step_multiples(self, threads):
-        # each row's value is its place in a run of row_step rows, so a cut
-        # anywhere else would change the values after it
-        step = 131
-        target = TargetDensity(
-            dim=2, log_f=lambda pos: (np.arange(len(pos)) % step).astype(float),
-            grad_log_f=np.zeros_like, row_step=step,
-        )
-        points = np.zeros((101 * 101, 2))
+    def test_grid_chunks_keep_the_bits_of_one_call(self, threads):
+        # 1000 points make blocks of 128 rows, and the chunks of 101 x 101
+        # grid points are cut on no block edge; the grid reaches rows about
+        # 130 bandwidths beyond every point
+        target = kde_target(np.random.default_rng(4).standard_normal((1000, 2)), [0.2, 0.3])
+        gx, gy = np.meshgrid(np.linspace(-4.0, 40.0, 101), np.linspace(-4.0, 40.0, 101))
+        points = np.column_stack([gx.ravel(), gy.ravel()])
         np.testing.assert_array_equal(_grid_log_f(target, points, threads),
                                       target.log_f(points))
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +44,7 @@ def loo_bruteforce(positions, h):
 
 
 # particles whose n x n kernel sum spans a full block of rows and a partial one
-N_SPLIT = math.isqrt(_BLOCK_TERMS) + 40
+N_SPLIT = kde._MAX_BLOCK_ROWS + 40
 
 
 class TestKdeTarget:
@@ -64,7 +62,7 @@ class TestKdeTarget:
         # partial one, at two kernel counts; a single kernel; more kernels
         # than a block holds, so one row per block
         cases = [(40, 10), (1, 7), (_BLOCK_TERMS + 3, 3)]
-        cases += [(m, 2 * (_BLOCK_TERMS // m) + 5) for m in (40, 3000)]
+        cases += [(m, 2 * kde._block_height(m) + 5) for m in (40, 3000)]
         for m, n in cases:
             points = rng.standard_normal((m, 2))
             t = kde_target(points, h)
@@ -110,9 +108,37 @@ class TestKdeTarget:
         pos = 2.0 * gen.standard_normal((600, 2))
         pos[gen.random(600) < 0.1] += 40.0
         whole = target.log_f(pos)
-        for size in (gen.integers(1, 700), 1, target.row_step + 1):
+        for size in (gen.integers(1, 700), 1, kde._block_height(n_points) + 1):
             idx = gen.integers(0, 600, size=size)
             np.testing.assert_array_equal(target.log_f(pos[idx]), whole[idx])
+
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.sampled_from([700, 2000, 3000, 5000]),
+           cuts=st.lists(st.integers(1, 299), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_do_not_depend_on_their_batch(self, seed, n_points, cuts):
+        # log f, the gradient and the fused call give each row the bits the
+        # whole batch's separate calls give it, whatever batch the row comes
+        # in: a piece cut anywhere, a permutation or a row alone.  The point
+        # counts take blocks of 128, 64, 32 and 16 rows, and about a tenth
+        # of the rows lie about 130 bandwidths beyond every point, below the
+        # sum floor
+        gen = np.random.default_rng(seed)
+        target = kde_target(gen.standard_normal((n_points, 2)), [0.3, 0.5])
+        pos = 2.0 * gen.standard_normal((300, 2))
+        pos[gen.random(300) < 0.1] += 40.0
+
+        def evaluate(rows):
+            return (target.log_f(pos[rows]), target.grad_log_f(pos[rows]),
+                    *target.log_f_and_grad(pos[rows]))
+
+        log_f, grad = target.log_f(pos), target.grad_log_f(pos)
+        whole = (log_f, grad, log_f, grad)
+        bounds = [0, *sorted(set(cuts)), len(pos)]
+        batches = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        batches += [gen.permutation(len(pos)), *([i] for i in gen.integers(0, len(pos), 3))]
+        for rows in batches:
+            for got, want in zip(evaluate(rows), whole):
+                np.testing.assert_array_equal(got, want[rows])
 
     def test_rows_beyond_every_kernel(self, rng):
         # every term of a row about 130 bandwidths from the points underflows
@@ -132,8 +158,8 @@ class TestKdeTarget:
         expected_grad = (w @ points / w.sum(axis=1)[:, None] - pos[far]) / h**2
         np.testing.assert_allclose(log_f[far], expected, rtol=1e-12, atol=0)
         np.testing.assert_allclose(grad[far], expected_grad, rtol=1e-12, atol=0)
-        # a batch cut at multiples of row_step keeps every bit, gradient included
-        cuts = [0, t.row_step, 3 * t.row_step, len(pos)]
+        # a batch cut anywhere keeps every bit, gradient included
+        cuts = [0, 1, 100, 257, len(pos)]
         for lo, hi in zip(cuts, cuts[1:]):
             np.testing.assert_array_equal(t.log_f(pos[lo:hi]), log_f[lo:hi])
             np.testing.assert_array_equal(t.grad_log_f(pos[lo:hi]), grad[lo:hi])
@@ -141,14 +167,14 @@ class TestKdeTarget:
     @pytest.mark.parametrize("box", [None, BoxConstraints([-2.0, -2.0], [41.0, 41.0])])
     def test_fused_call_has_the_bits_of_the_separate_calls(self, box, rng):
         # with rows about 130 bandwidths beyond every point, rows outside
-        # the box, and batches cut at multiples of row_step
+        # the box, and batches cut anywhere
         t = kde_target(rng.standard_normal((2048, 2)), [0.3, 0.5], box)
         pos = 2.0 * rng.standard_normal((300, 2))
         pos[rng.random(300) < 0.3] += 40.0
         log_f, grad = t.log_f(pos), t.grad_log_f(pos)
         if box is not None:
             assert 0 < np.isneginf(log_f).sum() < len(pos)
-        cuts = [0, t.row_step, 3 * t.row_step, len(pos)]
+        cuts = [0, 1, 100, 257, len(pos)]
         for lo, hi in zip([0, *cuts], [len(pos), *cuts[1:]]):
             fused_log_f, fused_grad = t.log_f_and_grad(pos[lo:hi])
             np.testing.assert_array_equal(fused_log_f, log_f[lo:hi])
@@ -198,7 +224,7 @@ class TestLeaveOneOut:
         # block edge coincide, so a self term left in (or a neighbour's
         # dropped) would move both estimates.
         n = N_SPLIT
-        edge = _BLOCK_TERMS // n
+        edge = kde._block_height(n)
         positions = rng.standard_normal((n, 2))
         positions[edge] = positions[edge - 1]
         per_particle = rng.uniform(0.3, 1.2, size=(n, 2))
@@ -253,7 +279,7 @@ class TestKthNeighbourDistance:
         # a full block and a partial one; a pair coinciding across the block
         # edge has a nearest neighbour at distance zero, never itself
         n = N_SPLIT
-        edge = _BLOCK_TERMS // n
+        edge = kde._block_height(n)
         positions = rng.standard_normal((n, 2)) * [1.0, 3.0]
         positions[edge] = positions[edge - 1]
         scale = np.array([0.5, 1.5])

@@ -13,6 +13,7 @@ from hsmc.core import (
     MUTATION_STREAM, Ensemble, RandomSource, TargetDensity, _chunk_bounds, _chunk_count,
 )
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
+from hsmc import kde
 from hsmc.kde import kde_target
 from hsmc.kernels import _reflect_box, _stage_draws, _step
 from hsmc.targets import (
@@ -46,6 +47,11 @@ class TestConfigs:
             HmcConfig(mass_diag=[1.0, -1.0])
         with pytest.raises(ValueError):
             HmcConfig(leapfrog_steps=0)
+        for steps in (2.7, True, "3", None, np.inf):
+            with pytest.raises(ValueError, match="leapfrog_steps must be an integer"):
+                HmcConfig(leapfrog_steps=steps)
+        assert HmcConfig(leapfrog_steps=np.int64(3)).leapfrog_steps == 3
+        assert type(HmcConfig(leapfrog_steps=4.0).leapfrog_steps) is int
         with pytest.raises(ValueError):
             HmcConfig(step_size=0.0)
 
@@ -425,10 +431,10 @@ class TestMutateEnsemble:
     @pytest.mark.parametrize("kernel", [HmcConfig(1.0, 5, 0.05), MhConfig(0.05)],
                              ids=["hmc", "mh"])
     def test_chunks_give_the_serial_bits_on_a_kde_target(self, rng, kernel):
-        # 1000 points make the row step 131, which halves and thirds of 300
-        # rows miss: cut anywhere else, a KDE gradient row can change bits
+        # 1000 points make blocks of 128 rows, and halves and thirds of 300
+        # rows cut at 150, or at 100 and 200, on no block edge
         target = kde_target(rng.standard_normal((1000, 2)), [0.3, 0.4])
-        assert target.row_step == 131
+        assert kde._block_height(1000) == 128
         ens = Ensemble(rng.standard_normal((300, 2)))
         lf = target.log_f(ens.positions)
         source = RandomSource(5).derive(MUTATION_STREAM, 2)
@@ -443,16 +449,16 @@ class TestMutateEnsemble:
                     np.testing.assert_array_equal(split.accepted, serial.accepted)
                     assert split.acceptance_count == serial.acceptance_count
 
-    @pytest.mark.parametrize("n, chunks, step, bounds", [
-        (512, 2, 1, [0, 256, 512]),
-        (300, 2, 131, [0, 131, 300]),
-        (300, 3, 131, [0, 131, 262, 300]),
-        (300, 3, 262, [0, 262, 300]),
-        (512, 2, 1310, [0, 512]),  # no interior multiple: one run
-        (5, 8, 1, [0, 1, 2, 3, 4, 5]),
+    @pytest.mark.parametrize("n, chunks, bounds", [
+        (512, 2, [0, 256, 512]),
+        (300, 2, [0, 150, 300]),
+        (300, 3, [0, 100, 200, 300]),
+        (400, 3, [0, 133, 267, 400]),
+        (512, 1, [0, 512]),
+        (5, 8, [0, 1, 2, 3, 4, 5]),  # cuts that round alike count once
     ])
-    def test_chunk_bounds_fall_on_row_step_multiples(self, n, chunks, step, bounds):
-        assert _chunk_bounds(n, chunks, step) == bounds
+    def test_chunk_bounds_are_nearly_equal(self, n, chunks, bounds):
+        assert _chunk_bounds(n, chunks) == bounds
 
     @pytest.mark.parametrize("n, threads, chunks", [
         (512, 2, 2), (512, 64, 4), (10201, 3, 3), (255, 4, 1), (100, 8, 1), (256, 1, 1),

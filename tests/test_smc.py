@@ -14,7 +14,7 @@ from hsmc.core import (
     Ensemble,
     RandomSource,
 )
-from hsmc import smc
+from hsmc import kde, smc
 from hsmc.kernels import HmcConfig, MhConfig, mutate_ensemble
 from hsmc.smc import (
     IterationRecord,
@@ -447,14 +447,15 @@ class TestRunSmc:
         for ea, eb in zip(a.ensembles, b.ensembles):
             np.testing.assert_array_equal(ea.positions, eb.positions)
 
-        # 384 particles a group and stages of 1200 and 2400 points, whose row
-        # steps are 109 and 54: at 3 and 5 threads every group cuts its rows
-        # into 2 or 3 chunks, which run beside the other groups on one pool
+        # 400 particles a group and stages of 1200 and 2400 points, which
+        # compute in blocks of 64 and 32 rows: at 3 and 5 threads every group
+        # cuts its rows into 2 or 3 chunks, at 200 or at 133 and 267, on no
+        # block edge, and they run beside the other groups on one pool
         seq = kde_blocks_sequence(rng.standard_normal((2400, 2)), 1200,
                                   initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
-        assert [stage.row_step for stage in seq.stages] == [109, 54]
+        assert [kde._block_height(m) for m in (1200, 2400)] == [64, 32]
         for groups in (2, 4):
-            runs = [run_smc(seq, SmcConfig(n_particles=384, n_groups=groups,
+            runs = [run_smc(seq, SmcConfig(n_particles=400, n_groups=groups,
                                            mutation=HmcConfig(1.0, 5, 0.05),
                                            weight_mode="loo_kde_ratio", n_threads=threads),
                             RandomSource(9))
@@ -558,10 +559,11 @@ class TestRunSmc:
             assert result.ensembles[j] is history[-1][0]
 
 
-def counting(target, counts):
+def counting(target, counts, native=False):
     """``target`` with the rows passed to log_f and grad_log_f added to ``counts``.
 
-    A target with a native log_f_and_grad has its rows counted under "fused".
+    Given ``native``, the target's own log_f_and_grad is kept, with its rows
+    counted under "fused".
     """
 
     def log_f(pos):
@@ -576,9 +578,9 @@ def counting(target, counts):
         counts["fused"] += len(pos)
         return target.log_f_and_grad(pos)
 
-    # replace drops the native fused call; the counted target sets its own
+    # replace composes the fused call anew; a native one is set again
     counted = replace(target, log_f=log_f, grad_log_f=grad_log_f)
-    if target.log_f_and_grad is not None:
+    if native:
         counts.setdefault("fused", 0)
         object.__setattr__(counted, "log_f_and_grad", log_f_and_grad)
     return counted
@@ -589,12 +591,13 @@ class TestEvaluationCounts:
 
     N, T = 16, 4
 
-    def run_counted(self, mutation, steps, mode, seq=None):
+    def run_counted(self, mutation, steps, mode, seq=None, native=False):
         if seq is None:
             seq = annealing_sequence(gaussian([0.5, -0.5], [1.0, 2.0]), [0.25, 0.5, 0.75, 1.0],
                                      initial=diag_gaussian_initial([0.0, 0.0], [2.0, 2.0]))
         counts = {"log_f": 0, "grad": 0}
-        seq = TargetSequence(tuple(counting(t, counts) for t in seq.stages), seq.initial)
+        seq = TargetSequence(tuple(counting(t, counts, native) for t in seq.stages),
+                             seq.initial)
         cfg = SmcConfig(n_particles=self.N, mutation=mutation, mutation_steps=steps,
                         weight_mode=mode)
         run_smc(seq, cfg, RandomSource(8))
@@ -619,7 +622,7 @@ class TestEvaluationCounts:
         seq = kde_blocks_sequence(points, 50, initial=diag_gaussian_initial([0.0, 0.0],
                                                                             [2.0, 2.0]))
         assert seq.n_stages == self.T
-        counts = self.run_counted(HmcConfig(1.0, leapfrog, 0.1), steps, mode, seq)
+        counts = self.run_counted(HmcConfig(1.0, leapfrog, 0.1), steps, mode, seq, native=True)
         assert counts == {"log_f": self.T * n, "fused": self.T * steps * n,
                           "grad": self.T * (1 + steps * (leapfrog - 1)) * n}
 
@@ -687,6 +690,14 @@ class TestSmcConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
             SmcConfig(n_particles=1, mutation=MhConfig(1.0))
+        for field in ("n_particles", "n_groups", "mutation_steps", "n_threads"):
+            for value in (16.5, True, "4"):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    SmcConfig(**{"n_particles": 16, "mutation": MhConfig(1.0), field: value})
+        counts = SmcConfig(n_particles=16.0, mutation=MhConfig(1.0), n_groups=np.int64(2),
+                           mutation_steps=3.0, n_threads=2.0)
+        assert [type(v) for v in (counts.n_particles, counts.n_groups, counts.mutation_steps,
+                                  counts.n_threads)] == [int] * 4
         with pytest.raises(ValueError):
             SmcConfig(n_particles=8, mutation=MhConfig(1.0), weight_mode="bogus")
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from conftest import assert_gradient_matches
 
 import hsmc
 from hsmc import targets
-from hsmc.core import RandomSource, _log_f_and_grad
+from hsmc.core import RandomSource
 from hsmc.kde import kde_target
 from hsmc.targets import (
     DROPWAVE_BOX,
@@ -314,39 +314,9 @@ class TestGeometricBridge:
             assert bridge.log_f(inside)[0] == free_end.log_f(inside)[0]
 
 
-class TestRowStep:
-    """The row step a batch may be cut at, derived from the target."""
-
-    def test_kde_step_is_its_block_height(self, rng):
-        for m in (100, 1000, 4096):
-            target = kde_target(rng.standard_normal((m, 2)), 0.5)
-            assert target.row_step == max(1, 2**17 // m)
-
-    def test_targets_whose_rows_stand_alone_have_step_one(self):
-        data = simulate_logit_data(20, (3.0, 3.0), RandomSource(1))
-        for target in (rosenbrock(), gaussian([0.0], [1.0]), smiley(), dropwave(),
-                       nonlinear_logit_loglik(data)):
-            assert target.row_step == 1
-
-    def test_powered_passes_its_targets_step_through(self, rng):
-        kde = kde_target(rng.standard_normal((1000, 2)), 0.5)
-        assert powered(kde, 2.0).row_step == kde.row_step == 131
-
-    def test_bridge_takes_the_lcm_of_its_ends(self, rng):
-        a = kde_target(rng.standard_normal((1000, 2)), 0.5)  # step 131
-        b = kde_target(rng.standard_normal((3000, 2)), 0.5)  # step 43
-        assert geometric_bridge(a, b, 0.5).row_step == 131 * 43
-        assert geometric_bridge(a, dropwave(), 0.5).row_step == 131
-        assert geometric_bridge(dropwave(), powered(b, 3.0), 0.5).row_step == 43
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError, match="row_step"):
-            hsmc.TargetDensity(1, np.zeros, np.zeros, row_step=0)
-
-
 def assert_fused_call_matches(target, pos):
     """The fused log f and gradient have the bits of the two separate calls."""
-    log_f, grad = _log_f_and_grad(target, pos)
+    log_f, grad = target.log_f_and_grad(pos)
     np.testing.assert_array_equal(log_f, target.log_f(pos))
     np.testing.assert_array_equal(grad, target.grad_log_f(pos))
 
@@ -369,15 +339,38 @@ class TestFusedCall:
             # the KDE end's box masks log f; the terms are 0 * -inf at phi = 1
             "bridge": lambda: geometric_bridge(kde, gaussian([0.0, 0.0], [4.0, 4.0]), 1.0),
         }[name]()
-        # no native call, so they make the calls they make without one
-        assert target.log_f_and_grad is None
         assert_fused_call_matches(target, rng.uniform(-3.0, 3.0, size=(300, 2)))
+
+    def test_a_composed_call_makes_the_two_calls(self):
+        calls = []
+
+        def log_f(pos):
+            calls.append("log_f")
+            return np.zeros(len(pos))
+
+        def grad_log_f(pos):
+            calls.append("grad")
+            return np.ones_like(pos)
+
+        target = hsmc.TargetDensity(2, log_f, grad_log_f)
+        log_f_out, grad = target.log_f_and_grad(np.zeros((3, 2)))
+        assert calls == ["log_f", "grad"]
+        np.testing.assert_array_equal(log_f_out, np.zeros(3))
+        np.testing.assert_array_equal(grad, np.ones((3, 2)))
+
+    def test_a_replaced_wrapper_evaluates_what_it_wraps(self, rng):
+        kde = kde_target(rng.standard_normal((200, 2)), 0.5)
+        pos = rng.standard_normal((50, 2))
+        shifted = replace(kde, log_f=lambda p: kde.log_f(p) + 1.0,
+                          grad_log_f=lambda p: 2.0 * kde.grad_log_f(p))
+        log_f, grad = shifted.log_f_and_grad(pos)
+        np.testing.assert_array_equal(log_f, kde.log_f(pos) + 1.0)
+        np.testing.assert_array_equal(grad, 2.0 * kde.grad_log_f(pos))
+        # the native call stays with the target that set it
+        assert_fused_call_matches(kde, pos)
 
     def test_the_native_call_is_not_a_constructor_argument(self, rng):
         kde = kde_target(rng.standard_normal((200, 2)), 0.5)
-        assert kde.log_f_and_grad is not None
-        # a replace-d wrapper evaluates its own log_f, never a stale fused call
-        assert replace(kde, log_f=lambda pos: kde.log_f(pos) + 1.0).log_f_and_grad is None
         with pytest.raises(TypeError):
             hsmc.TargetDensity(2, kde.log_f, kde.grad_log_f, log_f_and_grad=kde.log_f_and_grad)
 
