@@ -21,7 +21,10 @@ round-trip precision, so identical configs and seeds produce
 byte-identical files regardless of ``--threads``.  The threads run the
 particle groups, each group cutting its mutations' rows into chunks for
 the threads the groups leave over, and then evaluate the grid in row
-chunks cut as a mutation's are.
+chunks cut as a mutation's are.  An ``mh`` or ``hmc`` run steps its
+chains together as one batch, chain j on its own stream
+``RandomSource(seed).derive(j)``, so a chain's states do not depend on how
+many chains run beside it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .core import (
     BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity,
     _chunk_bounds, _chunk_count, _map_chunks,
 )
-from .kernels import HmcConfig, MhConfig, hmc_step, mh_step
+from .kernels import HmcConfig, MhConfig, _chains, _stage_draws
+from .kernels import hmc_step, mh_step  # unused here; perfbench/child.py wraps them by name
 from .smc import (
     InitialDistribution,
     RunReport,
@@ -532,26 +536,20 @@ def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray
 
 def _run_mcmc(config: RunConfig) -> int:
     target = _build_target(config)
-    step = hmc_step if config.algorithm == "hmc" else mh_step
-    root = RandomSource(config.seed)
-    groups, length = config.n_groups, config.iterations + 1
-
-    positions = np.empty((groups, length, len(config.start)))
-    accepted = np.ones((groups, length), dtype=bool)
-    positions[:, 0] = config.start
-    rows = []
-    for j in range(groups):
-        gen = root.derive(j).generator()
-        for i in range(1, length):
-            out = step(target, positions[j, i - 1], config.kernel, gen)
-            positions[j, i], accepted[j, i] = out.new_position, out.accepted
-        # each chain state counts once: unit weights
-        rows.append(_iteration_record(j, config.iterations, int(accepted[j, 1:].sum()),
-                                      Ensemble(positions[j]), np.ones(length)))
-
+    groups, length, dim = config.n_groups, config.iterations + 1, len(config.start)
+    noise, log_u = _stage_draws(RandomSource(config.seed), groups, dim, config.iterations)
+    kind = HmcConfig if config.algorithm == "hmc" else MhConfig
+    states, accepted, _, _ = _chains(kind, target, np.tile(config.start, (groups, 1)),
+                                     config.kernel, noise, log_u)
+    # chain-major, as particles.csv lists them
+    positions, accepted = np.ascontiguousarray(states.swapaxes(0, 1)), accepted.T
+    # each chain state counts once: unit weights
+    rows = tuple(_iteration_record(j, config.iterations, int(accepted[j, 1:].sum()),
+                                   Ensemble(positions[j]), np.ones(length))
+                 for j in range(groups))
     report = RunReport(n_particles=length, n_groups=groups, n_iterations=config.iterations,
-                       rows=tuple(rows))
-    positions = positions.reshape(-1, positions.shape[2])
+                       rows=rows)
+    positions = positions.reshape(-1, dim)
     particles = (np.repeat(np.arange(groups), length), np.tile(np.arange(length), groups),
                  np.zeros(len(positions), dtype=int), positions, accepted.ravel())
     _write_outputs(config, target, particles, report, positions)

@@ -164,7 +164,8 @@ def _kde_sums(a, b, values=None, log=True):
     log-sums, wanted when ``log`` is set, come from ``s.sum`` instead, so
     they have the same bits with or without ``values``.  Either result is
     None when not asked for.  Rows whose sum falls below _SUM_FLOOR are
-    recomputed by :func:`_far_sums` from the product without the row term.
+    recomputed from the product without the row term, in one
+    :func:`_far_sums` call for both results.
     """
     n = a.shape[0]
     total = np.empty(n) if log else None
@@ -176,19 +177,23 @@ def _kde_sums(a, b, values=None, log=True):
             weighted[rows] = (s @ values)[:real]
         if total is not None:
             s[:real].sum(axis=1, out=total[rows])
-    log_sums = means = None
-    if total is not None:
-        far = np.flatnonzero(total < _SUM_FLOOR)
-        total[far] = 1.0
-        log_sums = np.log(total)
-        if len(far):
-            log_sums[far] = _far_sums(a[far], b)[0]
-    if weighted is not None:
-        far = np.flatnonzero(weighted[:, -1] < _SUM_FLOOR)
-        weighted[far, -1] = 1.0
-        means = weighted[:, :-1] / weighted[:, -1:]
-        if len(far):
-            means[far] = _far_sums(a[far], b, values[:, :-1])[1]
+    far_log = far_mean = np.zeros(n, dtype=bool)
+    if log:
+        far_log = total < _SUM_FLOOR
+        total[far_log] = 1.0
+    if values is not None:
+        far_mean = weighted[:, -1] < _SUM_FLOOR
+        weighted[far_mean, -1] = 1.0
+    log_sums = np.log(total) if log else None
+    means = None if values is None else weighted[:, :-1] / weighted[:, -1:]
+    far = far_log | far_mean
+    if far.any():
+        # one pass for both results; its rows keep their bits in any batch
+        far_log_sums, far_means = _far_sums(a[far], b, None if values is None else values[:, :-1])
+        if log:
+            log_sums[far_log] = far_log_sums[far_log[far]]
+        if values is not None:
+            means[far_mean] = far_means[far_mean[far]]
     return log_sums, means
 
 

@@ -8,13 +8,16 @@ from its own stream.  No built-in target's rows depend on their batch,
 so a batch cut anywhere steps piece by piece bit-identically to stepping
 it whole, and its rows can even be stepped one at a time.
 
-``mutate_ensemble`` steps a whole ensemble, each particle on its own
-derived stream, and can step such pieces on a thread pool; ``mh_step``
-and ``hmc_step`` are the single-position edge, a batch of one row.  The
-streams are those of ``RandomSource.derive(i).generator()``, but a stage
-does not build a generator per particle: it derives all particle keys in
-one vectorized SeedSequence pass and takes every step's draws, from one
-reused Philox, before its first step.
+One loop, ``_chains``, steps J rows as one ``(J, dim)`` batch of Markov
+chains through draws taken before its first step, and records every
+state.  ``mutate_ensemble`` runs it on a whole ensemble, each particle on
+its own derived stream, and can run it on pieces of the ensemble on a
+thread pool; the CLI runs its chains through it, chain j on stream j; and
+``mh_step`` and ``hmc_step``, the single-position edge, run it on one row
+for one step, drawing from the caller's generator.  The streams are those
+of ``RandomSource.derive(i).generator()``, but no generator is built per
+row: all row keys come from one vectorized SeedSequence pass, and every
+step's draws from one reused Philox (``_stage_draws``).
 
 One step function, ``_step``, proposes and accepts for both kernels:
 it builds the random-walk or leapfrog proposal, evaluates log f once
@@ -151,28 +154,25 @@ def _reflect_box(
     return q, p
 
 
-def _leapfrog_batch(target, positions, momenta, grad0, config: HmcConfig):
+def _leapfrog_batch(target, q, momenta, grad0, config: HmcConfig):
     """L leapfrog steps, then momentum negation: the proposal map, its own inverse.
 
-    ``grad0`` is grad log f at ``positions``.  Returns (q, p, log f at q,
-    grad log f at q).  The last step, whose gradient is the final half
-    step's, evaluates both at once with ``target.log_f_and_grad``, so a
-    target with a native one takes one pass at the proposal.
+    ``q`` holds the start positions and ``grad0`` grad log f there.
+    Returns the proposal's (q, p), log f and grad log f.  The last step,
+    whose gradient is the final half step's, evaluates both at once with
+    ``target.log_f_and_grad``, so a target with a native one takes one
+    pass at the proposal.
     """
-    mass = config.mass_for(positions.shape[1])
+    mass = config.mass_for(q.shape[1])
     eps = config.step_size
     box = target.constraints
-    lower = box.lower if box is not None else None
-    last = config.leapfrog_steps - 1
-
-    q = positions
     # half step momentum; note grad U = -grad log f
     p = momenta + 0.5 * eps * grad0
     for step in range(config.leapfrog_steps):
         q = q + eps * p / mass
         if box is not None:
-            q, p = _reflect_box(q, p, lower, box.upper)
-        if step < last:
+            q, p = _reflect_box(q, p, box.lower, box.upper)
+        if step < config.leapfrog_steps - 1:
             p = p + eps * target.grad_log_f(q)
     lf, grad = target.log_f_and_grad(q)
     return q, -(p + 0.5 * eps * grad), lf, grad
@@ -240,21 +240,31 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
     return np.where(keep, q, positions), np.where(accepted, lf1, lf), new_grad, accepted, log_a
 
 
-def _single_step(kind, target, position, config, rng) -> StepOutcome:
-    """``_step`` on the one-row batch ``position[None]``, config and start checked.
+def _chains(kind, target, start, kernel, noise, log_u, lf=None):
+    """Step the rows of ``start`` (J, dim) as J chains in one batch, through all draws.
 
-    The row draws ``dim`` normals and then one uniform from ``rng``.
+    Step s of chain j takes the draws ``noise[s, j]`` and ``log_u[s, j]``,
+    and ``kernel`` must be a ``kind``.  ``lf`` is log f at the starts;
+    given None, it is evaluated and must be finite at every start.  Log f
+    and the gradient are carried from step to step, so only the first
+    Hamiltonian step evaluates a start gradient.  Returns the states
+    (steps + 1, J, dim) and their accept flags (steps + 1, J), both start
+    first with the start's flags True, log f at the last states and the
+    last step's log accept probabilities.
     """
-    if not isinstance(config, kind):
-        raise TypeError(f"expected an {kind.__name__}, got {type(config).__name__}")
-    position = np.atleast_1d(np.asarray(position, dtype=float))[None]
-    lf = target.log_f(position)
-    if not np.isfinite(lf[0]):
-        raise ValueError("starting position has non-finite log-density")
-    noise = rng.standard_normal(position.shape)
-    log_u = np.log([rng.random()])
-    new_q, _, _, accepted, log_a = _step(target, position, lf, None, config, noise, log_u)
-    return StepOutcome(new_q[0], bool(accepted[0]), float(log_a[0]))
+    if not isinstance(kernel, kind):
+        raise TypeError(f"expected an {kind.__name__}, got {type(kernel).__name__}")
+    if lf is None:
+        lf = target.log_f(start)
+        if not np.all(np.isfinite(lf)):
+            raise ValueError("starting position has non-finite log-density")
+    states = np.empty((len(noise) + 1,) + start.shape)
+    accepted = np.ones(states.shape[:2], dtype=bool)
+    states[0], grad = start, None
+    for s in range(len(noise)):
+        states[s + 1], lf, grad, accepted[s + 1], log_a = _step(
+            target, states[s], lf, grad, kernel, noise[s], log_u[s])
+    return states, accepted, lf, log_a
 
 
 def mh_step(
@@ -268,7 +278,10 @@ def mh_step(
     The proposal is symmetric, so the acceptance probability reduces to
     min(1, f(proposal) / f(position)).
     """
-    return _single_step(MhConfig, target, position, config, rng)
+    start = np.atleast_1d(np.asarray(position, dtype=float))[None]
+    draws = rng.standard_normal((1,) + start.shape), np.log([[rng.random()]])
+    states, accepted, _, log_a = _chains(MhConfig, target, start, config, *draws)
+    return StepOutcome(states[1, 0], bool(accepted[1, 0]), float(log_a[0]))
 
 
 def hmc_step(
@@ -284,7 +297,10 @@ def hmc_step(
     min(1, exp[(log f' - log f) + (K - K')]) where K = p^T M^-1 p / 2.
     Box-constrained targets bounce off the walls during position updates.
     """
-    return _single_step(HmcConfig, target, position, config, rng)
+    start = np.atleast_1d(np.asarray(position, dtype=float))[None]
+    draws = rng.standard_normal((1,) + start.shape), np.log([[rng.random()]])
+    states, accepted, _, log_a = _chains(HmcConfig, target, start, config, *draws)
+    return StepOutcome(states[1, 0], bool(accepted[1, 0]), float(log_a[0]))
 
 
 def mutate_ensemble(
@@ -334,14 +350,9 @@ def mutate_ensemble(
     noise, log_u = _stage_draws(rng, ensemble.n_particles, ensemble.dim, steps)
 
     def trajectory(rows):
-        positions, lf_rows, grad = ensemble.positions[rows], lf[rows], None
-        count = 0
-        for step_noise, step_log_u in zip(noise[:, rows], log_u[:, rows]):
-            positions, lf_rows, grad, accepted, _ = _step(
-                target, positions, lf_rows, grad, kernel, step_noise, step_log_u
-            )
-            count += int(accepted.sum())
-        return positions, lf_rows, accepted, count
+        states, accepted, final_lf, _ = _chains(type(kernel), target, ensemble.positions[rows],
+                                                kernel, noise[:, rows], log_u[:, rows], lf[rows])
+        return states[-1], final_lf, accepted[-1], int(accepted[1:].sum())
 
     bounds = _chunk_bounds(ensemble.n_particles, chunks)
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]

@@ -180,6 +180,27 @@ class TestKdeTarget:
             np.testing.assert_array_equal(fused_log_f, log_f[lo:hi])
             np.testing.assert_array_equal(fused_grad, grad[lo:hi])
 
+    def test_fused_call_sums_far_rows_in_one_pass(self, rng, monkeypatch):
+        # rows about 40 bandwidths beyond every point, some near rows between:
+        # the fused call recomputes the far rows for both results at once
+        h = np.array([0.3, 0.5])
+        t = kde_target(rng.standard_normal((1000, 2)), h)
+        pos = 40.0 * h + 0.1 * rng.standard_normal((512, 2))
+        pos[::4] = rng.standard_normal((128, 2))
+        log_f, grad = t.log_f(pos), t.grad_log_f(pos)
+        passes = []
+
+        def counted_far_sums(a, b, values=None):
+            passes.append(len(a))
+            return far_sums(a, b, values)
+
+        far_sums = kde._far_sums
+        monkeypatch.setattr(kde, "_far_sums", counted_far_sums)
+        fused_log_f, fused_grad = t.log_f_and_grad(pos)
+        assert passes == [384]
+        np.testing.assert_array_equal(fused_log_f, log_f)
+        np.testing.assert_array_equal(fused_grad, grad)
+
     def test_data_far_from_the_origin(self, rng):
         # positions and points are taken about the points' mean, so an
         # offset of 1e6 costs no precision

@@ -13,9 +13,9 @@ from hsmc.core import (
     MUTATION_STREAM, Ensemble, RandomSource, TargetDensity, _chunk_bounds, _chunk_count,
 )
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
-from hsmc import kde
+from hsmc import kde, kernels
 from hsmc.kde import kde_target
-from hsmc.kernels import _reflect_box, _stage_draws, _step
+from hsmc.kernels import _chains, _reflect_box, _stage_draws, _step
 from hsmc.targets import (
     dropwave, gaussian, nonlinear_logit_loglik, rosenbrock, simulate_logit_data,
 )
@@ -301,6 +301,61 @@ class TestSinglePositionEdge:
         evaluated = _step(target, positions, lf, None, cfg, noise, log_u)
         for a, b in zip(given, evaluated):
             np.testing.assert_array_equal(a, b)
+
+
+class TestChains:
+    # start points: rosenbrock's origin, a dropwave corner whose trajectories
+    # fold at the walls, and the 6-d gaussian burn-in race's far start
+    CASES = {
+        "rosenbrock": (rosenbrock, [0.0, 0.0]),
+        "dropwave": (dropwave, [2.4, -2.4]),
+        "gauss6": (lambda: gaussian([10.0] * 3 + [-10.0] * 3, [1.0] * 6), [-15.0] * 3 + [15.0] * 3),
+    }
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("kernel, step", [
+        (MhConfig(0.5), mh_step), (HmcConfig(1.0, 10, 0.8), hmc_step),
+    ], ids=["mh", "hmc"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_matches_each_chain_stepped_alone(self, monkeypatch, case, kernel, step,
+                                                    chains):
+        folds = []
+
+        def counted_reflect_box(q, p, lower, upper):
+            folds.append(int(((q > upper) | (q < lower)).sum()))
+            return _reflect_box(q, p, lower, upper)
+
+        monkeypatch.setattr(kernels, "_reflect_box", counted_reflect_box)
+        make_target, start = self.CASES[case]
+        target, start, steps = make_target(), np.array(start), 40
+        root = RandomSource(31)
+        noise, log_u = _stage_draws(root, chains, len(start), steps)
+        states, accepted, _, _ = _chains(type(kernel), target, np.tile(start, (chains, 1)),
+                                         kernel, noise, log_u)
+        assert states.shape == (steps + 1, chains, len(start))
+        assert accepted.shape == (steps + 1, chains) and accepted[0].all()
+        for j in range(chains):
+            gen, position = root.derive(j).generator(), start
+            np.testing.assert_array_equal(states[0, j], start)
+            for s in range(1, steps + 1):
+                out = step(target, position, kernel, gen)
+                np.testing.assert_array_equal(states[s, j], out.new_position)
+                assert accepted[s, j] == out.accepted
+                position = out.new_position
+        # both outcomes occur, so carried values are checked after rejections too
+        assert 0 < accepted[1:].sum() < chains * steps
+        assert (sum(folds) > 0) == (case == "dropwave" and step is hmc_step)
+
+    def test_zero_density_start_raises(self):
+        noise, log_u = _stage_draws(RandomSource(1), 2, 2, 3)
+        starts = np.array([[0.0, 0.0], [3.0, 0.0]])  # the second lies outside the box
+        with pytest.raises(ValueError, match="non-finite"):
+            _chains(MhConfig, dropwave(), starts, MhConfig(1.0), noise, log_u)
+
+    def test_wrong_config_type_raises(self):
+        noise, log_u = _stage_draws(RandomSource(1), 1, 2, 3)
+        with pytest.raises(TypeError, match="expected an HmcConfig, got MhConfig"):
+            _chains(HmcConfig, rosenbrock(), np.zeros((1, 2)), MhConfig(), noise, log_u)
 
 
 class TestDetailedBalance:
