@@ -19,12 +19,12 @@ between ``algorithm``/``seed`` and ``group_divergence``.
 Outputs contain no timestamps and floats are written with full
 round-trip precision, so identical configs and seeds produce
 byte-identical files regardless of ``--threads``.  The threads run the
-particle groups, each group cutting its mutations' rows into chunks for
-the threads the groups leave over, and then evaluate the grid in row
-chunks cut as a mutation's are.  An ``mh`` or ``hmc`` run steps its
-chains together as one batch, chain j on its own stream
-``RandomSource(seed).derive(j)``, so a chain's states do not depend on how
-many chains run beside it.
+particle groups, each group cutting every stage's rows into chunks for
+the threads the groups leave over, once to evaluate the stage's target
+and once to mutate, and then evaluate the grid in row chunks cut by the
+same rule.  An ``mh`` or ``hmc`` run steps its chains together as one
+batch, chain j on its own stream ``RandomSource(seed).derive(j)``, so a
+chain's states do not depend on how many chains run beside it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 import yaml
 
 from .core import (
-    BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity,
-    _chunk_bounds, _chunk_count, _map_chunks,
+    BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity, _chunk_count,
+    _map_rows,
 )
 from .kernels import HmcConfig, MhConfig, _chains, _stage_draws
 from .kernels import hmc_step, mh_step  # unused here; perfbench/child.py wraps them by name
@@ -484,12 +484,10 @@ def _write_particles(path: Path, group, iteration, particle_id, positions, accep
 
 
 def _grid_log_f(target: TargetDensity, points: np.ndarray, threads: int) -> np.ndarray:
-    """``target.log_f(points)`` in row chunks on ``threads`` threads, cut as a mutation's are."""
+    """``target.log_f(points)`` in row chunks on ``threads`` threads, cut as a stage's are."""
     chunks = _chunk_count(len(points), threads)
-    bounds = _chunk_bounds(len(points), chunks)
-    runs = [points[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(_map_chunks(target.log_f, runs, pool))
+        return _map_rows(lambda rows: (target.log_f(points[rows]),), len(points), chunks, pool)[0]
 
 
 def _write_grid(path: Path, target: TargetDensity, lower, upper, resolution: int,

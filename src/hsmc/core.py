@@ -129,8 +129,7 @@ class TargetDensity:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
         if self.constraints is not None and self.constraints.dim != self.dim:
             raise ValueError("constraints dimension does not match target dim")
         log_f, grad_log_f = self.log_f, self.grad_log_f
@@ -195,11 +194,12 @@ def normalize_weights(weights) -> np.ndarray:
     return w / total
 
 
-# Fewest rows a chunk takes, which bounds the threads a group's mutation or
-# the grid keeps busy.  Small chunks cost little, but threads queue for the
-# interpreter lock between their numpy calls: on a 2-core VM one 512-row
-# logit mutation took 0.52 s as 2 to 16 chunks on 2 threads, and 0.53, 0.68,
-# 0.80 and 1.77 s as one chunk per thread on 4, 8, 16 and 64 threads.
+# Fewest rows a chunk takes, which bounds the threads a group's correction
+# and mutation or the grid keep busy.  Small chunks cost little, but threads
+# queue for the interpreter lock between their numpy calls: on a 2-core VM
+# one 512-row logit mutation took 0.52 s as 2 to 16 chunks on 2 threads, and
+# 0.53, 0.68, 0.80 and 1.77 s as one chunk per thread on 4, 8, 16 and 64
+# threads.
 _MIN_CHUNK_ROWS = 128
 
 
@@ -207,29 +207,30 @@ def _chunk_count(n_rows: int, threads: int) -> int:
     """The chunks n_rows split into on ``threads`` threads.
 
     One a thread, but never one under ``_MIN_CHUNK_ROWS`` rows: the one rule
-    of mutation chunks and of the CLI's grid.
+    of a stage's chunks and of the CLI's grid.
     """
     return max(1, min(threads, n_rows // _MIN_CHUNK_ROWS))
 
 
-def _map_chunks(fn: Callable, runs: list, pool: Executor) -> list:
-    """``[fn(run) for run in runs]``, with every run but the first offered to ``pool``.
+def _map_rows(fn: Callable, n_rows: int, chunks: int, pool: Executor | None) -> list:
+    """``fn`` over n_rows rows cut into at most ``chunks`` runs, its results joined.
 
-    The caller computes the first run and then, in order, every run no
-    worker has started yet, before it waits for the runs the workers took.
-    No thread waits on a task that has not started, so a task may itself
-    map chunks on the same bounded pool without deadlock.
+    ``fn(rows)`` takes a slice of the rows and returns a tuple of arrays
+    with one entry per row; the result lists each of them concatenated
+    over the runs, in row order.  The runs are nearly equal, and every run
+    but the first is offered to ``pool``, which only more than one chunk
+    needs.  The caller computes the first run and then, in order, every
+    run no worker has started yet, before it waits for the runs the
+    workers took.  No thread waits on a task that has not started, so a
+    task may itself map rows on the same bounded pool without deadlock.
     """
+    bounds = sorted({0, n_rows, *(round(i * n_rows / chunks) for i in range(1, chunks))})
+    runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     futures = [pool.submit(fn, run) for run in runs[1:]]
     first = fn(runs[0])
     mine = [fn(run) if future.cancel() else None for run, future in zip(runs[1:], futures)]
-    return [first] + [r if f.cancelled() else f.result() for r, f in zip(mine, futures)]
-
-
-def _chunk_bounds(n: int, chunks: int) -> list[int]:
-    """Bounds of at most ``chunks`` nearly equal runs of n rows."""
-    cuts = {round(i * n / chunks) for i in range(1, chunks)}
-    return [0, *sorted(c for c in cuts if 0 < c < n), n]
+    parts = [first] + [r if f.cancelled() else f.result() for r, f in zip(mine, futures)]
+    return [np.concatenate(field) for field in zip(*parts)]
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,9 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     both from one such pass.  ``constraints`` are attached unmodified, so
     the kernel itself is untouched and samplers simply bounce off the box.
     """
-    pts = np.atleast_2d(np.array(points, dtype=float))
+    pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a nonempty (n, dim) array")
+        raise ValueError(f"points must be a nonempty (n, dim) array, got shape {pts.shape}")
     n, dim = pts.shape
     h = _as_bandwidth(bandwidth, dim)
     const = -np.log(n) - np.log(h).sum() - 0.5 * dim * _LOG_2PI

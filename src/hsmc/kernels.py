@@ -28,9 +28,14 @@ once; other targets compose it from the two separate calls.
 Steps carry each row's log f and gradient from one step to the next: a
 row ends where its proposal was accepted or where it started, and the
 last leapfrog gradient is the one at the proposal, so no point is
-evaluated twice and only the first Hamiltonian step evaluates a start
-gradient.  A carried value has the bits that evaluating the new batch
-would give, since no row depends on its batch.
+evaluated twice.  The first step takes its start values from the caller.
+``_start_values`` evaluates what a kernel needs, log f and for a
+Hamiltonian kernel the gradient in the same call: an SMC stage calls it
+once at its corrected cloud and hands each survivor's values to
+``mutate_ensemble``, and ``_chains`` calls it only when handed none, as
+for the CLI's chains and the single-position edge.  A carried or handed
+value has the bits that evaluating the new batch would give, since no
+row depends on its batch.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
-    Ensemble, RandomSource, TargetDensity, _as_count, _child_keys, _chunk_bounds, _map_chunks,
-    _readonly,
+    Ensemble, RandomSource, TargetDensity, _as_count, _child_keys, _map_rows, _readonly,
 )
 
 __all__ = [
@@ -203,13 +207,28 @@ def _stage_draws(rng: RandomSource, n: int, dim: int, steps: int):
     return noise, np.log(u)
 
 
+def _start_values(target, kernel: KernelConfig, positions, pool: Executor | None, chunks: int):
+    """(log f, grad log f) at the rows, what a ``kernel`` step starts from.
+
+    A Hamiltonian kernel takes both from ``target.log_f_and_grad``, one
+    pass on a target with a native one; a random walk takes ``log_f``
+    alone, and its gradient is None.  The rows are evaluated in at most
+    ``chunks`` runs on ``pool`` (see :func:`core._map_rows`); no row
+    depends on its batch, so the cuts change no bit.
+    """
+    hmc = isinstance(kernel, HmcConfig)
+    evaluate = target.log_f_and_grad if hmc else lambda pos: (target.log_f(pos),)
+    values = _map_rows(lambda rows: evaluate(positions[rows]), len(positions), chunks, pool)
+    return values[0], values[1] if hmc else None
+
+
 def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
     """One Metropolis step of every row from its draws ``noise`` and ``log_u``.
 
-    ``lf`` is log f at the rows and ``grad`` its gradient; given None, a
-    Hamiltonian step evaluates it.  A random-walk step evaluates log f at
-    the proposal; a Hamiltonian step takes it, with the gradient there,
-    from :func:`_leapfrog_batch`.  Row i's ``dim`` standard normals
+    ``lf`` is log f at the rows and ``grad`` its gradient, None for a
+    random walk.  A random-walk step evaluates log f at the proposal; a
+    Hamiltonian step takes it, with the gradient there, from
+    :func:`_leapfrog_batch`.  Row i's ``dim`` standard normals
     ``noise[i]`` are the random-walk noise, or the momentum before scaling
     by sqrt(M), and ``log_u[i]`` is the log uniform of its accept test.
     Rows at zero density, NaN log ratios and divergent trajectories are
@@ -220,8 +239,6 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
         mass = kernel.mass_for(positions.shape[1])
         momenta = np.sqrt(mass) * noise
         with np.errstate(over="ignore", invalid="ignore"):
-            if grad is None:
-                grad = target.grad_log_f(positions)
             kin0 = 0.5 * ((momenta**2) / mass).sum(axis=-1)
             q, p, lf1, new_grad = _leapfrog_batch(target, positions, momenta, grad, kernel)
             kin1 = 0.5 * ((p**2) / mass).sum(axis=-1)
@@ -231,23 +248,23 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
         q = positions + np.sqrt(kernel.proposal_scale) * noise
         lf1 = target.log_f(q)
         log_ratio = lf1 - lf
-        new_grad = None
     log_a = np.where(np.isnan(log_ratio) | ~np.isfinite(lf), -np.inf, np.minimum(0.0, log_ratio))
     accepted = log_u < log_a
     keep = accepted[:, None]
-    if new_grad is not None:
-        new_grad = np.where(keep, new_grad, grad)
-    return np.where(keep, q, positions), np.where(accepted, lf1, lf), new_grad, accepted, log_a
+    if grad is not None:
+        grad = np.where(keep, new_grad, grad)
+    return np.where(keep, q, positions), np.where(accepted, lf1, lf), grad, accepted, log_a
 
 
-def _chains(kind, target, start, kernel, noise, log_u, lf=None):
+def _chains(kind, target, start, kernel, noise, log_u, lf=None, grad=None):
     """Step the rows of ``start`` (J, dim) as J chains in one batch, through all draws.
 
     Step s of chain j takes the draws ``noise[s, j]`` and ``log_u[s, j]``,
-    and ``kernel`` must be a ``kind``.  ``lf`` is log f at the starts;
-    given None, it is evaluated and must be finite at every start.  Log f
-    and the gradient are carried from step to step, so only the first
-    Hamiltonian step evaluates a start gradient.  Returns the states
+    and ``kernel`` must be a ``kind``.  ``lf`` is log f at the starts and
+    ``grad`` its gradient, which a Hamiltonian kernel needs; given no
+    ``lf``, both are evaluated in one :func:`_start_values` call, and log f
+    must be finite at every start.  Log f and the gradient are carried
+    from step to step, so no point is evaluated twice.  Returns the states
     (steps + 1, J, dim) and their accept flags (steps + 1, J), both start
     first with the start's flags True, log f at the last states and the
     last step's log accept probabilities.
@@ -255,12 +272,12 @@ def _chains(kind, target, start, kernel, noise, log_u, lf=None):
     if not isinstance(kernel, kind):
         raise TypeError(f"expected an {kind.__name__}, got {type(kernel).__name__}")
     if lf is None:
-        lf = target.log_f(start)
+        lf, grad = _start_values(target, kernel, start, None, 1)
         if not np.all(np.isfinite(lf)):
             raise ValueError("starting position has non-finite log-density")
     states = np.empty((len(noise) + 1,) + start.shape)
     accepted = np.ones(states.shape[:2], dtype=bool)
-    states[0], grad = start, None
+    states[0] = start
     for s in range(len(noise)):
         states[s + 1], lf, grad, accepted[s + 1], log_a = _step(
             target, states[s], lf, grad, kernel, noise[s], log_u[s])
@@ -310,6 +327,7 @@ def mutate_ensemble(
     steps: int,
     rng: RandomSource,
     log_f: np.ndarray,
+    grad_log_f: np.ndarray | None = None,
     pool: Executor | None = None,
     chunks: int = 1,
 ) -> MutationResult:
@@ -326,17 +344,18 @@ def mutate_ensemble(
     gives.  Per-particle failures (zero density, divergent trajectories)
     reject the proposal instead of aborting the ensemble.
 
-    ``log_f`` is ``target.log_f`` at the particles, which the caller
-    usually has already; the result's ``log_f`` is its value at the final
-    particles.  Steps carry log f and the gradient, so only the first
-    step evaluates a start gradient.
+    ``log_f`` is ``target.log_f`` at the particles and ``grad_log_f``
+    ``target.grad_log_f`` there, which an HmcConfig needs and an
+    MhConfig ignores; an SMC stage has both from its correction
+    (:func:`_start_values`).  The result's ``log_f`` is log f at the final
+    particles.  Steps carry log f and the gradient, so the mutation
+    evaluates no start value.
 
     The rows are cut into at most ``chunks`` nearly equal runs, and each
     run takes all ``steps`` steps as one task.  The caller steps the first
-    run, and the others too unless a worker of ``pool`` has started them
-    (all in turn when there is no pool).  Every row keeps its own draws
-    and its own target values, so the result does not depend on
-    ``chunks``.
+    run, and the others too unless a worker of ``pool`` has started them;
+    more than one chunk needs a pool.  Every row keeps its own draws and
+    its own target values, so the result does not depend on ``chunks``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -347,16 +366,16 @@ def mutate_ensemble(
     lf = np.asarray(log_f, dtype=float)
     if lf.shape != (ensemble.n_particles,):
         raise ValueError("log_f must have one entry per particle")
+    grad = np.asarray(grad_log_f, dtype=float) if isinstance(kernel, HmcConfig) else None
+    if grad is not None and grad.shape != ensemble.positions.shape:
+        raise ValueError(f"an HmcConfig needs grad_log_f of shape {ensemble.positions.shape}")
     noise, log_u = _stage_draws(rng, ensemble.n_particles, ensemble.dim, steps)
 
     def trajectory(rows):
-        states, accepted, final_lf, _ = _chains(type(kernel), target, ensemble.positions[rows],
-                                                kernel, noise[:, rows], log_u[:, rows], lf[rows])
-        return states[-1], final_lf, accepted[-1], int(accepted[1:].sum())
+        states, accepted, final_lf, _ = _chains(
+            type(kernel), target, ensemble.positions[rows], kernel, noise[:, rows],
+            log_u[:, rows], lf[rows], None if grad is None else grad[rows])
+        return states[-1], final_lf, accepted[-1], accepted[1:].sum(axis=0)
 
-    bounds = _chunk_bounds(ensemble.n_particles, chunks)
-    runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    parts = map(trajectory, runs) if pool is None else _map_chunks(trajectory, runs, pool)
-    positions, final_lf, accepted, counts = zip(*parts)
-    return MutationResult(Ensemble(np.concatenate(positions)), sum(counts),
-                          np.concatenate(accepted), np.concatenate(final_lf))
+    positions, final_lf, accepted, counts = _map_rows(trajectory, len(lf), chunks, pool)
+    return MutationResult(Ensemble(positions), int(counts.sum()), accepted, final_lf)

@@ -9,22 +9,24 @@ weight rules are supported: the classic ratio f_t / f_{t-1} and the
 kernel variant f_t / f-hat_{t-1}, where f-hat is a leave-one-out KDE of
 the current particle cloud, with kernels widened for stragglers and the
 weights truncated.  :func:`correction_weights` computes either rule
-whole, exactly as a run applies it, so a stage is one call each to
+whole, exactly as a run applies it, from log-densities its caller
+evaluated, so a stage is one target evaluation and one call each to
 correction, selection and mutation.  Independent particle groups run on
 a thread pool and are compared afterwards as a convergence check; each
-group cuts its mutations' rows into chunks for the threads the groups
-leave over.
+group cuts its stages' target evaluations and mutations into row chunks
+for the threads the groups leave over.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
 (seed, j, MUTATION_STREAM, t, i); the initial draws come from
 (seed, j, INIT_STREAM, 0).
 
-Each density is evaluated once per point per stage.  The correction's
-log f_t follows each survivor through selection and is the mutation's
-start value, and under "theoretical_ratio" the mutation's final log f_t
-is the next correction's denominator.  Only log-densities cross
-selection, so the mutation computes its start gradient itself.
+Each density is evaluated once per point per stage.  The stage
+evaluates f_t at the corrected cloud once: log f_t, and for a
+Hamiltonian mutation its gradient in the same call.  Both follow each
+survivor through selection and are the mutation's start values, and
+under "theoretical_ratio" the mutation's final log f_t is the next
+correction's denominator.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .core import (
 )
 from .diagnostics import effective_sample_size, weighted_moments
 from .kde import _kth_neighbour_distance, kde_target, loo_log_density_all, silverman_bandwidth
-from .kernels import HmcConfig, KernelConfig, MhConfig, mutate_ensemble
+from .kernels import HmcConfig, KernelConfig, MhConfig, _start_values, mutate_ensemble
 from .targets import (
     LogitData, _make_target, gaussian, geometric_bridge, nonlinear_logit_loglik, powered,
 )
@@ -150,7 +152,7 @@ class SmcConfig:
     """Engine parameters: ensemble sizes, mutation kernel and weight rule.
 
     The groups run on a pool of ``n_threads`` threads, and each group cuts
-    its mutations' rows into chunks for ``ceil(n_threads / n_groups)`` of
+    its stages' rows into chunks for ``ceil(n_threads / n_groups)`` of
     them.  ``n_threads`` defaults to 1 because the engine calls the stage
     targets from every thread of its pool, and a caller's own target may
     not be thread-safe; the CLI builds only built-in targets and defaults
@@ -236,7 +238,9 @@ def kde_blocks_sequence(
     The last block may be short.  Each stage's per-dimension bandwidth is
     sd(revealed) * n_t^(-1/5); ``constraints`` bound every stage's support.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (n, dim) array, got shape {points.shape}")
     stages = []
     for cut in _block_cuts(points.shape[0], block_size):
         revealed = points[:cut]
@@ -292,13 +296,15 @@ def annealing_sequence(
 
 def correction_weights(
     ensemble: Ensemble,
-    f_next: TargetDensity,
+    log_next: np.ndarray,
     log_prev: np.ndarray | None,
     mode: str = "theoretical_ratio",
     bandwidth_fallback: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Importance weights carrying the ensemble from f_prev to f_next.
 
+    ``log_next`` is f_next's log-density at each particle; the caller
+    evaluates it, so the same values can start the mutation.
     "theoretical_ratio" uses f_next / f_prev pointwise, ``log_prev`` being
     f_prev's log-density at each particle.  "loo_kde_ratio" is the whole
     kernel-weighted rule a run applies: it ignores ``log_prev``, divides by
@@ -308,28 +314,25 @@ def correction_weights(
     bandwidth of a cloud collapsed in some dimension, which without it
     raises :class:`DegenerateEnsembleError`.  Weights are exponentiated
     after subtracting the maximum log-weight, so only their ratios are
-    meaningful.  Returns (weights, log_next), log_next being f_next's
-    log-density at each particle.
+    meaningful.
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"mode must be one of {WEIGHT_MODES}")
-    log_next = f_next.log_f(ensemble.positions)
     if mode == "loo_kde_ratio":
         bandwidth = _loo_engine_bandwidth(ensemble, bandwidth_fallback)
         log_prev = loo_log_density_all(ensemble.positions, bandwidth)
     elif log_prev is None:
         raise ValueError("theoretical weights need the previous target's log-densities")
-    else:
-        log_prev = np.asarray(log_prev, dtype=float)
-        if log_prev.shape != log_next.shape:
-            raise ValueError("log_prev must have one entry per particle")
+    log_next, log_prev = np.asarray(log_next, dtype=float), np.asarray(log_prev, dtype=float)
+    if log_next.shape != (ensemble.n_particles,) or log_prev.shape != log_next.shape:
+        raise ValueError("log_next and log_prev must have one entry per particle")
     with np.errstate(invalid="ignore"):
         log_w = np.where(np.isneginf(log_next), -np.inf, log_next - log_prev)
     log_w = np.where(np.isnan(log_w), -np.inf, log_w)
     if not np.any(np.isfinite(log_w)):
         raise DegenerateWeightsError("every particle has zero density under the next target")
     w = np.exp(log_w - log_w[np.isfinite(log_w)].max())
-    return (_truncate_weights(w) if mode == "loo_kde_ratio" else w), log_next
+    return _truncate_weights(w) if mode == "loo_kde_ratio" else w
 
 
 def resample(ensemble: Ensemble, weights, rng: np.random.Generator) -> Ensemble:
@@ -408,12 +411,17 @@ def _iteration_record(group: int, iteration: int, accepted: int, ensemble: Ensem
 
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
                pool: Executor):
-    """Group ``group``'s whole run, each mutation's rows cut into chunks on ``pool``."""
+    """Group ``group``'s whole run, each stage's rows cut into chunks on ``pool``.
+
+    A stage evaluates f_t at the corrected cloud once, with the gradient
+    when the mutation is Hamiltonian; both follow each survivor through
+    selection into the mutation.
+    """
     chunks = _chunk_count(config.n_particles, -(-config.n_threads // config.n_groups))
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
-    # selection picks labels, so each survivor keeps the log f_t of its parent
+    # selection picks labels, so each survivor keeps the f_t values of its parent
     labels = Ensemble(np.arange(config.n_particles, dtype=float)[:, None])
     bandwidth_fallback = log_prev = None
     if config.weight_mode == "loo_kde_ratio":
@@ -424,9 +432,9 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
     rows = []
     history = [(ens, np.ones(config.n_particles, dtype=bool))]
     for t, f_t in enumerate(sequence.stages, start=1):
+        log_next, grad = _start_values(f_t, config.mutation, ens.positions, pool, chunks)
         try:
-            w, log_next = correction_weights(ens, f_t, log_prev, config.weight_mode,
-                                             bandwidth_fallback)
+            w = correction_weights(ens, log_next, log_prev, config.weight_mode, bandwidth_fallback)
         except DegenerateWeightsError as err:
             raise DegenerateWeightsError(
                 f"degenerate weights at stage {t} of group {group}: {err}", stage=t
@@ -435,7 +443,8 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
         idx = resample(labels, w, selection).positions[:, 0].astype(np.intp)
         ens, accepted_count, accepted, log_prev = mutate_ensemble(
             f_t, Ensemble(ens.positions[idx]), config.mutation, config.mutation_steps,
-            group_rng.derive(MUTATION_STREAM, t), log_next[idx], pool, chunks,
+            group_rng.derive(MUTATION_STREAM, t), log_next[idx],
+            None if grad is None else grad[idx], pool, chunks,
         )
         rows.append(_iteration_record(group, t, accepted_count, ens, w))
         history.append((ens, accepted))
@@ -447,13 +456,13 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
 
     Each of the ``n_groups`` particle groups runs independently on its own
     derived random stream, as a task on a pool of ``n_threads`` threads.
-    Each group cuts every stage's mutation into one chunk of rows for each
-    of its ``ceil(n_threads / n_groups)`` threads, fewer when a chunk would
-    get under ``core._MIN_CHUNK_ROWS`` rows, and hands the chunks after its
-    first to the same pool.  The thread count never changes the results.
-    The returned history keeps every stage's ensemble.  Raises
-    :class:`DegenerateWeightsError` (carrying the stage index) when every
-    particle dies under some stage.
+    Each group cuts every stage's target evaluation and mutation into one
+    chunk of rows for each of its ``ceil(n_threads / n_groups)`` threads,
+    fewer when a chunk would get under ``core._MIN_CHUNK_ROWS`` rows, and
+    hands the chunks after its first to the same pool.  The thread count
+    never changes the results.  The returned history keeps every stage's
+    ensemble.  Raises :class:`DegenerateWeightsError` (carrying the stage
+    index) when every particle dies under some stage.
     """
     if not isinstance(rng, RandomSource):
         raise TypeError("run_smc needs a RandomSource")

@@ -329,7 +329,8 @@ def test_criterion_7_property_suite():
     samples = []
     for t in range(1100):
         ens = mutate_ensemble(normal, ens, ks_cfg, 1, root.derive(MUTATION_STREAM, t),
-                              normal.log_f(ens.positions)).ensemble
+                              normal.log_f(ens.positions),
+                              normal.grad_log_f(ens.positions)).ensemble
         if t >= 100:
             samples.append(ens.positions[:, 0])
     pooled = np.concatenate(samples)

@@ -12,7 +12,7 @@ from hsmc.core import (
     Ensemble,
     RandomSource,
     _child_keys,
-    _map_chunks,
+    _map_rows,
     normalize_weights,
 )
 
@@ -161,7 +161,29 @@ def _finishes(call, timeout=30.0):
     return not thread.is_alive(), out, thread.ident
 
 
-class TestMapChunks:
+def _rows_and_thread(rows):
+    """Each row's index, and the thread that computed it."""
+    index = np.arange(rows.start, rows.stop)
+    return index, np.full(len(index), threading.get_ident())
+
+
+class TestMapRows:
+    @pytest.mark.parametrize("chunks", [2, 3, 8])
+    def test_results_join_in_row_order(self, chunks):
+        # runs of a 5-row batch that rounds alike count once
+        def fn(rows):
+            return np.arange(rows.start, rows.stop), -np.arange(rows.start, rows.stop)[:, None]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            index, column = _map_rows(fn, 5, chunks, pool)
+        np.testing.assert_array_equal(index, np.arange(5))
+        np.testing.assert_array_equal(column, -np.arange(5)[:, None])
+
+    def test_one_chunk_needs_no_pool(self):
+        index, threads = _map_rows(_rows_and_thread, 7, 1, None)
+        np.testing.assert_array_equal(index, np.arange(7))
+        assert (threads == threading.get_ident()).all()
+
     def test_the_caller_runs_what_no_worker_started(self):
         # the pool's only worker is held, so a helper that waited on a queued
         # run would never return
@@ -175,36 +197,39 @@ class TestMapChunks:
             try:
                 pool.submit(hold)
                 assert started.wait(30.0)
-                finished, out, caller = _finishes(
-                    lambda: _map_chunks(lambda run: (run, threading.get_ident()), [0, 1, 2, 3],
-                                        pool))
+                finished, out, caller = _finishes(lambda: _map_rows(_rows_and_thread, 4, 4, pool))
             finally:
                 release.set()
-        assert finished, "_map_chunks waited on a run no worker had started"
-        assert out == [[(run, caller) for run in range(4)]]
+        assert finished, "_map_rows waited on a run no worker had started"
+        index, threads = out[0]
+        np.testing.assert_array_equal(index, np.arange(4))
+        assert (threads == caller).all()
 
     def test_nested_maps_finish_on_one_worker(self):
-        # groups that map their own chunks on the pool the groups run on
+        # groups that map their own rows on the pool the groups run on
         pool = ThreadPoolExecutor(max_workers=1)
 
-        def group(g):
-            return _map_chunks(lambda c: (g, c), [0, 1, 2], pool)
+        def group(rows):
+            inner = _map_rows(lambda r: (np.arange(r.start, r.stop) + 10 * rows.start,),
+                              3, 3, pool)
+            return (inner[0][None, :],)
 
         try:
-            finished, out, _ = _finishes(lambda: _map_chunks(group, [0, 1, 2, 3], pool))
+            finished, out, _ = _finishes(lambda: _map_rows(group, 4, 4, pool))
         finally:
-            # cancelling what is queued frees a worker stuck on a queued chunk
+            # cancelling what is queued frees a worker stuck on a queued run
             pool.shutdown(cancel_futures=True)
         assert finished, "nested maps deadlocked the pool"
-        assert out == [[[(g, c) for c in range(3)] for g in range(4)]]
+        np.testing.assert_array_equal(out[0][0], [[10 * g + c for c in range(3)]
+                                                  for g in range(4)])
 
     @pytest.mark.parametrize("failing", [0, 2])
     def test_an_error_in_a_run_reaches_the_caller(self, failing):
-        def fn(run):
-            if run == failing:
-                raise ValueError(f"run {run} failed")
-            return run
+        def fn(rows):
+            if rows.start == failing:
+                raise ValueError(f"run {failing} failed")
+            return (np.arange(rows.start, rows.stop),)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             with pytest.raises(ValueError, match=f"run {failing} failed"):
-                _map_chunks(fn, [0, 1, 2, 3], pool)
+                _map_rows(fn, 4, 4, pool)

@@ -90,6 +90,13 @@ class TestKdeTarget:
         with pytest.raises(ValueError):
             kde_target([[0.0]], [0.0])
 
+    def test_points_must_be_a_2d_array(self):
+        # three 1-d values are not one 3-d point
+        for points, shape in (([0.1, 0.5, 0.9], r"\(3,\)"), (0.5, r"\(\)"),
+                              (np.zeros((2, 2, 1)), r"\(2, 2, 1\)")):
+            with pytest.raises(ValueError, match=rf"\(n, dim\) array, got shape {shape}"):
+                kde_target(points, 0.2)
+
     def test_constraints_attached(self):
         box = BoxConstraints([-1.0], [1.0])
         t = kde_target([[0.0]], [1.0], constraints=box)

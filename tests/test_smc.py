@@ -13,6 +13,7 @@ from hsmc.core import (
     DegenerateWeightsError,
     Ensemble,
     RandomSource,
+    TargetDensity,
 )
 from hsmc import kde, smc
 from hsmc.kernels import HmcConfig, MhConfig, mutate_ensemble
@@ -33,7 +34,7 @@ from hsmc.smc import (
 )
 from hsmc.smc import _loo_engine_bandwidth, _truncate_weights
 from hsmc.kde import kde_target, silverman_bandwidth
-from hsmc.targets import dropwave, gaussian, simulate_logit_data
+from hsmc.targets import dropwave, gaussian, rosenbrock, simulate_logit_data
 
 INITIAL_1D = diag_gaussian_initial([0.0], [1.0])
 INITIAL_2D = diag_gaussian_initial([0.0, 0.0], [1.0, 1.0])
@@ -79,6 +80,11 @@ class TestBlockwiseSequence:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             kde_blocks_sequence(np.empty((0, 2)), 100, initial=INITIAL_2D)
+
+    def test_points_must_be_a_2d_array(self):
+        # four 1-d values are not one 4-d point
+        with pytest.raises(ValueError, match=r"\(n, dim\) array, got shape \(4,\)"):
+            kde_blocks_sequence([0.1, 0.4, 0.6, 0.9], 2, initial=INITIAL_1D)
 
     def test_constraints_propagate(self, rng):
         from hsmc.targets import DROPWAVE_BOX
@@ -192,7 +198,8 @@ class TestCorrectionWeights:
     def test_identical_targets_give_uniform_weights(self, rng):
         f = gaussian([0.0, 0.0], [1.0, 1.0])
         ens = Ensemble(rng.standard_normal((32, 2)))
-        w, _ = correction_weights(ens, f, f.log_f(ens.positions), "theoretical_ratio")
+        lf = f.log_f(ens.positions)
+        w = correction_weights(ens, lf, lf, "theoretical_ratio")
         np.testing.assert_allclose(w / w.sum(), 1.0 / 32, atol=1e-12)
 
     def test_theoretical_ratio_values(self, rng):
@@ -200,8 +207,7 @@ class TestCorrectionWeights:
         f1 = gaussian([1.0], [1.0])
         positions = rng.standard_normal((16, 1))
         ens = Ensemble(positions)
-        w, log_next = correction_weights(ens, f1, f0.log_f(positions), "theoretical_ratio")
-        np.testing.assert_array_equal(log_next, f1.log_f(positions))
+        w = correction_weights(ens, f1.log_f(positions), f0.log_f(positions), "theoretical_ratio")
         logw = f1.log_f(positions) - f0.log_f(positions)
         expected = np.exp(logw - logw.max())
         np.testing.assert_allclose(w, expected, rtol=1e-12)
@@ -213,11 +219,10 @@ class TestCorrectionWeights:
         positions = rng.standard_normal((40, 2))
         positions[0] = [12.0, -9.0]
         base = positions.std(axis=0, ddof=1) * (4.0 / 160) ** (1 / 6)
-        w, log_next = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio",
-                                         np.array([7.0, 7.0]))
+        w = correction_weights(Ensemble(positions), f1.log_f(positions), None, "loo_kde_ratio",
+                               np.array([7.0, 7.0]))
         expected, raw = _kernel_weights_by_brute_force(f1, positions, base)
         assert _widened_by_brute_force(positions, base, 7)[0, 0] > base[0]
-        np.testing.assert_array_equal(log_next, f1.log_f(positions))
         np.testing.assert_allclose(w, expected, rtol=1e-9)
         assert w[0] < raw[0] and w[0] == w.max()
 
@@ -225,7 +230,8 @@ class TestCorrectionWeights:
         f1 = gaussian([0.0, 0.0], [4.0, 4.0])
         positions = np.column_stack([rng.standard_normal(16), np.zeros(16)])
         fallback = np.array([0.5, 0.25])
-        w, _ = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio", fallback)
+        w = correction_weights(Ensemble(positions), f1.log_f(positions), None, "loo_kde_ratio",
+                               fallback)
         expected, _ = _kernel_weights_by_brute_force(f1, positions, fallback)
         np.testing.assert_allclose(w, expected, rtol=1e-9)
 
@@ -233,14 +239,14 @@ class TestCorrectionWeights:
         f1 = gaussian([0.0, 0.0], [4.0, 4.0])
         positions = np.column_stack([rng.standard_normal(16), np.zeros(16)])
         with pytest.raises(DegenerateEnsembleError):
-            correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio")
+            correction_weights(Ensemble(positions), f1.log_f(positions), None, "loo_kde_ratio")
 
     def test_zero_density_particle_gets_zero_weight(self):
         box_target = dropwave()
         positions = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
         ens = Ensemble(positions)
-        w, _ = correction_weights(
-            ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]).log_f(positions)
+        w = correction_weights(
+            ens, box_target.log_f(positions), gaussian([0.0, 0.0], [25.0, 25.0]).log_f(positions)
         )
         assert w[2] == 0.0
         assert w[0] > 0 and w[1] > 0
@@ -250,16 +256,24 @@ class TestCorrectionWeights:
         positions = np.array([[3.0, 0.0], [4.0, 4.0]])
         ens = Ensemble(positions)
         with pytest.raises(DegenerateWeightsError):
-            correction_weights(
-                ens, box_target, gaussian([0.0, 0.0], [25.0, 25.0]).log_f(positions)
-            )
+            correction_weights(ens, box_target.log_f(positions),
+                               gaussian([0.0, 0.0], [25.0, 25.0]).log_f(positions))
+
+    def test_log_densities_need_one_entry_per_particle(self, rng):
+        ens = Ensemble(rng.standard_normal((8, 2)))
+        for log_next, log_prev in ((np.zeros(7), np.zeros(8)), (np.zeros(8), np.zeros((8, 1)))):
+            with pytest.raises(ValueError, match="log_next and log_prev must have one entry"):
+                correction_weights(ens, log_next, log_prev, "theoretical_ratio")
+        with pytest.raises(ValueError, match="log_next and log_prev must have one entry"):
+            correction_weights(ens, np.zeros(9), None, "loo_kde_ratio")
 
     def test_loo_weights_permutation_equivariant(self, rng):
         f1 = gaussian([0.0, 0.0], [1.0, 1.0])
         positions = rng.standard_normal((24, 2))
         perm = rng.permutation(24)
-        w, _ = correction_weights(Ensemble(positions), f1, None, "loo_kde_ratio")
-        wp, _ = correction_weights(Ensemble(positions[perm]), f1, None, "loo_kde_ratio")
+        w = correction_weights(Ensemble(positions), f1.log_f(positions), None, "loo_kde_ratio")
+        wp = correction_weights(Ensemble(positions[perm]), f1.log_f(positions[perm]), None,
+                                "loo_kde_ratio")
         np.testing.assert_allclose(wp, w[perm], rtol=1e-10)
 
 
@@ -411,7 +425,7 @@ class TestRunSmc:
         n = 4096
         draws = f0.sample(n, RandomSource(5).generator())
         ens = Ensemble(draws)
-        w, _ = correction_weights(ens, f1, f0.density.log_f(draws), "theoretical_ratio")
+        w = correction_weights(ens, f1.log_f(draws), f0.density.log_f(draws), "theoretical_ratio")
         pre_selection_mean = (w / w.sum()) @ ens.positions[:, 0]
         selected = resample(ens, w, RandomSource(6).generator())
         post_selection_mean = selected.positions.mean()
@@ -490,21 +504,25 @@ class TestRunSmc:
     ])
     def test_groups_cut_rows_for_their_share_of_threads(self, monkeypatch, groups, threads,
                                                          particles, chunks):
-        # each group cuts its rows into one chunk for each of its
-        # ceil(threads / groups) threads, at least _MIN_CHUNK_ROWS = 128 to a
-        # chunk
+        # each group cuts a stage's target evaluation and its mutation into
+        # one chunk for each of its ceil(threads / groups) threads, at least
+        # _MIN_CHUNK_ROWS = 128 to a chunk
         seen = []
 
-        def recording(*args):
-            seen.append(args[-1])  # the chunk count, passed last
-            return mutate_ensemble(*args)
+        def recording(fn):
+            def record(*args):
+                seen.append((fn.__name__, args[-1]))  # the chunk count, passed last
+                return fn(*args)
+            return record
 
-        monkeypatch.setattr(smc, "mutate_ensemble", recording)
+        for name in ("_start_values", "mutate_ensemble"):
+            monkeypatch.setattr(smc, name, recording(getattr(smc, name)))
         seq = annealing_sequence(gaussian([0.0], [1.0]), [0.5, 1.0],
                                  initial=diag_gaussian_initial([0.0], [2.0]))
         run_smc(seq, SmcConfig(n_particles=particles, mutation=MhConfig(0.5), n_groups=groups,
                                n_threads=threads), RandomSource(1))
-        assert seen == [chunks] * (2 * groups)
+        assert sorted(seen) == sorted([("_start_values", chunks),
+                                       ("mutate_ensemble", chunks)] * (2 * groups))
 
     def test_report_row_per_group_and_iteration(self, rng):
         points = rng.standard_normal((90, 2))
@@ -529,7 +547,8 @@ class TestRunSmc:
         # stage t of group j: correction_weights on history[j][t-1] (under
         # loo_kde_ratio with the initial cloud's Silverman bandwidth as the
         # fallback), selection on (seed, j, SELECTION_STREAM, t), mutation on
-        # (seed, j, MUTATION_STREAM, t)
+        # (seed, j, MUTATION_STREAM, t) from f_t's log f and gradient at the
+        # survivors
         points = rng.standard_normal((60, 2))
         seq = kde_blocks_sequence(points, 30,
                                   initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
@@ -547,12 +566,12 @@ class TestRunSmc:
                 f_t = seq.stages[t - 1]
                 f_prev = seq.initial.density if t == 1 else seq.stages[t - 2]
                 before = history[t - 1][0]
-                w, _ = correction_weights(before, f_t, f_prev.log_f(before.positions), mode,
-                                          fallback)
+                w = correction_weights(before, f_t.log_f(before.positions),
+                                       f_prev.log_f(before.positions), mode, fallback)
                 selected = resample(before, w, root.derive(j, SELECTION_STREAM, t).generator())
                 mutated, _, accepted, _ = mutate_ensemble(
                     f_t, selected, cfg.mutation, 1, root.derive(j, MUTATION_STREAM, t),
-                    f_t.log_f(selected.positions),
+                    f_t.log_f(selected.positions), f_t.grad_log_f(selected.positions),
                 )
                 np.testing.assert_array_equal(mutated.positions, history[t][0].positions)
                 np.testing.assert_array_equal(accepted, history[t][1])
@@ -605,31 +624,59 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
     def test_hmc_stage(self, mode):
-        # per stage: N log f rows at the correction; per step L N gradient
-        # rows and N log f rows at the proposals; N start-gradient rows
+        # per stage: N log f and N gradient rows at the correction, the
+        # composed fused call; per step L N gradient rows and N log f rows
+        # at the proposals
         n, steps, leapfrog = self.N, 3, 5
         counts = self.run_counted(HmcConfig(1.0, leapfrog, 0.1), steps, mode)
-        assert counts == {"log_f": self.T * (n + steps * n),
-                          "grad": self.T * (n + steps * leapfrog * n)}
+        assert counts == {"log_f": self.T * (1 + steps) * n,
+                          "grad": self.T * (1 + steps * leapfrog) * n}
 
     @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
     def test_hmc_stage_on_a_fused_target(self, mode):
-        # per stage: N log f rows at the correction; per step (L - 1) N
-        # gradient rows and N fused rows at the proposals, with no log f
-        # rows there; N start-gradient rows
+        # per stage: N fused rows at the correction; per step (L - 1) N
+        # gradient rows and N fused rows at the proposals; no log f rows and
+        # no start gradients
         n, steps, leapfrog = self.N, 3, 5
         points = np.random.default_rng(4).standard_normal((200, 2))
         seq = kde_blocks_sequence(points, 50, initial=diag_gaussian_initial([0.0, 0.0],
                                                                             [2.0, 2.0]))
         assert seq.n_stages == self.T
         counts = self.run_counted(HmcConfig(1.0, leapfrog, 0.1), steps, mode, seq, native=True)
-        assert counts == {"log_f": self.T * n, "fused": self.T * steps * n,
-                          "grad": self.T * (1 + steps * (leapfrog - 1)) * n}
+        assert counts == {"log_f": 0, "fused": self.T * (1 + steps) * n,
+                          "grad": self.T * steps * (leapfrog - 1) * n}
 
     @pytest.mark.parametrize("mode", ["theoretical_ratio", "loo_kde_ratio"])
     def test_mh_smc_makes_two_evaluations_per_particle_and_stage(self, mode):
         counts = self.run_counted(MhConfig(0.5), 1, mode)
         assert counts == {"log_f": self.T * 2 * self.N, "grad": 0}
+
+    @pytest.mark.parametrize("stage", ["kde", "boxed dropwave", "powered"])
+    def test_survivors_carry_their_own_start_values(self, monkeypatch, rng, stage):
+        # the stage evaluates f_t at the corrected cloud in 2 row chunks,
+        # about half of it outside the dropwave box at the first stage, and
+        # selection hands each survivor log f_t and its gradient with the
+        # bits of evaluating the survivors themselves
+        seq = {
+            "kde": lambda: kde_blocks_sequence(rng.standard_normal((400, 2)), 200,
+                                               initial=INITIAL_2D),
+            "boxed dropwave": lambda: TargetSequence(
+                (dropwave(), dropwave()), diag_gaussian_initial([0.0, 0.0], [2.5, 2.5])),
+            "powered": lambda: annealing_sequence(rosenbrock(), [0.5, 1.0], initial=INITIAL_2D),
+        }[stage]()
+        handed = []
+
+        def recording(target, ensemble, kernel, steps, rng, log_f, grad_log_f, *args):
+            handed.append((target, ensemble.positions, log_f, grad_log_f))
+            return mutate_ensemble(target, ensemble, kernel, steps, rng, log_f, grad_log_f, *args)
+
+        monkeypatch.setattr(smc, "mutate_ensemble", recording)
+        run_smc(seq, SmcConfig(n_particles=300, mutation=HmcConfig(1.0, 5, 0.1), n_threads=3),
+                RandomSource(6))
+        assert [target for target, *_ in handed] == list(seq.stages)
+        for target, positions, log_f, grad in handed:
+            np.testing.assert_array_equal(log_f, target.log_f(positions))
+            np.testing.assert_array_equal(grad, target.grad_log_f(positions))
 
     def test_mutation_hands_back_the_final_log_f(self, rng):
         # the boxed KDE target's proposals take log f from its fused call;
@@ -642,7 +689,7 @@ class TestEvaluationCounts:
         for target in (gaussian([0.5, -0.5], [1.0, 2.0]), kde, with_prior):
             for kernel in (HmcConfig(1.0, 5, 0.1), MhConfig(0.5)):
                 result = mutate_ensemble(target, ens, kernel, 3, RandomSource(2),
-                                         target.log_f(ens.positions))
+                                         *target.log_f_and_grad(ens.positions))
                 np.testing.assert_array_equal(result.log_f,
                                               target.log_f(result.ensemble.positions))
 
@@ -708,3 +755,8 @@ class TestSmcConfigValidation:
             TargetSequence(
                 (gaussian([0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])), INITIAL_1D
             )
+        # a target's dim is a count
+        for dim in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                TargetDensity(dim, np.zeros, np.zeros)
+        assert type(TargetDensity(np.int64(2), np.zeros, np.zeros).dim) is int
