@@ -42,8 +42,8 @@ import numpy as np
 import yaml
 
 from .core import (
-    BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity, _chunk_count,
-    _map_rows,
+    BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity, _as_count,
+    _chunk_count, _map_rows,
 )
 from .kernels import HmcConfig, MhConfig, _chains, _stage_draws
 from .kernels import hmc_step, mh_step  # unused here; perfbench/child.py wraps them by name
@@ -157,24 +157,12 @@ def _tagged(spec, context: str, tag: str, fields: dict):
     return value
 
 
-def _as_int(value, field: str, minimum: int | None = None) -> int:
-    # YAML reads `true` as a bool, which int() would take as 1, and `2.7` as
-    # a float, which int() would truncate; only integral values pass
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError
-        out = int(value)
-    except ValueError:
-        raise ConfigError(f"{field}: expected an integer, got {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{field}: must be at least {minimum}")
-    return out
+def _as_int(value, field: str, minimum: int) -> int:
+    return _checked("", _as_count, value, field, minimum)
 
 
 def _as_seed(value) -> int:
-    seed = _as_int(value, "seed", minimum=0)
+    seed = _as_int(value, "seed", 0)
     if seed >= 2**64:
         raise ConfigError(f"seed: must be at most 2**64 - 1, got {seed}")
     return seed
@@ -243,7 +231,7 @@ def _build_kernel(spec) -> HmcConfig | MhConfig:
         if key in spec:
             value, field = spec[key], "kernel." + key
             if key == "leapfrog_steps":
-                fields[key] = _as_int(value, field)
+                fields[key] = _as_int(value, field, 1)
             elif key == "mass_diag" and isinstance(value, list):
                 fields[key] = _as_vector(value, field)
             else:
@@ -273,7 +261,7 @@ def parse_config(path) -> RunConfig:
         output = base_dir / output
     kernel = _build_kernel(_require(raw, "kernel", ""))
 
-    n_groups = _as_int(raw.get("groups", 1), "groups", minimum=1)
+    n_groups = _as_int(raw.get("groups", 1), "groups", 1)
     record_all = raw.get("record_all", False)
     if not isinstance(record_all, bool):
         raise ConfigError(f"record_all: expected true or false, got {record_all!r}")
@@ -287,7 +275,7 @@ def parse_config(path) -> RunConfig:
     if algorithm in ("mh", "hmc"):
         if target_spec is None:
             raise ConfigError("target: required for mh/hmc runs")
-        iterations = _as_int(_require(raw, "iterations", ""), "iterations", minimum=1)
+        iterations = _as_int(_require(raw, "iterations", ""), "iterations", 1)
         n_particles = 0
         mutation_steps = 1
         # a chain steps one state at a time, and its grid is one small call
@@ -302,9 +290,9 @@ def parse_config(path) -> RunConfig:
         if initial_spec is None:
             raise ConfigError("initial: required for smc/hsmc runs")
         iterations = 0
-        n_particles = _as_int(_require(raw, "particles", ""), "particles", minimum=2)
-        mutation_steps = _as_int(raw.get("mutation_steps", 1), "mutation_steps", minimum=1)
-        threads = _as_int(raw.get("threads", _usable_cores()), "threads", minimum=1)
+        n_particles = _as_int(_require(raw, "particles", ""), "particles", 2)
+        mutation_steps = _as_int(raw.get("mutation_steps", 1), "mutation_steps", 1)
+        threads = _as_int(raw.get("threads", _usable_cores()), "threads", 1)
 
     config = RunConfig(
         algorithm=algorithm,
@@ -425,7 +413,7 @@ def _build_sequence(config: RunConfig):
             data = _require(spec, "data", "sequence.")
             data_path = _resolve_data_path(config, data, "sequence.data")
             block_size = _require(spec, "block_size", "sequence.")
-            block_size = _as_int(block_size, "sequence.block_size", minimum=1)
+            block_size = _as_int(block_size, "sequence.block_size", 1)
         if kind == "kde-blocks":
             points = _read_columns(data_path, ("x", "y"), "sequence.data")
             constraints = None
@@ -506,7 +494,7 @@ def _write_grid(path: Path, target: TargetDensity, lower, upper, resolution: int
 def _grid_override(spec):
     """The grid section as (lower, upper, resolution); bounds are None if unset."""
     spec = _check_keys({} if spec is None else spec, ("resolution", "lower", "upper"), "grid.")
-    resolution = _as_int(spec.get("resolution", GRID_RESOLUTION), "grid.resolution", minimum=2)
+    resolution = _as_int(spec.get("resolution", GRID_RESOLUTION), "grid.resolution", 2)
     if "lower" not in spec and "upper" not in spec:
         return None, None, resolution
     lower = _as_vector(_require(spec, "lower", "grid."), "grid.lower")
@@ -618,8 +606,7 @@ def generate_data(kind: str, n: int, seed: int, out) -> int:
     """Write a benchmark dataset as CSV; returns the process exit status."""
     if kind not in DATA_KINDS:
         raise ConfigError(f"kind: unknown dataset kind {kind!r}")
-    if n < 1:
-        raise ConfigError("n: must be at least 1")
+    n = _as_int(n, "n", 1)
     seed = _as_seed(seed)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -662,7 +649,7 @@ def main(argv=None) -> int:
             if args.record_all:
                 overrides["record_all"] = True
             if args.threads is not None:
-                overrides["threads"] = _as_int(args.threads, "--threads", minimum=1)
+                overrides["threads"] = _as_int(args.threads, "--threads", 1)
             for field in overrides:
                 if field not in TOP_LEVEL_KEYS[config.algorithm]:
                     flag = "--" + field.replace("_", "-")

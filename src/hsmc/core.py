@@ -218,12 +218,14 @@ def _map_rows(fn: Callable, n_rows: int, chunks: int, pool: Executor | None) -> 
     ``fn(rows)`` takes a slice of the rows and returns a tuple of arrays
     with one entry per row; the result lists each of them concatenated
     over the runs, in row order.  The runs are nearly equal, and every run
-    but the first is offered to ``pool``, which only more than one chunk
-    needs.  The caller computes the first run and then, in order, every
-    run no worker has started yet, before it waits for the runs the
-    workers took.  No thread waits on a task that has not started, so a
+    but the first is offered to ``pool``, which more than one chunk needs
+    (a ValueError without it).  The caller computes the first run and
+    then, in order, every run no worker has started yet, before it waits
+    for the runs the workers took.  No thread waits on a task that has not started, so a
     task may itself map rows on the same bounded pool without deadlock.
     """
+    if chunks > 1 and pool is None:
+        raise ValueError("more than one chunk needs a pool")
     bounds = sorted({0, n_rows, *(round(i * n_rows / chunks) for i in range(1, chunks))})
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     futures = [pool.submit(fn, run) for run in runs[1:]]

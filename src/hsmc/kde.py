@@ -16,8 +16,8 @@ log f and, for the gradient, one product with [points, 1], whose last
 column is the sum the kernel-weighted means divide by.  A fused log f and
 gradient call takes both from the same exp.  A row whose sum falls below
 a floor lies farther than about 35 bandwidths from every point; it is
-recomputed through log-sum-exp, shifted by its largest term, as are the
-leave-one-out and nearest-neighbour sums, so thousands of kernels cannot
+recomputed through log-sum-exp, shifted by its largest term, by the
+helper that gives the leave-one-out sums, so thousands of kernels cannot
 underflow.  The floor test, the log, the division and that fallback run
 once per call, not once per block.
 """
@@ -38,13 +38,14 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # released long enough for a second group thread to overlap: on a 2-core
 # Xeon VM, blocks of 2^15 terms left two threads no faster than one.  A
 # block's matrix products make at most 2^17 multiply-adds per inner
-# coordinate: k + 2 of them for
-# a KDE target in k dimensions (k + 1 for leave-one-out sums and for the
-# gradient's product with [points, 1], 2k with per-particle bandwidths).
-# OpenBLAS 0.3.31 keeps products of up to 6 * 2^17 multiply-adds on the
-# calling thread (it splits those of 2^20), so for k <= 4 (k <= 3 with
-# per-particle bandwidths) and up to 2^17 points the group pool keeps the
-# cores and the bits do not depend on the BLAS thread setting.
+# coordinate: k + 2 of them for a KDE target in k dimensions (k + 1 for
+# its far rows, for nearest-neighbour sums and for the gradient's product
+# with [points, 1]), and 2k for leave-one-out sums, which take every
+# bandwidth, shared or not, per particle.  OpenBLAS 0.3.31 keeps products
+# of up to 6 * 2^17 multiply-adds on the calling thread (it splits those
+# of 2^20), so for k <= 4 (k <= 3 for leave-one-out sums) and up to 2^17
+# points the group pool keeps the cores and the bits do not depend on the
+# BLAS thread setting.
 _BLOCK_TERMS = 1 << 17
 
 # Most rows per block.  Every product of a kernel sum over m points has
@@ -122,35 +123,25 @@ def _product_blocks(a: np.ndarray, b: np.ndarray, exclude_self: bool = False):
         yield rows, s
 
 
-def _shifted_sums(s: np.ndarray, values=None):
-    """Row-wise log sum_j exp(s_ij), shifted by each row's largest term.
+def _shifted_sums(a, b, c, values=None, exclude_self=False):
+    """Row-wise log sum_j exp(s_ij) + c_i of s = a @ b, shifted by each row's largest term.
 
-    Given ``values`` (m, k), also returns the (n, k) means of its rows under
-    each row's weights exp(s_ij); otherwise the second result is None.
-    Overwrites s.
-    """
-    shift = s.max(axis=1)
-    s -= shift[:, None]
-    np.exp(s, out=s)
-    total = s.sum(axis=1)
-    means = None if values is None else (s @ values) / total[:, None]
-    return shift + np.log(total), means
-
-
-def _far_sums(a, b, values=None):
-    """:func:`_shifted_sums` of the rows of a @ b, with their row terms.
-
-    a and b are as in :func:`_kde_sums`; a holds only the far rows, in
-    blocks of their own, which no row's bits depend on.
+    The products run in :func:`_product_blocks` (``exclude_self`` as
+    there), so no row's bits depend on its batch.  Given ``values``
+    (m, k), also returns the (n, k) means of its rows under each row's
+    weights exp(s_ij); otherwise the second result is None.
     """
     log_sums = np.empty(len(a))
     means = None if values is None else np.empty((len(a), values.shape[1]))
-    for rows, s in _product_blocks(a[:, :-1], b[:-1]):
-        sums, mu = _shifted_sums(s, values)
+    for rows, s in _product_blocks(a, b, exclude_self):
         real = rows.stop - rows.start
-        log_sums[rows] = sums[:real] + a[rows, -1]
+        shift = s.max(axis=1)
+        s -= shift[:, None]
+        np.exp(s, out=s)
+        total = s.sum(axis=1)
+        log_sums[rows] = (shift + np.log(total))[:real] + c[rows]
         if means is not None:
-            means[rows] = mu[:real]
+            means[rows] = ((s @ values) / total[:, None])[:real]
     return log_sums, means
 
 
@@ -164,8 +155,8 @@ def _kde_sums(a, b, values=None, log=True):
     log-sums, wanted when ``log`` is set, come from ``s.sum`` instead, so
     they have the same bits with or without ``values``.  Either result is
     None when not asked for.  Rows whose sum falls below _SUM_FLOOR are
-    recomputed from the product without the row term, in one
-    :func:`_far_sums` call for both results.
+    recomputed by :func:`_shifted_sums` from the product without the row
+    term, in one call for both results.
     """
     n = a.shape[0]
     total = np.empty(n) if log else None
@@ -189,7 +180,8 @@ def _kde_sums(a, b, values=None, log=True):
     far = far_log | far_mean
     if far.any():
         # one pass for both results; its rows keep their bits in any batch
-        far_log_sums, far_means = _far_sums(a[far], b, None if values is None else values[:, :-1])
+        far_log_sums, far_means = _shifted_sums(a[far, :-1], b[:-1], a[far, -1],
+                                                None if values is None else values[:, :-1])
         if log:
             log_sums[far_log] = far_log_sums[far_log[far]]
         if values is not None:
@@ -253,9 +245,10 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
     """Leave-one-out KDE log-density of every particle at once.
 
     Entry i is the log-density at ``positions[i]`` of the Gaussian KDE
-    built from the other n-1 rows.  ``bandwidth`` is either one vector
-    shared by all particles or an (n, dim) array giving each particle its
-    own evaluation bandwidth (a balloon estimate).
+    built from the other n-1 rows.  ``bandwidth`` is an (n, dim) array
+    giving each particle its own evaluation bandwidth (a balloon
+    estimate), or one vector (or scalar) shared by all particles, which
+    is evaluated as that vector given to every particle.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n, dim = positions.shape
@@ -263,27 +256,19 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
         raise ValueError("leave-one-out estimate needs at least 2 particles")
     h = np.asarray(bandwidth, dtype=float)
     if h.ndim <= 1:
-        h = _as_bandwidth(bandwidth, dim)
-        z = positions / h
-        a = _sq_dist_rows(z)
-        a, c, b = a[:, :-1], a[:, -1], _sq_dist_cols(z)[:-1]
-        log_h_sum = np.log(h).sum()
-    else:
-        if h.shape != (n, dim):
-            raise ValueError(f"per-particle bandwidth must have shape {(n, dim)}")
-        if np.any(h <= 0) or not np.all(np.isfinite(h)):
-            raise ValueError("bandwidth components must be strictly positive")
-        # -sum_d (x_id - x_jd)^2 / (2 h_id^2): the row's own 1/h^2 scales
-        # both x_j and x_j^2, so the product has 2 dim coordinates
-        inv2 = 1.0 / (h * h)
-        a = np.column_stack([positions * inv2, -0.5 * inv2])
-        b = np.ascontiguousarray(np.column_stack([positions, positions**2]).T)
-        c = -0.5 * (positions * positions * inv2).sum(axis=1)
-        log_h_sum = np.log(h).sum(axis=1)
-    log_sums = np.empty(n)
-    for rows, s in _product_blocks(a, b, exclude_self=True):
-        log_sums[rows], _ = _shifted_sums(s[: rows.stop - rows.start])
-    return log_sums + c - np.log(n - 1) - log_h_sum - 0.5 * dim * _LOG_2PI
+        h = np.broadcast_to(_as_bandwidth(h, dim), (n, dim))
+    elif h.shape != (n, dim):
+        raise ValueError(f"per-particle bandwidth must have shape {(n, dim)}")
+    elif np.any(h <= 0) or not np.all(np.isfinite(h)):
+        raise ValueError("bandwidth components must be strictly positive")
+    # -sum_d (x_id - x_jd)^2 / (2 h_id^2): the row's own 1/h^2 scales
+    # both x_j and x_j^2, so the product has 2 dim coordinates
+    inv2 = 1.0 / (h * h)
+    a = np.column_stack([positions * inv2, -0.5 * inv2])
+    b = np.ascontiguousarray(np.column_stack([positions, positions**2]).T)
+    c = -0.5 * (positions * positions * inv2).sum(axis=1)
+    log_sums, _ = _shifted_sums(a, b, c, exclude_self=True)
+    return log_sums - np.log(n - 1) - np.log(h).sum(axis=1) - 0.5 * dim * _LOG_2PI
 
 
 def silverman_bandwidth(ensemble: Ensemble) -> np.ndarray:

@@ -357,8 +357,7 @@ def mutate_ensemble(
     more than one chunk needs a pool.  Every row keeps its own draws and
     its own target values, so the result does not depend on ``chunks``.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    steps = _as_count(steps, "steps", 1)
     if not isinstance(rng, RandomSource):
         raise TypeError("mutate_ensemble needs a RandomSource to derive particle streams")
     if not isinstance(kernel, (HmcConfig, MhConfig)):

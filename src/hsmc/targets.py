@@ -28,13 +28,8 @@ __all__ = [
     "rejection_sample",
     "sample_smiley_data",
     "sample_dropwave_data",
-    "SMILEY_MODE_CENTERS",
     "DROPWAVE_BOX",
 ]
-
-# Component maxima of the three-bump mixture below: one bump per "eye"
-# ridge apex at x = +/-2.5, plus the parabola bump through the origin.
-SMILEY_MODE_CENTERS = np.array([[2.5, 38.0 / 1.5], [-2.5, 38.0 / 1.5], [0.0, 0.0]])
 
 DROPWAVE_BOX = BoxConstraints(lower=(-2.5, -2.5), upper=(2.5, 2.5))
 

@@ -46,6 +46,12 @@ def leapfrog_proposal(target, positions, momenta, config):
     return q, p
 
 
+# Component maxima of the smiley target's three-bump mixture: one bump
+# per "eye" ridge apex at x = +/-2.5, plus the parabola bump through the
+# origin.
+SMILEY_MODE_CENTERS = np.array([[2.5, 38.0 / 1.5], [-2.5, 38.0 / 1.5], [0.0, 0.0]])
+
+
 def mode_mass(ensemble, mode_centers):
     """Fraction of the ensemble's particles nearest to each mode center.
 

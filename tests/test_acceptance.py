@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import assert_gradient_matches, leapfrog_proposal, mode_mass, reflect_into_box
+from conftest import (
+    SMILEY_MODE_CENTERS, assert_gradient_matches, leapfrog_proposal, mode_mass, reflect_into_box,
+)
 
 import hsmc
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource
@@ -34,7 +36,6 @@ from hsmc.smc import (
 )
 from hsmc.targets import (
     DROPWAVE_BOX,
-    SMILEY_MODE_CENTERS,
     dropwave,
     gaussian,
     nonlinear_logit_loglik,

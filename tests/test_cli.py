@@ -328,6 +328,9 @@ class TestStrictInputs:
         ("sequential", "sequence.constraints.lower", [float("nan"), -2.5]),
         ("sequential", "sequence.constraints.upper", [2.5, float("nan")]),
         ("sequential", "sequence.constraints.upper", [-3.0, 2.5]),  # not above lower
+        # a quoted count, which the library's configs reject too
+        ("sequential", "particles", "16"),
+        ("chain", "iterations", "5"),
     ])
     def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
         if recipe in ("sequential", "uniform"):
@@ -502,6 +505,10 @@ class TestGenerateData:
     def test_invalid_count(self, tmp_path):
         with pytest.raises(ConfigError, match="n"):
             generate_data("smiley", 0, 1, tmp_path / "x.csv")
+        for n in (2.5, True, "32"):
+            with pytest.raises(ConfigError, match="n must be an integer"):
+                generate_data("smiley", n, 1, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_cli_entrypoint(self, tmp_path):
         out = tmp_path / "gen.csv"
@@ -621,7 +628,7 @@ class TestRunOutputs:
     def test_zero_threads_flag_named(self, tmp_path, capsys):
         path = tiny_run_config(tmp_path)
         assert main(["run", str(path), "--threads", "0"]) == 1
-        assert "--threads: must be at least 1" in capsys.readouterr().err
+        assert "--threads must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_final_only_rows_by_default(self, tmp_path):

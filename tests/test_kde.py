@@ -197,12 +197,12 @@ class TestKdeTarget:
         log_f, grad = t.log_f(pos), t.grad_log_f(pos)
         passes = []
 
-        def counted_far_sums(a, b, values=None):
+        def counted_shifted_sums(a, *args, **kwargs):
             passes.append(len(a))
-            return far_sums(a, b, values)
+            return shifted_sums(a, *args, **kwargs)
 
-        far_sums = kde._far_sums
-        monkeypatch.setattr(kde, "_far_sums", counted_far_sums)
+        shifted_sums = kde._shifted_sums
+        monkeypatch.setattr(kde, "_shifted_sums", counted_shifted_sums)
         fused_log_f, fused_grad = t.log_f_and_grad(pos)
         assert passes == [384]
         np.testing.assert_array_equal(fused_log_f, log_f)
@@ -270,6 +270,15 @@ class TestLeaveOneOut:
                 loo_log_density_all(positions, h), loo_bruteforce(positions, h),
                 rtol=0, atol=1e-12,
             )
+
+    def test_shared_bandwidth_is_the_per_particle_form(self, rng):
+        # a shared vector, or a scalar, is that vector given to every
+        # particle, bit for bit
+        positions = rng.standard_normal((N_SPLIT, 3)) * 2.0
+        for shared in (np.array([0.6, 0.9, 1.3]), 0.7):
+            per_particle = np.broadcast_to(shared, positions.shape).copy()
+            np.testing.assert_array_equal(loo_log_density_all(positions, shared),
+                                          loo_log_density_all(positions, per_particle))
 
     def test_equals_kde_over_other_particles(self, rng):
         positions = rng.standard_normal((20, 3))

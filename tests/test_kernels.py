@@ -563,6 +563,17 @@ class TestMutateEnsemble:
         ens = Ensemble(rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):
             mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 0, RandomSource(1), np.zeros(4))
+        # counts that are not integers, by the rule every library count follows
+        for steps in (2.5, True, "2"):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), steps, RandomSource(1),
+                                np.zeros(4))
+
+    def test_chunks_need_a_pool(self, rng):
+        ens = Ensemble(rng.standard_normal((300, 2)))
+        with pytest.raises(ValueError, match="more than one chunk needs a pool"):
+            mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 1, RandomSource(1),
+                            rosenbrock().log_f(ens.positions), chunks=2)
 
     def test_requires_random_source(self, rng):
         ens = Ensemble(rng.standard_normal((4, 2)))
