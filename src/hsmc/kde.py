@@ -34,13 +34,19 @@ __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Most kernel terms per block of rows.  A block (at most 1 MB of float64)
-# stays in a core's L2 cache, and each numpy call on it holds the GIL
-# released long enough for a second group thread to overlap: on a 2-core
-# Xeon VM, blocks of 2^15 terms left two threads no faster than one.  A
-# block's matrix products make at most 2^17 multiply-adds per inner
-# coordinate: k + 2 of them for a KDE target in k dimensions (k + 1 for
-# its far rows, for nearest-neighbour sums and for the gradient's product
-# with [points, 1]), and 2k for leave-one-out sums, which take every
+# stays in a core's L2 cache, and each numpy call on it runs long enough
+# with the GIL released for a second group thread to overlap: on a 2-core
+# Xeon VM, blocks of 2^15 terms left two threads no faster than one.  The
+# calls that release it are exp, the row sums, the exponent product
+# np.matmul(..., out=s) and the reductions np.dot(s, values); on numpy
+# 2.4.6, s @ values keeps the lock for the whole product, although its bits
+# are np.dot's.  The exponent product stays on np.matmul, which releases
+# the lock too and took 66-79 us per 64 x 2048 block where np.dot took
+# 91-105 (one thread, 4,000 calls, 10 runs).  A block's matrix products
+# make at most 2^17 multiply-adds per inner coordinate: k + 2 of them for
+# a KDE target in k dimensions (k + 1 for its far rows, for
+# nearest-neighbour sums and for the gradient's product with
+# [points, 1]), and 2k for leave-one-out sums, which take every
 # bandwidth, shared or not, per particle.  OpenBLAS 0.3.31 keeps products
 # of up to 6 * 2^17 multiply-adds on the calling thread (it splits those
 # of 2^20), so for k <= 4 (k <= 3 for leave-one-out sums) and up to 2^17
@@ -141,7 +147,7 @@ def _shifted_sums(a, b, c, values=None, exclude_self=False):
         total = s.sum(axis=1)
         log_sums[rows] = (shift + np.log(total))[:real] + c[rows]
         if means is not None:
-            means[rows] = ((s @ values) / total[:, None])[:real]
+            means[rows] = (np.dot(s, values) / total[:, None])[:real]
     return log_sums, means
 
 
@@ -151,7 +157,10 @@ def _kde_sums(a, b, values=None, log=True):
     a and b come from :func:`_sq_dist_rows` and :func:`_sq_dist_cols`, so
     exp(s) is summed unshifted.  ``values`` is [y, 1], (m, k + 1): one
     product exp(s) @ values per block gives the rows' weighted sums of y
-    and, in its last column, the sums the means of y divide by.  The
+    and, in its last column, the sums the means of y divide by.  It runs
+    as ``np.dot``, which releases the GIL while the ``@`` operator holds
+    it, so another group thread can compute beside it (see _BLOCK_TERMS
+    for why the exponent product stays on ``np.matmul``).  The
     log-sums, wanted when ``log`` is set, come from ``s.sum`` instead, so
     they have the same bits with or without ``values``.  Either result is
     None when not asked for.  Rows whose sum falls below _SUM_FLOOR are
@@ -165,7 +174,7 @@ def _kde_sums(a, b, values=None, log=True):
         np.exp(s, out=s)
         real = rows.stop - rows.start
         if weighted is not None:
-            weighted[rows] = (s @ values)[:real]
+            weighted[rows] = np.dot(s, values)[:real]
         if total is not None:
             s[:real].sum(axis=1, out=total[rows])
     far_log = far_mean = np.zeros(n, dtype=bool)

@@ -157,6 +157,15 @@ class SmcConfig:
     targets from every thread of its pool, and a caller's own target may
     not be thread-safe; the CLI builds only built-in targets and defaults
     to the usable cores.
+
+    Threads overlap only inside numpy calls that release the interpreter
+    lock; in the KDE blocks those are exp, the row sums, the exponent
+    ``np.matmul`` and the ``np.dot`` reductions.  The Python between them
+    holds it, so smiley's four groups on two threads still wait 10-12% of
+    their wall time.  Groups in forked processes ran 0.81-0.85x the
+    threaded wall time (medians of 6 and 8 pairs) with the same bytes, so
+    the floor is the lock, not the cores; they are not used because
+    ``os.fork`` warns on Python 3.12+ once OpenBLAS has started threads.
     """
 
     n_particles: int
