@@ -1,5 +1,17 @@
 """Hamiltonian sequential Monte Carlo sampling library."""
 
+import os
+
+# Parallel work runs on hsmc's own thread pool, and every KDE product is
+# sized to stay on the calling thread (kde._BLOCK_TERMS), so OpenBLAS's
+# pool never gets work: its worker only busy-waits when numpy loads it.
+# OpenBLAS reads its thread count once, when numpy is first imported (by
+# .core below), so this holds when hsmc is imported first.  A thread
+# variable the user set wins.
+if not any(name in os.environ for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .core import (
     BoxConstraints,
     DegenerateEnsembleError,

@@ -164,8 +164,21 @@ class SmcConfig:
     holds it, so smiley's four groups on two threads still wait 10-12% of
     their wall time.  Groups in forked processes ran 0.81-0.85x the
     threaded wall time (medians of 6 and 8 pairs) with the same bytes, so
-    the floor is the lock, not the cores; they are not used because
-    ``os.fork`` warns on Python 3.12+ once OpenBLAS has started threads.
+    the floor is the lock, not the cores.  They are not used: ``os.fork``
+    warns on Python 3.12+ in a process that runs threads (by default
+    hsmc starts no OpenBLAS thread, but a BLAS thread setting can), a
+    ``spawn`` pool would have to pickle targets that are closures, and
+    perfbench's tracer cannot see spans in worker processes.
+
+    The pool's threads are the only ones a run computes on.  Importing
+    hsmc sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; OpenBLAS reads it
+    when numpy is first imported.  OpenBLAS's pool had no work in the
+    shipped recipes: KDE products are sized to stay on the calling thread
+    (see ``kde._BLOCK_TERMS``), and its worker accrued no CPU during whole
+    smiley_hsmc and logit_hsmc runs beyond the busy wait it starts with.
+    A caller whose own target makes large products can set one of those
+    variables before the import.
     """
 
     n_particles: int

@@ -79,8 +79,8 @@ def smiley_style_config(tmp_path, data_path, **overrides):
     return write_config(tmp_path / "config.yaml", mapping)
 
 
-def cli_process(*args, **env):
-    """Run ``python -m hsmc.cli`` with this checkout's package and ``env`` overrides.
+def python_process(*args, **env):
+    """Run ``python ARGS`` with this checkout's package and ``env`` overrides.
 
     A None value removes the variable from the environment.
     """
@@ -90,9 +90,12 @@ def cli_process(*args, **env):
         environ.pop(key, None)
         if value is not None:
             environ[key] = value
-    return subprocess.run(
-        [sys.executable, "-m", "hsmc.cli", *map(str, args)], capture_output=True, env=environ
-    )
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, env=environ)
+
+
+def cli_process(*args, **env):
+    """Run ``python -m hsmc.cli ARGS``, see :func:`python_process`."""
+    return python_process("-m", "hsmc.cli", *args, **env)
 
 
 def tiny_run_config(tmp_path, **overrides):
@@ -616,7 +619,7 @@ class TestRunOutputs:
             sequence={"kind": "kde-blocks", "data": str(data_path), "block_size": 500},
         )
         reports = []
-        for blas_threads, threads in (("1", 1), (None, 2)):
+        for blas_threads, threads in (("1", 1), ("2", 2)):
             proc = cli_process(
                 "run", path, "--threads", threads, OPENBLAS_NUM_THREADS=blas_threads,
                 GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None,
@@ -884,3 +887,25 @@ class TestInstalledEntryPoint:
         proc = cli_process("gen-data", "dropwave", 16, 2, out)
         assert proc.returncode == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("env, blas_threads", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+        ({"GOTO_NUM_THREADS": "3"}, None),
+        ({"OMP_NUM_THREADS": "3"}, None),
+    ])
+    def test_import_keeps_blas_on_the_calling_thread(self, env, blas_threads):
+        # hsmc's groups run on its own pool, so unless the user set a BLAS
+        # thread variable, importing hsmc before numpy caps OpenBLAS at the
+        # calling thread and starts no worker thread
+        proc = python_process(
+            "-c", "import json, os, hsmc; print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),"
+            " os.path.isdir('/proc/self/task') and len(os.listdir('/proc/self/task'))]))",
+            **{"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+               **env},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        value, tasks = json.loads(proc.stdout)
+        assert value == blas_threads
+        if not env and sys.platform.startswith("linux"):
+            assert tasks == 1
