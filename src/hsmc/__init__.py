@@ -21,7 +21,6 @@ from .core import (
     TargetDensity,
     normalize_weights,
 )
-from .diagnostics import MomentSummary, effective_sample_size, weighted_moments
 from .kde import kde_target, loo_log_density_all, silverman_bandwidth
 from .kernels import (
     HmcConfig,
@@ -34,6 +33,7 @@ from .kernels import (
 )
 from .smc import (
     InitialDistribution,
+    MomentSummary,
     RunReport,
     SmcConfig,
     SmcRun,
@@ -42,12 +42,14 @@ from .smc import (
     compare_groups,
     correction_weights,
     diag_gaussian_initial,
+    effective_sample_size,
     kde_blocks_sequence,
     loglik_blocks_sequence,
     resample,
     run_smc,
     tempering_sequence,
     uniform_box_initial,
+    weighted_moments,
 )
 from .targets import (
     LogitData,

@@ -11,15 +11,16 @@ rows of its batch.
 
 A KDE target centres positions and points at the points' mean, and its
 block product is the whole exponent -|z_i - y_j|^2 / 2, which is never
-above 0: each block needs one product and one exp, then a row sum for
-log f and, for the gradient, one product with [points, 1], whose last
-column is the sum the kernel-weighted means divide by.  A fused log f and
-gradient call takes both from the same exp.  A row whose sum falls below
-a floor lies farther than about 35 bandwidths from every point; it is
-recomputed through log-sum-exp, shifted by its largest term, by the
-helper that gives the leave-one-out sums, so thousands of kernels cannot
-underflow.  The floor test, the log, the division and that fallback run
-once per call, not once per block.
+above 0: each block needs one product, one exp and one product with
+[points, 1].  That product's last column is each row's kernel sum: log f
+is its log, and the gradient's kernel-weighted means divide by it, so
+log f, the gradient and the fused call make the same pass and rest on
+one sum.  A row whose sum falls below a floor lies farther than about
+35 bandwidths from every point; it is recomputed through log-sum-exp,
+shifted by its largest term, by the helper that gives the leave-one-out
+sums, so thousands of kernels cannot underflow.  The floor test, the
+log, the division and that fallback run once per call, not once per
+block.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # 91-105 (one thread, 4,000 calls, 10 runs).  A block's matrix products
 # make at most 2^17 multiply-adds per inner coordinate: k + 2 of them for
 # a KDE target in k dimensions (k + 1 for its far rows, for
-# nearest-neighbour sums and for the gradient's product with
-# [points, 1]), and 2k for leave-one-out sums, which take every
+# nearest-neighbour sums and for the product with [points, 1] that every
+# KDE call makes), and 2k for leave-one-out sums, which take every
 # bandwidth, shared or not, per particle.  OpenBLAS 0.3.31 keeps products
 # of up to 6 * 2^17 multiply-adds on the calling thread (it splits those
 # of 2^20), so for k <= 4 (k <= 3 for leave-one-out sums) and up to 2^17
@@ -154,50 +155,31 @@ def _shifted_sums(a, b, c, values=None, exclude_self=False):
     return log_sums, means
 
 
-def _kde_sums(a, b, values=None, log=True):
+def _kde_sums(a, b, values):
     """Row-wise log sum_j exp(s_ij) of s = a @ b <= 0, and the means of ``values``.
 
     a and b come from :func:`_sq_dist_rows` and :func:`_sq_dist_cols`, so
     exp(s) is summed unshifted.  ``values`` is [y, 1], (m, k + 1): one
     product exp(s) @ values per block gives the rows' weighted sums of y
-    and, in its last column, the sums the means of y divide by.  It runs
-    as ``np.dot``, which releases the GIL while the ``@`` operator holds
-    it, so another group thread can compute beside it (see _BLOCK_TERMS
-    for why the exponent product stays on ``np.matmul``).  The
-    log-sums, wanted when ``log`` is set, come from ``s.sum`` instead, so
-    they have the same bits with or without ``values``.  Either result is
-    None when not asked for.  Rows whose sum falls below _SUM_FLOOR are
-    recomputed by :func:`_shifted_sums` from the product without the row
-    term, in one call for both results.
+    and, in its last column, the kernel sum itself, whose log is the
+    log-sum and which the means of y divide by, so both results rest on
+    one sum.  It runs as ``np.dot``, which releases the GIL while the ``@``
+    operator holds it, so another group thread can compute beside it (see
+    _BLOCK_TERMS for why the exponent product stays on ``np.matmul``).
+    Rows whose sum falls below _SUM_FLOOR are recomputed by
+    :func:`_shifted_sums` from the product without the row term.
     """
-    n = a.shape[0]
-    total = np.empty(n) if log else None
-    weighted = None if values is None else np.empty((n, values.shape[1]))
+    weighted = np.empty((a.shape[0], values.shape[1]))
     for rows, s in _product_blocks(a, b):
         np.exp(s, out=s)
-        real = rows.stop - rows.start
-        if weighted is not None:
-            weighted[rows] = np.dot(s, values)[:real]
-        if total is not None:
-            s[:real].sum(axis=1, out=total[rows])
-    far_log = far_mean = np.zeros(n, dtype=bool)
-    if log:
-        far_log = total < _SUM_FLOOR
-        total[far_log] = 1.0
-    if values is not None:
-        far_mean = weighted[:, -1] < _SUM_FLOOR
-        weighted[far_mean, -1] = 1.0
-    log_sums = np.log(total) if log else None
-    means = None if values is None else weighted[:, :-1] / weighted[:, -1:]
-    far = far_log | far_mean
+        weighted[rows] = np.dot(s, values)[: rows.stop - rows.start]
+    total = weighted[:, -1]
+    far = total < _SUM_FLOOR
+    total[far] = 1.0
+    log_sums = np.log(total)
+    means = weighted[:, :-1] / total[:, None]
     if far.any():
-        # one pass for both results; its rows keep their bits in any batch
-        far_log_sums, far_means = _shifted_sums(a[far, :-1], b[:-1], a[far, -1],
-                                                None if values is None else values[:, :-1])
-        if log:
-            log_sums[far_log] = far_log_sums[far_log[far]]
-        if values is not None:
-            means[far_mean] = far_means[far_mean[far]]
+        log_sums[far], means[far] = _shifted_sums(a[far, :-1], b[:-1], a[far, -1], values[:, :-1])
     return log_sums, means
 
 
@@ -220,9 +202,11 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     the gradient is analytic: (kernel-weighted mean of the points - t) / h^2.
     Both are reduced block by block from the exp of one matrix product per
     block of positions, taken about the points' mean so that data far from
-    the origin keep their precision; the target's ``log_f_and_grad`` takes
-    both from one such pass.  ``constraints`` are attached unmodified, so
-    the kernel itself is untouched and samplers simply bounce off the box.
+    the origin keep their precision, and rest on one kernel sum per row:
+    the target's ``log_f_and_grad`` makes that pass, and ``log_f`` and
+    ``grad_log_f`` are its two halves.  ``constraints`` are attached
+    unmodified, so the kernel itself is untouched and samplers simply
+    bounce off the box.
     """
     pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -235,22 +219,14 @@ def kde_target(points, bandwidth, constraints: BoxConstraints | None = None) -> 
     b = _sq_dist_cols(y)
     y1 = np.column_stack([y, np.ones(n)])
 
-    def batch_log_f(pos):
-        log_sums, _ = _kde_sums(_sq_dist_rows((pos - centre) / h), b)
-        return log_sums + const
-
-    def batch_grad(pos):
-        z = (pos - centre) / h
-        _, means = _kde_sums(_sq_dist_rows(z), b, y1, log=False)
-        return (means - z) / h
-
-    def batch_log_f_and_grad(pos):
+    def log_f_and_grad(pos):
         z = (pos - centre) / h
         log_sums, means = _kde_sums(_sq_dist_rows(z), b, y1)
         return log_sums + const, (means - z) / h
 
-    return _make_target(dim, batch_log_f, batch_grad, constraints=constraints,
-                        batch_log_f_and_grad=batch_log_f_and_grad)
+    return _make_target(dim, lambda pos: log_f_and_grad(pos)[0],
+                        lambda pos: log_f_and_grad(pos)[1], constraints=constraints,
+                        batch_log_f_and_grad=log_f_and_grad)
 
 
 def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:

@@ -51,7 +51,6 @@ from .core import (
     _chunk_count,
     normalize_weights,
 )
-from .diagnostics import effective_sample_size, weighted_moments
 from .kde import _kth_neighbour_distance, kde_target, loo_log_density_all, silverman_bandwidth
 from .kernels import HmcConfig, KernelConfig, MhConfig, _start_values, mutate_ensemble
 from .targets import (
@@ -75,6 +74,9 @@ __all__ = [
     "resample",
     "run_smc",
     "compare_groups",
+    "MomentSummary",
+    "weighted_moments",
+    "effective_sample_size",
 ]
 
 WEIGHT_MODES = ("theoretical_ratio", "loo_kde_ratio")
@@ -419,6 +421,32 @@ def _loo_engine_bandwidth(ensemble: Ensemble, fallback: np.ndarray | None) -> np
     kth = _kth_neighbour_distance(ensemble.positions, base, k)
     widen = np.maximum(1.0, kth / _WIDEN_REACH)
     return base[None, :] * widen[:, None]
+
+
+@dataclass(frozen=True)
+class MomentSummary:
+    """Sample mean and diagonal covariance."""
+
+    mean: np.ndarray
+    covariance_diag: np.ndarray
+
+
+def weighted_moments(ensemble: Ensemble) -> MomentSummary:
+    """Population mean and variance (divide by N) of equally weighted rows."""
+    positions = ensemble.positions
+    return MomentSummary(positions.mean(axis=0), positions.var(axis=0))
+
+
+def effective_sample_size(weights) -> float:
+    """ESS = (sum w)^2 / sum w^2; lies in [1, N] and is scale-invariant."""
+    w = np.asarray(weights, dtype=float)
+    denom = (w**2).sum()
+    total = w.sum()
+    if denom <= 0 or not np.isfinite(total) or total <= 0:
+        raise DegenerateWeightsError("cannot compute ESS of degenerate weights")
+    # total * total, not total**2: a scalar power goes through libm pow, which
+    # need not round correctly, so rescaling w by 2**k could move the last bit
+    return float(total * total / denom)
 
 
 def _iteration_record(group: int, iteration: int, accepted: int, ensemble: Ensemble,

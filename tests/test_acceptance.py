@@ -15,7 +15,6 @@ from conftest import (
 
 import hsmc
 from hsmc.core import MUTATION_STREAM, Ensemble, RandomSource
-from hsmc.diagnostics import effective_sample_size
 from hsmc.kde import loo_log_density_all, silverman_bandwidth
 from hsmc.kernels import (
     HmcConfig,
@@ -28,6 +27,7 @@ from hsmc.smc import (
     SmcConfig,
     annealing_sequence,
     diag_gaussian_initial,
+    effective_sample_size,
     kde_blocks_sequence,
     loglik_blocks_sequence,
     resample,

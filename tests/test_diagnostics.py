@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import mode_mass
 
 from hsmc.core import DegenerateWeightsError, Ensemble
-from hsmc.diagnostics import effective_sample_size, weighted_moments
+from hsmc.smc import effective_sample_size, weighted_moments
 
 
 class TestWeightedMoments:

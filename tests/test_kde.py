@@ -208,6 +208,30 @@ class TestKdeTarget:
         np.testing.assert_array_equal(fused_log_f, log_f)
         np.testing.assert_array_equal(fused_grad, grad)
 
+    def test_every_call_form_reduces_a_block_by_one_product(self, rng, monkeypatch):
+        # 300 near rows over 1,000 points make three blocks of 128 rows: log f,
+        # the gradient and the fused call each reduce every block by one
+        # product with [points, 1], whose last column is the row's kernel sum
+        assert kde._block_height(1000) == 128
+        t = kde_target(rng.standard_normal((1000, 2)), [0.3, 0.5])
+        pos = rng.standard_normal((300, 2))
+        products = []
+
+        def counted_dot(a, b, *args, **kwargs):
+            products.append(np.shape(b))
+            return dot(a, b, *args, **kwargs)
+
+        def no_far_rows(*args, **kwargs):
+            raise AssertionError("a near row fell back to the shifted sums")
+
+        dot = np.dot
+        monkeypatch.setattr(np, "dot", counted_dot)
+        monkeypatch.setattr(kde, "_shifted_sums", no_far_rows)
+        for call in (t.log_f, t.grad_log_f, t.log_f_and_grad):
+            products.clear()
+            call(pos)
+            assert products == [(1000, 3)] * 3, call
+
     def test_data_far_from_the_origin(self, rng):
         # positions and points are taken about the points' mean, so an
         # offset of 1e6 costs no precision
