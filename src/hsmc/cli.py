@@ -106,7 +106,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run recipe; see the repository README for the file format."""
+    """Validated run recipe; see the repository README for the file format.
+
+    :func:`parse_config` sets only the fields the run's algorithm reads, so
+    a default is the value of a field that algorithm does not read: a chain
+    run has no particles, one mutation step and one thread, and a
+    sequential run no iterations.
+    """
 
     algorithm: str
     seed: int
@@ -117,7 +123,7 @@ class RunConfig:
     n_groups: int = 1
     mutation_steps: int = 1
     iterations: int = 0
-    threads: int = 1
+    threads: int = 1  # a chain steps one state at a time, and its grid is one small call
     record_all: bool = False
     start: tuple[float, ...] | None = None
     target_spec: dict | None = None
@@ -254,63 +260,42 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("config: expected a mapping at the top level")
     algorithm = _tagged(raw, "", "algorithm", TOP_LEVEL_KEYS)
     base_dir = path.parent
-
-    seed = _as_seed(_require(raw, "seed", ""))
-    output = _as_path(_require(raw, "output", ""), "output")
-    if not output.is_absolute():
-        output = base_dir / output
-    kernel = _build_kernel(_require(raw, "kernel", ""))
-
-    n_groups = _as_int(raw.get("groups", 1), "groups", 1)
-    record_all = raw.get("record_all", False)
-    if not isinstance(record_all, bool):
-        raise ConfigError(f"record_all: expected true or false, got {record_all!r}")
-
-    target_spec = raw.get("target")
-    sequence_spec = raw.get("sequence")
-    initial_spec = raw.get("initial")
-    grid_spec = raw.get("grid")
-    grid = _grid_override(grid_spec)
+    # the RunConfig fields the algorithm reads, validated in this order; the
+    # others keep their defaults
+    fields = {
+        "algorithm": algorithm,
+        "seed": _as_seed(_require(raw, "seed", "")),
+        "output": base_dir / _as_path(_require(raw, "output", ""), "output"),
+        "base_dir": base_dir,
+        "kernel": _build_kernel(_require(raw, "kernel", "")),
+        "n_groups": _as_int(raw.get("groups", RunConfig.n_groups), "groups", 1),
+        "target_spec": raw.get("target"),
+    }
+    if "record_all" in raw:  # only sequential recipes may hold it
+        fields["record_all"] = raw["record_all"]
+        if not isinstance(raw["record_all"], bool):
+            raise ConfigError(f"record_all: expected true or false, got {raw['record_all']!r}")
+    fields["grid"] = _grid_override(raw.get("grid"))
 
     if algorithm in ("mh", "hmc"):
-        if target_spec is None:
+        if raw.get("target") is None:
             raise ConfigError("target: required for mh/hmc runs")
-        iterations = _as_int(_require(raw, "iterations", ""), "iterations", 1)
-        n_particles = 0
-        mutation_steps = 1
-        # a chain steps one state at a time, and its grid is one small call
-        threads = 1
+        fields["iterations"] = _as_int(_require(raw, "iterations", ""), "iterations", 1)
         start = raw.get("start")
         start = _as_vector(start, "start") if start is not None else None
         if raw["kernel"]["type"] != algorithm:
             raise ConfigError(f"kernel.type: {algorithm} runs need an {algorithm} kernel")
     else:
-        if sequence_spec is None:
-            raise ConfigError("sequence: required for smc/hsmc runs")
-        if initial_spec is None:
-            raise ConfigError("initial: required for smc/hsmc runs")
-        iterations = 0
-        n_particles = _as_int(_require(raw, "particles", ""), "particles", 2)
-        mutation_steps = _as_int(raw.get("mutation_steps", 1), "mutation_steps", 1)
-        threads = _as_int(raw.get("threads", _usable_cores()), "threads", 1)
+        for key in ("sequence", "initial"):
+            if raw.get(key) is None:
+                raise ConfigError(f"{key}: required for smc/hsmc runs")
+            fields[key + "_spec"] = raw[key]
+        fields["n_particles"] = _as_int(_require(raw, "particles", ""), "particles", 2)
+        steps = raw.get("mutation_steps", RunConfig.mutation_steps)
+        fields["mutation_steps"] = _as_int(steps, "mutation_steps", 1)
+        fields["threads"] = _as_int(raw.get("threads", _usable_cores()), "threads", 1)
 
-    config = RunConfig(
-        algorithm=algorithm,
-        seed=seed,
-        output=output,
-        base_dir=base_dir,
-        kernel=kernel,
-        n_particles=n_particles,
-        n_groups=n_groups,
-        mutation_steps=mutation_steps,
-        iterations=iterations,
-        threads=threads,
-        record_all=record_all,
-        target_spec=target_spec,
-        sequence_spec=sequence_spec,
-        initial_spec=initial_spec,
-        grid=grid,
-    )
+    config = RunConfig(**fields)
     # fail fast on malformed specs, missing data files, and a mass, start or
     # grid that does not fit what the run samples
     if algorithm in ("mh", "hmc"):
@@ -324,17 +309,15 @@ def parse_config(path) -> RunConfig:
         config = replace(config, start=tuple(float(v) for v in start))
     else:
         dim = _build_sequence(config).dim
-    if isinstance(kernel, HmcConfig):
-        _checked("kernel.", kernel.mass_for, dim)
-    if grid_spec is not None and dim != 2:
+    if isinstance(config.kernel, HmcConfig):
+        _checked("kernel.", config.kernel.mass_for, dim)
+    if raw.get("grid") is not None and dim != 2:
         raise ConfigError(f"grid: grid.csv is written for 2-dim targets only, not {dim}-dim")
     return config
 
 
 def _resolve_data_path(config: RunConfig, value, field: str) -> Path:
-    data_path = _as_path(value, field)
-    if not data_path.is_absolute():
-        data_path = config.base_dir / data_path
+    data_path = config.base_dir / _as_path(value, field)  # an absolute path stays as it is
     if not data_path.is_file():
         raise ConfigError(f"{field}: data file not found: {data_path}")
     return data_path
@@ -406,36 +389,34 @@ def _build_sequence(config: RunConfig):
     spec = config.sequence_spec
     kind = _tagged(spec, "sequence.", "kind", SEQUENCE_KEYS)
     initial = _build_initial(config)
-    try:
-        if kind in ("kde-blocks", "loglik-blocks"):
-            if config.target_spec is not None:
-                raise ConfigError(f"target: not read by {kind} sequences")
-            data = _require(spec, "data", "sequence.")
-            data_path = _resolve_data_path(config, data, "sequence.data")
-            block_size = _require(spec, "block_size", "sequence.")
-            block_size = _as_int(block_size, "sequence.block_size", 1)
-        if kind == "kde-blocks":
-            points = _read_columns(data_path, ("x", "y"), "sequence.data")
-            constraints = None
-            if "constraints" in spec:
-                context = "sequence.constraints."
-                cons = _check_keys(spec["constraints"], ("lower", "upper"), context)
-                constraints = _build_box(cons, context, BoxConstraints)
-            return kde_blocks_sequence(points, block_size, constraints, initial=initial)
-        if kind == "loglik-blocks":
-            data = _logit_data(data_path, "sequence.data")
-            return loglik_blocks_sequence(data, block_size, initial=initial)
-        field = "phis" if kind == "tempering" else "gammas"
-        ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
-        if config.target_spec is None:
-            raise ConfigError(f"target: required for {kind} sequences")
-        if kind == "tempering":
-            return tempering_sequence(initial, _build_target(config), list(ladder))
-        return annealing_sequence(_build_target(config), list(ladder), initial=initial)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"sequence: {err}") from err
+    if kind in ("kde-blocks", "loglik-blocks"):
+        if config.target_spec is not None:
+            raise ConfigError(f"target: not read by {kind} sequences")
+        data = _require(spec, "data", "sequence.")
+        data_path = _resolve_data_path(config, data, "sequence.data")
+        block_size = _require(spec, "block_size", "sequence.")
+        block_size = _as_int(block_size, "sequence.block_size", 1)
+    if kind == "kde-blocks":
+        points = _read_columns(data_path, ("x", "y"), "sequence.data")
+        constraints = None
+        if "constraints" in spec:
+            context = "sequence.constraints."
+            cons = _check_keys(spec["constraints"], ("lower", "upper"), context)
+            constraints = _build_box(cons, context, BoxConstraints)
+        return _checked("sequence: ", kde_blocks_sequence, points, block_size, constraints,
+                        initial=initial)
+    if kind == "loglik-blocks":
+        data = _logit_data(data_path, "sequence.data")
+        return _checked("sequence: ", loglik_blocks_sequence, data, block_size, initial=initial)
+    field = "phis" if kind == "tempering" else "gammas"
+    ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
+    if config.target_spec is None:
+        raise ConfigError(f"target: required for {kind} sequences")
+    if kind == "tempering":
+        return _checked("sequence: ", tempering_sequence, initial, _build_target(config),
+                        list(ladder))
+    return _checked("sequence: ", annealing_sequence, _build_target(config), list(ladder),
+                    initial=initial)
 
 
 def _cells(column: np.ndarray, rows: slice):
@@ -524,9 +505,8 @@ def _run_mcmc(config: RunConfig) -> int:
     target = _build_target(config)
     groups, length, dim = config.n_groups, config.iterations + 1, len(config.start)
     noise, log_u = _stage_draws(RandomSource(config.seed), groups, dim, config.iterations)
-    kind = HmcConfig if config.algorithm == "hmc" else MhConfig
-    states, accepted, _, _ = _chains(kind, target, np.tile(config.start, (groups, 1)),
-                                     config.kernel, noise, log_u)
+    states, accepted, _, _ = _chains(target, np.tile(config.start, (groups, 1)), config.kernel,
+                                     noise, log_u)
     # chain-major, as particles.csv lists them
     positions, accepted = np.ascontiguousarray(states.swapaxes(0, 1)), accepted.T
     # each chain state counts once: unit weights

@@ -10,11 +10,13 @@ it whole, and its rows can even be stepped one at a time.
 
 One loop, ``_chains``, steps J rows as one ``(J, dim)`` batch of Markov
 chains through draws taken before its first step, and records every
-state.  ``mutate_ensemble`` runs it on a whole ensemble, each particle on
-its own derived stream, and can run it on pieces of the ensemble on a
-thread pool; the CLI runs its chains through it, chain j on stream j; and
-``mh_step`` and ``hmc_step``, the single-position edge, run it on one row
-for one step, drawing from the caller's generator.  The streams are those
+state.  It takes no kernel class: it steps the kernel it is handed, whose
+type its callers check.  ``mutate_ensemble`` runs it on a whole ensemble,
+each particle on its own derived stream, and can run it on pieces of the
+ensemble on a thread pool; the CLI runs its chains through it, chain j on
+stream j; and ``mh_step`` and ``hmc_step``, the single-position edge,
+check their kernel's type and run it on one row for one step, drawing
+from the caller's generator.  The streams are those
 of ``RandomSource.derive(i).generator()``, but no generator is built per
 row: all row keys come from one vectorized SeedSequence pass, and every
 step's draws from one reused Philox (``_stage_draws``).
@@ -256,21 +258,20 @@ def _step(target, positions, lf, grad, kernel: KernelConfig, noise, log_u):
     return np.where(keep, q, positions), np.where(accepted, lf1, lf), grad, accepted, log_a
 
 
-def _chains(kind, target, start, kernel, noise, log_u, lf=None, grad=None):
+def _chains(target, start, kernel, noise, log_u, lf=None, grad=None):
     """Step the rows of ``start`` (J, dim) as J chains in one batch, through all draws.
 
-    Step s of chain j takes the draws ``noise[s, j]`` and ``log_u[s, j]``,
-    and ``kernel`` must be a ``kind``.  ``lf`` is log f at the starts and
-    ``grad`` its gradient, which a Hamiltonian kernel needs; given no
-    ``lf``, both are evaluated in one :func:`_start_values` call, and log f
-    must be finite at every start.  Log f and the gradient are carried
-    from step to step, so no point is evaluated twice.  Returns the states
-    (steps + 1, J, dim) and their accept flags (steps + 1, J), both start
-    first with the start's flags True, log f at the last states and the
-    last step's log accept probabilities.
+    Step s of chain j takes the draws ``noise[s, j]`` and ``log_u[s, j]``;
+    the caller has checked that ``kernel`` is an HmcConfig or an MhConfig.
+    ``lf`` is log f at the starts and ``grad`` its gradient, which a
+    Hamiltonian kernel needs; given no ``lf``, both are evaluated in one
+    :func:`_start_values` call, and log f must be finite at every start.
+    Log f and the gradient are carried from step to step, so no point is
+    evaluated twice.  Returns the states (steps + 1, J, dim) and their
+    accept flags (steps + 1, J), both start first with the start's flags
+    True, log f at the last states and the last step's log accept
+    probabilities.
     """
-    if not isinstance(kernel, kind):
-        raise TypeError(f"expected an {kind.__name__}, got {type(kernel).__name__}")
     if lf is None:
         lf, grad = _start_values(target, kernel, start, None, 1)
         if not np.all(np.isfinite(lf)):
@@ -284,6 +285,19 @@ def _chains(kind, target, start, kernel, noise, log_u, lf=None, grad=None):
     return states, accepted, lf, log_a
 
 
+def _single_step(kind, target, position, config, rng: np.random.Generator) -> StepOutcome:
+    """One step of ``config``, which must be a ``kind``, from a single ``position``.
+
+    The step draws its ``dim`` normals and then its uniform from ``rng``.
+    """
+    if not isinstance(config, kind):
+        raise TypeError(f"expected an {kind.__name__}, got {type(config).__name__}")
+    start = np.atleast_1d(np.asarray(position, dtype=float))[None]
+    draws = rng.standard_normal((1,) + start.shape), np.log([[rng.random()]])
+    states, accepted, _, log_a = _chains(target, start, config, *draws)
+    return StepOutcome(states[1, 0], bool(accepted[1, 0]), float(log_a[0]))
+
+
 def mh_step(
     target: TargetDensity,
     position: np.ndarray,
@@ -295,10 +309,7 @@ def mh_step(
     The proposal is symmetric, so the acceptance probability reduces to
     min(1, f(proposal) / f(position)).
     """
-    start = np.atleast_1d(np.asarray(position, dtype=float))[None]
-    draws = rng.standard_normal((1,) + start.shape), np.log([[rng.random()]])
-    states, accepted, _, log_a = _chains(MhConfig, target, start, config, *draws)
-    return StepOutcome(states[1, 0], bool(accepted[1, 0]), float(log_a[0]))
+    return _single_step(MhConfig, target, position, config, rng)
 
 
 def hmc_step(
@@ -314,10 +325,7 @@ def hmc_step(
     min(1, exp[(log f' - log f) + (K - K')]) where K = p^T M^-1 p / 2.
     Box-constrained targets bounce off the walls during position updates.
     """
-    start = np.atleast_1d(np.asarray(position, dtype=float))[None]
-    draws = rng.standard_normal((1,) + start.shape), np.log([[rng.random()]])
-    states, accepted, _, log_a = _chains(HmcConfig, target, start, config, *draws)
-    return StepOutcome(states[1, 0], bool(accepted[1, 0]), float(log_a[0]))
+    return _single_step(HmcConfig, target, position, config, rng)
 
 
 def mutate_ensemble(
@@ -372,8 +380,8 @@ def mutate_ensemble(
 
     def trajectory(rows):
         states, accepted, final_lf, _ = _chains(
-            type(kernel), target, ensemble.positions[rows], kernel, noise[:, rows],
-            log_u[:, rows], lf[rows], None if grad is None else grad[rows])
+            target, ensemble.positions[rows], kernel, noise[:, rows], log_u[:, rows],
+            lf[rows], None if grad is None else grad[rows])
         return states[-1], final_lf, accepted[-1], accepted[1:].sum(axis=0)
 
     positions, final_lf, accepted, counts = _map_rows(trajectory, len(lf), chunks, pool)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoxConstraints, RandomSource, TargetDensity, _readonly
+from .core import BoxConstraints, RandomSource, TargetDensity, _as_count, _readonly
 
 __all__ = [
     "LogitData",
@@ -346,8 +346,7 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
 
 def simulate_logit_data(n: int, beta: tuple[float, float], rng: RandomSource) -> LogitData:
     """Simulate n choice experiments with offers uniform on [-2, 8]."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _as_count(n, "n", 1)
     gen = rng.generator()
     offers = gen.uniform(-2.0, 8.0, size=n)
     buf = np.empty((6, 1, n))
@@ -416,8 +415,7 @@ def rejection_sample(
     ``log_envelope`` must bound log_f from above on the box; the sampler is
     exact up to the (negligible) mass outside the box.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _as_count(n, "n", 1)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     gen = rng.generator()

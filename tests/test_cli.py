@@ -461,6 +461,33 @@ class TestStrictInputs:
         })
         assert_rejected_before_output(tmp_path, path, capsys, "grid.resolution")
 
+    @pytest.mark.parametrize("case, message", [
+        ("tempering", "phis must end at exactly 1"),
+        ("annealing", "gammas must be strictly increasing"),
+        ("kde-blocks", "revealed data has zero spread in some dimension"),
+        ("bridge", "bridged targets must share one dimension"),
+    ])
+    def test_sequence_builder_error_named(self, tmp_path, capsys, case, message):
+        # the library's sequence builders name no section; the CLI leads with it
+        mapping = annealing_recipe()
+        if case == "tempering":
+            mapping["sequence"] = {"kind": "tempering", "phis": [0.5, 0.9]}
+        elif case == "annealing":
+            mapping["sequence"]["gammas"] = [2.0, 1.0]
+        elif case == "kde-blocks":
+            mapping = strict_recipe(tmp_path)
+            data_path = tmp_path / "flat.csv"
+            data_path.write_text("x,y\n0.0,1.0\n1.0,1.0\n2.0,1.0\n")
+            mapping["sequence"] = {"kind": "kde-blocks", "data": str(data_path), "block_size": 2}
+        else:
+            mapping["sequence"] = {"kind": "tempering", "phis": [0.5, 1.0]}
+            mapping["initial"] = {"mean": [0.0] * 3, "sigma": [1.0] * 3}
+            mapping["target"] = {"name": "rosenbrock"}
+        path = write_config(tmp_path / "c.yaml", mapping)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: sequence: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_shipped_recipes_validate(self, tmp_path):
         for kind, n, seed in (("smiley", 2048, 2024), ("dropwave", 4096, 31), ("logit", 400, 0)):
             assert generate_data(kind, n, seed, tmp_path / "data" / f"{kind}.csv") == 0

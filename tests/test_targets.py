@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -435,3 +436,19 @@ class TestRejectionSampling:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             sample_smiley_data(0, RandomSource(4))
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be at least 1"),
+    (2.5, "n must be an integer, got 2.5"),
+    (True, "n must be an integer, got True"),
+    ("3", "n must be an integer, got '3'"),
+])
+@pytest.mark.parametrize("sample", [
+    lambda n: simulate_logit_data(n, (3.0, 3.0), RandomSource(5)),
+    lambda n: sample_smiley_data(n, RandomSource(4)),
+], ids=["simulate_logit_data", "sample_smiley_data"])
+def test_sample_counts_follow_the_count_rule(sample, n, message):
+    # the rule every other count follows: core._as_count, naming n
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample(n)
