@@ -9,7 +9,11 @@ Subcommands:
 * ``gen-data <kind> <n> <seed> <out>`` writes benchmark datasets.
 
 This module reads and writes every file; the library modules only
-compute.  Both dataset kinds are read by :func:`_read_columns`, which
+compute.  It converts no numbers itself: a recipe's counts, reals,
+vectors and seed go as written to the library, whose
+``core._as_count``, ``_as_real`` and ``_as_reals`` reject a bool, a
+quoted number or a nested list, and :func:`_checked` leads each error
+with the recipe section.  Both dataset kinds are read by :func:`_read_columns`, which
 gives every malformed file the same checks and messages, and every CSV
 is written by :func:`_write_csv`: a column at a time, in batches of
 ``_WRITE_BATCH_ROWS`` rows, with the bytes ``csv.writer`` would write.
@@ -43,7 +47,7 @@ import yaml
 
 from .core import (
     BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity, _as_count,
-    _chunk_count, _map_rows,
+    _as_reals, _chunk_count, _map_rows,
 )
 from .kernels import HmcConfig, MhConfig, _chains, _stage_draws
 from .kernels import hmc_step, mh_step  # unused here; perfbench/child.py wraps them by name
@@ -167,34 +171,8 @@ def _as_int(value, field: str, minimum: int) -> int:
     return _checked("", _as_count, value, field, minimum)
 
 
-def _as_seed(value) -> int:
-    seed = _as_int(value, "seed", 0)
-    if seed >= 2**64:
-        raise ConfigError(f"seed: must be at most 2**64 - 1, got {seed}")
-    return seed
-
-
-def _as_float(value, field: str) -> float:
-    # float() would take YAML's `true` as 1.0
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise ValueError
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
-
-
 def _as_vector(value, field: str) -> np.ndarray:
-    try:
-        # np.asarray would take YAML's `true` as 1.0
-        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-            raise ValueError
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected a list of numbers") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigError(f"{field}: expected a nonempty list of numbers")
-    return arr
+    return _checked("", _as_reals, value, field)
 
 
 def _as_path(value, field: str) -> Path:
@@ -225,23 +203,14 @@ def _usable_cores() -> int:
 
 def _build_box(spec: dict, context: str, build):
     """``build(lower, upper)`` from the fields of ``spec``, naming a bad bound."""
-    bounds = [_as_vector(_require(spec, key, context), context + key) for key in ("lower", "upper")]
+    bounds = [_require(spec, key, context) for key in ("lower", "upper")]
     return _checked(context, build, *bounds)
 
 
 def _build_kernel(spec) -> HmcConfig | MhConfig:
     """The kernel section; fields the recipe leaves out take the config defaults."""
     ktype = _tagged(spec, "kernel.", "type", KERNEL_KEYS)
-    fields = {}
-    for key in KERNEL_KEYS[ktype]:
-        if key in spec:
-            value, field = spec[key], "kernel." + key
-            if key == "leapfrog_steps":
-                fields[key] = _as_int(value, field, 1)
-            elif key == "mass_diag" and isinstance(value, list):
-                fields[key] = _as_vector(value, field)
-            else:
-                fields[key] = _as_float(value, field)
+    fields = {key: value for key, value in spec.items() if key != "type"}
     return _checked("kernel.", HmcConfig if ktype == "hmc" else MhConfig, **fields)
 
 
@@ -264,7 +233,7 @@ def parse_config(path) -> RunConfig:
     # others keep their defaults
     fields = {
         "algorithm": algorithm,
-        "seed": _as_seed(_require(raw, "seed", "")),
+        "seed": _checked("", RandomSource, _require(raw, "seed", "")).seed,
         "output": base_dir / _as_path(_require(raw, "output", ""), "output"),
         "base_dir": base_dir,
         "kernel": _build_kernel(_require(raw, "kernel", "")),
@@ -365,8 +334,8 @@ def _build_target(config: RunConfig) -> TargetDensity:
     if name == "dropwave":
         return dropwave()
     if name == "gaussian":
-        mean = _as_vector(_require(spec, "mean", "target."), "target.mean")
-        cov = _as_vector(_require(spec, "cov_diag", "target."), "target.cov_diag")
+        mean = _require(spec, "mean", "target.")
+        cov = _require(spec, "cov_diag", "target.")
         return _checked("target.", gaussian, mean, cov)
     data_path = _resolve_data_path(config, _require(spec, "data", "target."), "target.data")
     return nonlinear_logit_loglik(_logit_data(data_path, "target.data"))
@@ -377,9 +346,8 @@ def _build_initial(config: RunConfig) -> InitialDistribution:
     gaussian_form = isinstance(spec, dict) and "mean" in spec
     _check_keys(spec, ("mean", "sigma") if gaussian_form else ("lower", "upper"), "initial.")
     if gaussian_form:
-        mean = _as_vector(spec["mean"], "initial.mean")
-        sigma = _as_vector(_require(spec, "sigma", "initial."), "initial.sigma")
-        return _checked("initial.", diag_gaussian_initial, mean, sigma)
+        sigma = _require(spec, "sigma", "initial.")
+        return _checked("initial.", diag_gaussian_initial, spec["mean"], sigma)
     if "lower" not in spec:
         raise ConfigError("initial: expected either mean/sigma or lower/upper")
     return _build_box(spec, "initial.", uniform_box_initial)
@@ -409,13 +377,12 @@ def _build_sequence(config: RunConfig):
         data = _logit_data(data_path, "sequence.data")
         return _checked("sequence: ", loglik_blocks_sequence, data, block_size, initial=initial)
     field = "phis" if kind == "tempering" else "gammas"
-    ladder = _as_vector(_require(spec, field, "sequence."), "sequence." + field)
+    ladder = _require(spec, field, "sequence.")
     if config.target_spec is None:
         raise ConfigError(f"target: required for {kind} sequences")
     if kind == "tempering":
-        return _checked("sequence: ", tempering_sequence, initial, _build_target(config),
-                        list(ladder))
-    return _checked("sequence: ", annealing_sequence, _build_target(config), list(ladder),
+        return _checked("sequence: ", tempering_sequence, initial, _build_target(config), ladder)
+    return _checked("sequence: ", annealing_sequence, _build_target(config), ladder,
                     initial=initial)
 
 
@@ -587,10 +554,9 @@ def generate_data(kind: str, n: int, seed: int, out) -> int:
     if kind not in DATA_KINDS:
         raise ConfigError(f"kind: unknown dataset kind {kind!r}")
     n = _as_int(n, "n", 1)
-    seed = _as_seed(seed)
+    rng = _checked("", RandomSource, seed)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    rng = RandomSource(seed)
     if kind == "logit":
         data = simulate_logit_data(n, (3.0, 3.0), rng)
         _write_csv(out, ["x", "choice"], [data.offers, data.choices.astype(np.int64)])

@@ -13,6 +13,7 @@ travel as RandomSources, not inside it.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -71,11 +72,11 @@ class BoxConstraints:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = _readonly(np.atleast_1d(self.lower))
-        upper = _readonly(np.atleast_1d(self.upper))
+        lower = _readonly(_as_reals(self.lower, "lower"))
+        upper = _readonly(_as_reals(self.upper, "upper"))
         # each message starts with the bound it names
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower and upper bounds must be 1-d and equally long")
+        if lower.shape != upper.shape:
+            raise ValueError("lower and upper bounds must be equally long")
         for name, bound in (("lower", lower), ("upper", upper)):
             if np.any(np.isnan(bound)):
                 raise ValueError(f"{name} bounds must not be NaN, got {bound.tolist()}")
@@ -167,18 +168,46 @@ class Ensemble:
 def _as_count(value, name: str, minimum: int) -> int:
     """``value`` as an int, once it is an integral number of at least ``minimum``.
 
-    int() would truncate 2.7 to 2 and take True as 1; the ValueError names
-    ``name``.
+    int() would truncate 2.7 to 2 and take True (or NumPy's True) as 1; the
+    ValueError names ``name``.
     """
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if isinstance(value, bool) or count is None or count != value:
+    if isinstance(value, (bool, np.bool_)) or count is None or count != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if count < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
     return count
+
+
+def _as_real(value, name: str) -> float:
+    """``value`` as a float, once it is a real number.
+
+    float() would take True as 1.0 and the string "0.5" as 0.5; here a
+    bool or a string raises a ValueError that names ``name``.  Infinities
+    and NaN pass: each caller decides which values it takes.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_reals(value, name: str) -> np.ndarray:
+    """``value`` as a new 1-d float array, each entry by the rule of :func:`_as_real`.
+
+    ``value`` is one number, which makes a one-entry vector, or a
+    nonempty list, tuple or 1-d array of numbers.  np.asarray would take
+    True and "0.5" too, and a nested list as a 2-d array; here those and an
+    empty sequence raise a ValueError that names ``name``.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()  # a number, a list of numbers or nested lists
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    if len(entries) == 0:
+        raise ValueError(f"{name} must hold at least one number")
+    return np.array([_as_real(entry, name) for entry in entries])
 
 
 def normalize_weights(weights) -> np.ndarray:
@@ -249,18 +278,18 @@ class RandomSource:
     stream: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        stream = tuple(int(s) for s in self.stream)
-        if any(s < 0 or s >= 2**32 for s in stream):
+        seed = _as_count(self.seed, "seed", 0)
+        if seed >= 2**64:
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+        stream = tuple(_as_count(s, "stream id", 0) for s in self.stream)
+        if any(s >= 2**32 for s in stream):
             raise ValueError("stream ids must be unsigned 32-bit integers")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream", stream)
 
     def derive(self, *ids: int) -> "RandomSource":
         """A child source with ``ids`` appended to the stream path."""
-        return RandomSource(self.seed, self.stream + tuple(int(i) for i in ids))
+        return RandomSource(self.seed, self.stream + ids)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator; same identity always yields the same draws."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity
+from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _as_reals
 from .targets import _make_target
 
 __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
@@ -72,7 +72,7 @@ _SUM_FLOOR = float(np.exp(-600.0))
 
 
 def _as_bandwidth(bandwidth, dim: int) -> np.ndarray:
-    h = np.atleast_1d(np.asarray(bandwidth, dtype=float))
+    h = _as_reals(bandwidth, "bandwidth")
     if h.shape == (1,) and dim > 1:
         h = np.full(dim, h[0])
     if h.shape != (dim,):
@@ -244,7 +244,7 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
         raise ValueError("leave-one-out estimate needs at least 2 particles")
     h = np.asarray(bandwidth, dtype=float)
     if h.ndim <= 1:
-        h = np.broadcast_to(_as_bandwidth(h, dim), (n, dim))
+        h = np.broadcast_to(_as_bandwidth(bandwidth, dim), (n, dim))
     elif h.shape != (n, dim):
         raise ValueError(f"per-particle bandwidth must have shape {(n, dim)}")
     elif np.any(h <= 0) or not np.all(np.isfinite(h)):

@@ -49,7 +49,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
-    Ensemble, RandomSource, TargetDensity, _as_count, _child_keys, _map_rows, _readonly,
+    Ensemble, RandomSource, TargetDensity, _as_count, _as_real, _as_reals, _child_keys, _map_rows,
+    _readonly,
 )
 
 __all__ = [
@@ -77,12 +78,13 @@ class HmcConfig:
     step_size: float = 0.05
 
     def __post_init__(self):
-        mass = _readonly(np.atleast_1d(self.mass_diag))
+        mass = _readonly(_as_reals(self.mass_diag, "mass_diag"))
         if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
             raise ValueError("mass_diag components must be strictly positive")
         object.__setattr__(self, "mass_diag", mass)
         object.__setattr__(self, "leapfrog_steps",
                            _as_count(self.leapfrog_steps, "leapfrog_steps", 1))
+        object.__setattr__(self, "step_size", _as_real(self.step_size, "step_size"))
         if not np.isfinite(self.step_size) or self.step_size <= 0:
             raise ValueError("step_size must be strictly positive")
 
@@ -105,6 +107,7 @@ class MhConfig:
     proposal_scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "proposal_scale", _as_real(self.proposal_scale, "proposal_scale"))
         if not np.isfinite(self.proposal_scale) or self.proposal_scale <= 0:
             raise ValueError("proposal_scale must be strictly positive")
 

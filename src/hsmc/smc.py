@@ -48,6 +48,7 @@ from .core import (
     RandomSource,
     TargetDensity,
     _as_count,
+    _as_reals,
     _chunk_count,
     normalize_weights,
 )
@@ -92,8 +93,8 @@ class InitialDistribution:
 
 def diag_gaussian_initial(mean, sigma) -> InitialDistribution:
     """Diagonal Gaussian f_0 with per-dimension standard deviations."""
-    mu = np.atleast_1d(np.asarray(mean, dtype=float))
-    sd = np.atleast_1d(np.asarray(sigma, dtype=float))
+    mu = _as_reals(mean, "mean")
+    sd = _as_reals(sigma, "sigma")
     if sd.shape != mu.shape:
         raise ValueError("mean and sigma must have the same length")
     if np.any(sd <= 0) or not np.all(np.isfinite(sd)):
@@ -290,8 +291,8 @@ def tempering_sequence(
 
     The bridge starts from the initial distribution's density f_0.
     """
-    phis = [float(p) for p in phis]
-    if len(phis) < 1 or phis[-1] != 1.0:
+    phis = _as_reals(phis, "phis").tolist()
+    if phis[-1] != 1.0:
         raise ValueError("phis must end at exactly 1")
     if any(not 0.0 < p <= 1.0 for p in phis):
         raise ValueError("phis must lie in (0, 1]")
@@ -308,9 +309,7 @@ def annealing_sequence(
     initial: InitialDistribution,
 ) -> TargetSequence:
     """Powered stages f^gamma for strictly increasing positive gammas."""
-    gammas = [float(g) for g in gammas]
-    if len(gammas) < 1:
-        raise ValueError("need at least one gamma")
+    gammas = _as_reals(gammas, "gammas").tolist()
     if any(g <= 0 for g in gammas):
         raise ValueError("gammas must be strictly positive")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):

@@ -13,7 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoxConstraints, RandomSource, TargetDensity, _as_count, _readonly
+from .core import (
+    BoxConstraints, RandomSource, TargetDensity, _as_count, _as_real, _as_reals, _readonly,
+)
 
 __all__ = [
     "LogitData",
@@ -96,8 +98,8 @@ def rosenbrock() -> TargetDensity:
 
 def gaussian(mean, cov_diag) -> TargetDensity:
     """Diagonal-covariance Gaussian kernel: log f = -sum (t - mu)^2 / (2 s^2)."""
-    mu = np.atleast_1d(np.asarray(mean, dtype=float))
-    var = np.atleast_1d(np.asarray(cov_diag, dtype=float))
+    mu = _as_reals(mean, "mean")
+    var = _as_reals(cov_diag, "cov_diag")
     if var.shape != mu.shape:
         raise ValueError("mean and cov_diag must have the same length")
     if not np.all(np.isfinite(mu)):
@@ -357,9 +359,9 @@ def simulate_logit_data(n: int, beta: tuple[float, float], rng: RandomSource) ->
 
 def powered(target: TargetDensity, gamma: float) -> TargetDensity:
     """Raise a target to a power: log f_gamma = gamma * log f  (gamma > 0)."""
+    gamma = _as_real(gamma, "gamma")
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be strictly positive")
-    gamma = float(gamma)
     # the inner target checks shapes and masks its own box
     return TargetDensity(
         target.dim,
@@ -375,11 +377,11 @@ def geometric_bridge(f1: TargetDensity, f: TargetDensity, phi: float) -> TargetD
     phi must lie in [0, 1]; the support is the intersection of both
     supports, and zero-density (-inf) terms never produce NaN.
     """
+    phi = _as_real(phi, "phi")
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     if f1.dim != f.dim:
         raise ValueError("bridged targets must share one dimension")
-    phi = float(phi)
     if f.constraints is not None:
         constraints = f.constraints.intersect(f1.constraints)
     else:

@@ -334,6 +334,11 @@ class TestStrictInputs:
         # a quoted count, which the library's configs reject too
         ("sequential", "particles", "16"),
         ("chain", "iterations", "5"),
+        # a quoted real or vector entry, which the library rejects too
+        ("sequential", "kernel.step_size", "0.05"),
+        ("mh-chain", "kernel.proposal_scale", "0.2"),
+        ("sequential", "initial.mean", ["0", "1"]),
+        ("chain", "start", ["0", "0"]),
     ])
     def test_bad_value_named(self, tmp_path, capsys, recipe, field, value):
         if recipe in ("sequential", "uniform"):

@@ -1,3 +1,4 @@
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,10 @@ from hsmc.core import (
     _map_rows,
     normalize_weights,
 )
+from hsmc.kde import kde_target
+from hsmc.kernels import HmcConfig, MhConfig
+from hsmc.smc import annealing_sequence, diag_gaussian_initial, tempering_sequence
+from hsmc.targets import gaussian, geometric_bridge, powered, rosenbrock
 
 
 class TestMakeEnsemble:
@@ -233,3 +238,53 @@ class TestMapRows:
         with ThreadPoolExecutor(max_workers=2) as pool:
             with pytest.raises(ValueError, match=f"run {failing} failed"):
                 _map_rows(fn, 4, 4, pool)
+
+
+_F = rosenbrock()
+_INITIAL = diag_gaussian_initial([0.0, 0.0], [1.0, 1.0])
+# every library entry that takes a number of a run's config: the name of its
+# parameter, a call passing it a value, and whether it takes one number only
+NUMBER_CALLERS = [
+    ("mass_diag", lambda v: HmcConfig(mass_diag=v), False),
+    ("step_size", lambda v: HmcConfig(step_size=v), True),
+    ("proposal_scale", lambda v: MhConfig(proposal_scale=v), True),
+    ("lower", lambda v: BoxConstraints(v, [1.0]), False),
+    ("upper", lambda v: BoxConstraints([0.0], v), False),
+    ("mean", lambda v: gaussian(v, [1.0]), False),
+    ("cov_diag", lambda v: gaussian([0.0], v), False),
+    ("mean", lambda v: diag_gaussian_initial(v, [1.0]), False),
+    ("sigma", lambda v: diag_gaussian_initial([0.0], v), False),
+    ("bandwidth", lambda v: kde_target([[0.0], [1.0]], v), False),
+    ("phis", lambda v: tempering_sequence(_INITIAL, _F, v), False),
+    ("gammas", lambda v: annealing_sequence(_F, v, initial=_INITIAL), False),
+    ("gamma", lambda v: powered(_F, v), True),
+    ("phi", lambda v: geometric_bridge(_INITIAL.density, _F, v), True),
+    ("seed", lambda v: RandomSource(v), True),
+    ("stream id", lambda v: RandomSource(1, (v,)), True),
+]
+
+
+@pytest.mark.parametrize("name, call, value", [
+    *((name, call, value) for name, call, scalar in NUMBER_CALLERS
+      for value in [True, "0.5"] + ([] if scalar else [[[0.0, 0.0]], []])),
+    ("seed", RandomSource, 2.7),
+    ("seed", RandomSource, np.True_),
+    ("mean", lambda v: gaussian(v, [[1, 1]]), [[0, 0]]),
+])
+def test_config_numbers_follow_one_rule(name, call, value):
+    # a bool, a quoted number, a nested list and an empty list are errors
+    # that name the parameter, never a number or a vector of some other shape
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+        call(value)
+
+
+def test_config_numbers_keep_their_value():
+    assert HmcConfig(step_size=1).step_size == 1.0
+    assert isinstance(HmcConfig(step_size=1).step_size, float)
+    assert MhConfig(np.float32(0.25)).proposal_scale == 0.25
+    np.testing.assert_array_equal(HmcConfig(mass_diag=2).mass_diag, [2.0])
+    np.testing.assert_array_equal(
+        HmcConfig(mass_diag=[np.float32(0.5), np.int64(2)]).mass_diag, [0.5, 2.0])
+    np.testing.assert_array_equal(BoxConstraints(np.int64([0, 1]), (2, np.inf)).upper,
+                                  [2.0, np.inf])
+    assert RandomSource(np.int64(5), (np.uint32(3),)) == RandomSource(5, (3,))
