@@ -22,11 +22,13 @@ between ``algorithm``/``seed`` and ``group_divergence``.
 
 Outputs contain no timestamps and floats are written with full
 round-trip precision, so identical configs and seeds produce
-byte-identical files regardless of ``--threads``.  The threads run the
-particle groups, each group cutting every stage's rows into chunks for
-the threads the groups leave over, once to evaluate the stage's target
-and once to mutate, and then evaluate the grid in row chunks cut by the
-same rule.  An ``mh`` or ``hmc`` run steps its chains together as one
+byte-identical files regardless of ``--threads``.  ``--threads`` sets
+how many particle groups run at once: in forked worker processes where
+that is safe (see ``smc.run_smc``), on threads otherwise.  Each group
+cuts every stage's rows into chunks for the threads the groups leave
+over, once to evaluate the stage's target and once to mutate.  The grid
+is then evaluated on that many threads, in row chunks cut by the same
+rule.  An ``mh`` or ``hmc`` run steps its chains together as one
 batch, chain j on its own stream ``RandomSource(seed).derive(j)``, so a
 chain's states do not depend on how many chains run beside it.
 """
@@ -452,7 +454,7 @@ def _grid_override(spec):
             raise ConfigError(f"{field}: expected 2 finite numbers, got {bound.tolist()}")
     if not np.all(lower < upper):
         raise ConfigError("grid.upper: every bound must lie above grid.lower")
-    return lower, upper, resolution
+    return tuple(lower.tolist()), tuple(upper.tolist()), resolution
 
 
 def _grid_bounds(config: RunConfig, target: TargetDensity, positions: np.ndarray):
@@ -576,10 +578,11 @@ def main(argv=None) -> int:
                             help="record every iteration's particles, not just the final ones")
     run_parser.add_argument("--threads", type=int, default=None,
                             help="worker threads (default: the usable cores); they run "
-                                 "the particle groups, each group's particle rows split "
-                                 "over the threads the groups leave over, and then "
-                                 "evaluate the grid (outputs are unaffected; threads "
-                                 "beyond the usable cores cost time)")
+                                 "the particle groups, in forked processes where that "
+                                 "is safe, each group's particle rows split over the "
+                                 "threads the groups leave over, and then evaluate the "
+                                 "grid (outputs are unaffected; beyond the usable "
+                                 "cores, threads cost a one-group run time)")
 
     gen_parser = sub.add_parser("gen-data", help="generate a benchmark dataset")
     gen_parser.add_argument("kind", choices=DATA_KINDS)

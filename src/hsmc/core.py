@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -61,6 +61,23 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fields_key(value) -> tuple:
+    """The fields of dataclass ``value``, each array as a tuple of its entries."""
+    return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                 for v in (getattr(value, f.name) for f in fields(value)))
+
+
+def _eq_by_fields(self, other):
+    """``==`` for a dataclass with array fields, whose generated ``==`` would raise."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _fields_key(self) == _fields_key(other)
+
+
+def _hash_by_fields(self) -> int:
+    return hash(_fields_key(self))
+
+
 @dataclass(frozen=True)
 class BoxConstraints:
     """Per-dimension box bounds; use ``-inf`` / ``+inf`` for free dimensions.
@@ -70,6 +87,9 @@ class BoxConstraints:
 
     lower: np.ndarray
     upper: np.ndarray
+
+    __eq__ = _eq_by_fields
+    __hash__ = _hash_by_fields
 
     def __post_init__(self):
         lower = _readonly(_as_reals(self.lower, "lower"))
@@ -155,6 +175,10 @@ class Ensemble:
         if not np.all(np.isfinite(positions)):
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", positions)
+
+    def __reduce__(self):
+        # rebuilt through __post_init__: NumPy unpickles arrays writeable
+        return Ensemble, (self.positions,)
 
     @property
     def n_particles(self) -> int:

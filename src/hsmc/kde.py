@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _as_reals
+from .core import (
+    BoxConstraints, DegenerateEnsembleError, Ensemble, TargetDensity, _as_real, _as_reals,
+)
 from .targets import _make_target
 
 __all__ = ["kde_target", "loo_log_density_all", "silverman_bandwidth"]
@@ -242,13 +244,19 @@ def loo_log_density_all(positions: np.ndarray, bandwidth) -> np.ndarray:
     n, dim = positions.shape
     if n < 2:
         raise ValueError("leave-one-out estimate needs at least 2 particles")
-    h = np.asarray(bandwidth, dtype=float)
+    h = np.asarray(bandwidth)
     if h.ndim <= 1:
         h = np.broadcast_to(_as_bandwidth(bandwidth, dim), (n, dim))
     elif h.shape != (n, dim):
         raise ValueError(f"per-particle bandwidth must have shape {(n, dim)}")
-    elif np.any(h <= 0) or not np.all(np.isfinite(h)):
-        raise ValueError("bandwidth components must be strictly positive")
+    else:
+        if not (isinstance(bandwidth, np.ndarray) and h.dtype.kind in "fiu"):
+            # np.asarray reads True as 1.0 in a list of floats
+            for entry in np.asarray(bandwidth, dtype=object).flat:
+                _as_real(entry, "bandwidth")
+        h = h.astype(float, copy=False)
+        if np.any(h <= 0) or not np.all(np.isfinite(h)):
+            raise ValueError("bandwidth components must be strictly positive")
     # -sum_d (x_id - x_jd)^2 / (2 h_id^2): the row's own 1/h^2 scales
     # both x_j and x_j^2, so the product has 2 dim coordinates
     inv2 = 1.0 / (h * h)

@@ -49,8 +49,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
-    Ensemble, RandomSource, TargetDensity, _as_count, _as_real, _as_reals, _child_keys, _map_rows,
-    _readonly,
+    Ensemble, RandomSource, TargetDensity, _as_count, _as_real, _as_reals, _child_keys,
+    _eq_by_fields, _hash_by_fields, _map_rows, _readonly,
 )
 
 __all__ = [
@@ -76,6 +76,9 @@ class HmcConfig:
     mass_diag: np.ndarray | float = 1.0
     leapfrog_steps: int = 20
     step_size: float = 0.05
+
+    __eq__ = _eq_by_fields
+    __hash__ = _hash_by_fields
 
     def __post_init__(self):
         mass = _readonly(_as_reals(self.mass_diag, "mass_diag"))

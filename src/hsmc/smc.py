@@ -11,10 +11,11 @@ the current particle cloud, with kernels widened for stragglers and the
 weights truncated.  :func:`correction_weights` computes either rule
 whole, exactly as a run applies it, from log-densities its caller
 evaluated, so a stage is one target evaluation and one call each to
-correction, selection and mutation.  Independent particle groups run on
-a thread pool and are compared afterwards as a convergence check; each
+correction, selection and mutation.  Independent particle groups run in
+forked worker processes where forking is safe, and on a thread pool
+otherwise, and are compared afterwards as a convergence check; each
 group cuts its stages' target evaluations and mutations into row chunks
-for the threads the groups leave over.
+for the threads the groups leave over.  Neither path changes a bit.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -31,6 +32,12 @@ correction's denominator.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -154,26 +161,30 @@ class TargetSequence:
 class SmcConfig:
     """Engine parameters: ensemble sizes, mutation kernel and weight rule.
 
-    The groups run on a pool of ``n_threads`` threads, and each group cuts
-    its stages' rows into chunks for ``ceil(n_threads / n_groups)`` of
-    them.  ``n_threads`` defaults to 1 because the engine calls the stage
-    targets from every thread of its pool, and a caller's own target may
-    not be thread-safe; the CLI builds only built-in targets and defaults
-    to the usable cores.
+    With P = min(n_groups, n_threads) of at least 2, :func:`run_smc` runs
+    the groups in P processes, the caller's and P - 1 it forks, as long as
+    forking is safe: on Linux, in a process that runs one thread.  Worker p
+    runs groups j = p (mod P) on a pool of ceil(n_threads / P) threads.
+    Otherwise the groups run on one pool of ``n_threads`` threads.  Either
+    way each group cuts its stages' rows into chunks for
+    ``ceil(n_threads / n_groups)`` threads.  ``n_threads`` defaults to 1
+    because the engine calls the stage targets from every thread of its
+    pool, and a caller's own target may not be thread-safe; the CLI builds
+    only built-in targets and defaults to the usable cores.  A target that
+    runs in a forked worker keeps its side effects, such as counters or
+    caches, in that worker.
 
     Threads overlap only inside numpy calls that release the interpreter
     lock; in the KDE blocks those are exp, the row sums, the exponent
     ``np.matmul`` and the ``np.dot`` reductions.  The Python between them
-    holds it, so smiley's four groups on two threads still wait 10-12% of
-    their wall time.  Groups in forked processes ran 0.81-0.85x the
-    threaded wall time (medians of 6 and 8 pairs) with the same bytes, so
-    the floor is the lock, not the cores.  They are not used: ``os.fork``
-    warns on Python 3.12+ in a process that runs threads (by default
-    hsmc starts no OpenBLAS thread, but a BLAS thread setting can), a
-    ``spawn`` pool would have to pickle targets that are closures, and
-    perfbench's tracer cannot see spans in worker processes.
+    holds it, so smiley's four groups on two threads waited for it 10-12%
+    of their wall time; processes do not share the lock.  Workers are
+    forked, not spawned, because a spawned worker would have to unpickle
+    the targets, which are closures; and not forked from a process that
+    runs threads, where a fork can copy a lock another thread holds and
+    Python 3.12+ warns.
 
-    The pool's threads are the only ones a run computes on.  Importing
+    The workers' pool threads are the only ones a run computes on.  Importing
     hsmc sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
     ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; OpenBLAS reads it
     when numpy is first imported.  OpenBLAS's pool had no work in the
@@ -181,7 +192,8 @@ class SmcConfig:
     (see ``kde._BLOCK_TERMS``), and its worker accrued no CPU during whole
     smiley_hsmc and logit_hsmc runs beyond the busy wait it starts with.
     A caller whose own target makes large products can set one of those
-    variables before the import.
+    variables before the import; OpenBLAS's pool then keeps the groups on
+    threads.
     """
 
     n_particles: int
@@ -500,25 +512,166 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
     return rows, tuple(history)
 
 
+def _can_fork() -> bool:
+    """Whether ``os.fork`` is safe here: on Linux, in a process that runs one thread.
+
+    ``threading.active_count`` sees Python's threads; ``/proc/self/task``
+    lists native ones too, such as the workers of a BLAS pool.
+    """
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _run_groups(groups: range, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
+                threads: int):
+    """Run ``groups`` one after another on a pool of ``threads`` threads.
+
+    Returns the ``(rows, history)`` of each group that finished and, for the
+    first that raised, ``(group, exception)``, else None.  No later group
+    runs: its index is higher, so its exception would not be the one raised.
+    """
+    done = []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for j in groups:
+            try:
+                done.append(_run_group(j, sequence, config, rng, pool))
+            except Exception as err:
+                return done, (j, err)
+    return done, None
+
+
+def _worker(read: int, write: int, groups: range, sequence: TargetSequence, config: SmcConfig,
+            rng: RandomSource, threads: int):
+    """A forked worker's whole life: run ``groups``, pickle the outcome into ``write``, exit.
+
+    It closes its copy of the pipe's ``read`` end, so a write to a parent
+    that died fails instead of blocking.  It leaves by ``os._exit``, so no
+    stdio buffer or ``atexit`` hook it inherited runs a second time, and it
+    exits 0 only once the whole outcome is written.
+    """
+    status = 1
+    try:
+        os.close(read)
+        payload = pickle.dumps(_run_groups(groups, sequence, config, rng, threads),
+                               pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    except Exception:
+        traceback.print_exc()  # the parent learns only the exit status
+    finally:
+        os._exit(status)
+
+
+def _outcome(payload: bytes, status: int, groups: range):
+    """What a reaped worker sent, as :func:`_run_groups` returns it.
+
+    A worker that died, or sent a pickle that cannot be read, becomes a
+    RuntimeError for its first group.
+    """
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        problem = f"was killed by signal {-code}"
+    elif code > 0:
+        problem = f"exited with status {code}"
+    else:
+        try:
+            return pickle.loads(payload)
+        except Exception:  # truncated, or an exception that cannot be rebuilt here
+            problem = "sent a result that could not be read"
+    names = ", ".join(map(str, groups))
+    return [], (groups[0], RuntimeError(f"the worker process for groups {names} {problem}"))
+
+
+def _forked_groups(sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
+                   workers: int) -> list:
+    """Every group's ``(rows, history)``, the groups split over ``workers`` processes.
+
+    Worker p runs groups j = p (mod workers) in order, each cutting its rows
+    for a pool of ceil(n_threads / workers) threads.  This process is worker
+    0: it forks the others before it starts any thread.  Every pipe is read
+    to EOF and every worker reaped before this returns or raises; on an
+    exception of its own, such as an interrupt, this process kills the
+    workers first.  Raises the exception of the lowest failing group.
+    """
+    threads = -(-config.n_threads // workers)
+    shares = [range(p, config.n_groups, workers) for p in range(workers)]
+    running = {}  # worker -> (pid, read end of its pipe), until reaped
+    try:
+        for p in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(read, write, shares[p], sequence, config, rng, threads)
+            os.close(write)
+            running[p] = (pid, os.fdopen(read, "rb"))
+        outcomes = [_run_groups(shares[0], sequence, config, rng, threads)]
+        for p in range(1, workers):
+            pid, pipe = running[p]
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del running[p]
+            outcomes.append(_outcome(payload, status, shares[p]))
+    except BaseException:
+        for pid, _ in running.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in running.values():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+    results = [None] * config.n_groups
+    failures = []
+    for share, (done, failure) in zip(shares, outcomes):
+        for j, result in zip(share, done):
+            results[j] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
 def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> SmcRun:
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
-    derived random stream, as a task on a pool of ``n_threads`` threads.
-    Each group cuts every stage's target evaluation and mutation into one
-    chunk of rows for each of its ``ceil(n_threads / n_groups)`` threads,
-    fewer when a chunk would get under ``core._MIN_CHUNK_ROWS`` rows, and
-    hands the chunks after its first to the same pool.  The thread count
-    never changes the results.  The returned history keeps every stage's
-    ensemble.  Raises :class:`DegenerateWeightsError` (carrying the stage
-    index) when every particle dies under some stage.
+    derived random stream.  With P = min(n_groups, n_threads) of at least
+    2, in a process where forking is safe (Linux, and one thread running),
+    the groups run in P forked worker processes, this one among them:
+    worker p runs groups j = p (mod P) in order, and a target's side
+    effects in the other workers do not reach the caller.  Otherwise they
+    run as tasks on a pool of ``n_threads`` threads.  Each group cuts every
+    stage's target evaluation and mutation into one chunk of rows for each
+    of its ``ceil(n_threads / n_groups)`` threads, fewer when a chunk would
+    get under ``core._MIN_CHUNK_ROWS`` rows, and hands the chunks after its
+    first to its pool.  Neither the thread count nor the path changes the
+    results.  The returned history keeps every stage's ensemble.  Raises
+    the exception of the lowest failing group: :class:`DegenerateWeightsError`
+    (carrying the stage index) when every particle dies under some stage,
+    and RuntimeError when a worker process dies.
     """
     if not isinstance(rng, RandomSource):
         raise TypeError("run_smc needs a RandomSource")
 
-    with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-        results = list(pool.map(lambda j: _run_group(j, sequence, config, rng, pool),
-                                range(config.n_groups)))
+    workers = min(config.n_groups, config.n_threads)
+    if workers >= 2 and _can_fork():
+        results = _forked_groups(sequence, config, rng, workers)
+    else:
+        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
+            results = list(pool.map(lambda j: _run_group(j, sequence, config, rng, pool),
+                                    range(config.n_groups)))
 
     report = RunReport(
         n_particles=config.n_particles,

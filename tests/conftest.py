@@ -1,3 +1,8 @@
+# hsmc before numpy, as the hsmc command imports them: importing hsmc keeps
+# OpenBLAS on the calling thread, so this process runs one thread and
+# run_smc may run its groups in forked workers
+import hsmc  # noqa: F401, I001
+
 import numpy as np
 import pytest
 

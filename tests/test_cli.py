@@ -127,6 +127,17 @@ class TestParseConfig:
         assert config.kernel.step_size == 0.05
         assert config.weight_mode == "loo_kde_ratio"
 
+    def test_parsed_hmc_configs_compare_by_value(self, tmp_path):
+        # a 2-d mass and a grid section: arrays, which a generated == would
+        # compare element by element and then fail to reduce to one bool
+        recipe = Path(__file__).resolve().parents[1] / "experiments" / "rosenbrock_hmc.yaml"
+        mapping = yaml.safe_load(recipe.read_text())
+        first = parse_config(write_config(tmp_path / "a.yaml", mapping))
+        assert first.kernel.mass_diag.shape == (2,) and first.grid[0] is not None
+        assert first == parse_config(write_config(tmp_path / "b.yaml", mapping))
+        mapping["kernel"]["mass_diag"] = [1.0, 2.0]
+        assert first != parse_config(write_config(tmp_path / "c.yaml", mapping))
+
     def test_negative_step_size_names_field(self, tmp_path):
         data_path = tmp_path / "smiley.csv"
         generate_data("smiley", 64, 1, data_path)

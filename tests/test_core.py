@@ -1,3 +1,4 @@
+import pickle
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +54,12 @@ class TestEnsembleInvariants:
         with pytest.raises(ValueError):
             ens.positions[0, 0] = 5.0
 
+    def test_unpickled_positions_are_readonly(self):
+        # forked run_smc workers send their ensembles back pickled
+        ens = pickle.loads(pickle.dumps(Ensemble([[0.0], [1.0]])))
+        assert not ens.positions.flags.writeable
+        np.testing.assert_array_equal(ens.positions, [[0.0], [1.0]])
+
 
 class TestNormalizeWeights:
     def test_uniform(self):
@@ -96,6 +103,16 @@ class TestBoxConstraints:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             BoxConstraints([1.0], [1.0])
+
+    def test_equality_and_hash_compare_bounds(self):
+        box = BoxConstraints([0.0, -np.inf], [1.0, 2.0])
+        same = BoxConstraints([0, -np.inf], np.array([1.0, 2.0]))
+        assert box == same and hash(box) == hash(same) and len({box, same}) == 1
+        for other in (BoxConstraints([0.0, -np.inf], [1.0, 3.0]),
+                      BoxConstraints([0.5, -np.inf], [1.0, 2.0]),
+                      BoxConstraints([0.0], [1.0])):
+            assert box != other
+        assert box != (box.lower, box.upper)
 
     def test_half_open(self):
         box = BoxConstraints([-np.inf], [0.0])

@@ -314,6 +314,16 @@ class TestLeaveOneOut:
                 kde_target(others, h).log_f(positions[i][None])[0], abs=1e-12
             )
 
+    def test_bandwidth_follows_the_number_rule(self, rng):
+        positions = rng.standard_normal((5, 2))
+        for bandwidth in ("abc", np.ones((5, 2), dtype=bool), [[True, 1.0]] * 5,
+                          np.full((5, 2), "0.5")):
+            with pytest.raises(ValueError, match="bandwidth must be a number"):
+                loo_log_density_all(positions, bandwidth)
+        # integers are numbers
+        np.testing.assert_array_equal(loo_log_density_all(positions, [[1, 2]] * 5),
+                                      loo_log_density_all(positions, np.array([[1.0, 2.0]] * 5)))
+
     def test_needs_two_particles(self):
         with pytest.raises(ValueError):
             loo_log_density_all(np.array([[0.0]]), [1.0])

@@ -66,6 +66,16 @@ class TestConfigs:
         mass[0] = 5.0
         np.testing.assert_array_equal(cfg.mass_diag, [1.0, 2.0])
 
+    def test_hmc_equality_and_hash_compare_the_mass(self):
+        cfg = HmcConfig(mass_diag=[1.0, 2.0])
+        same = HmcConfig(mass_diag=np.array([1, 2]))
+        assert cfg == same and hash(cfg) == hash(same) and len({cfg, same}) == 1
+        for other in (HmcConfig(mass_diag=[1.0, 3.0]), HmcConfig(mass_diag=[1.0, 2.0, 3.0]),
+                      HmcConfig(mass_diag=[1.0, 2.0], leapfrog_steps=5),
+                      HmcConfig(mass_diag=[1.0, 2.0], step_size=0.1)):
+            assert cfg != other
+        assert cfg != MhConfig()
+
     def test_mass_broadcast(self):
         cfg = HmcConfig(mass_diag=2.0)
         np.testing.assert_array_equal(cfg.mass_for(3), [2.0, 2.0, 2.0])

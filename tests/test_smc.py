@@ -1,4 +1,9 @@
-from dataclasses import replace
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsmc.core import (
+    INIT_STREAM,
     MUTATION_STREAM,
     SELECTION_STREAM,
     BoxConstraints,
@@ -31,6 +37,7 @@ from hsmc.smc import (
     resample,
     run_smc,
     tempering_sequence,
+    uniform_box_initial,
 )
 from hsmc.smc import _loo_engine_bandwidth, _truncate_weights
 from hsmc.kde import kde_target, silverman_bandwidth
@@ -502,16 +509,18 @@ class TestRunSmc:
         (1, 1, 512, 1), (1, 3, 512, 3), (1, 3, 300, 2), (1, 64, 512, 4), (1, 2, 100, 1),
         (2, 2, 512, 1), (4, 2, 512, 1), (2, 3, 512, 2), (2, 64, 512, 4),
     ])
-    def test_groups_cut_rows_for_their_share_of_threads(self, monkeypatch, groups, threads,
-                                                         particles, chunks):
+    def test_groups_cut_rows_for_their_share_of_threads(self, monkeypatch, tmp_path, groups,
+                                                         threads, particles, chunks):
         # each group cuts a stage's target evaluation and its mutation into
         # one chunk for each of its ceil(threads / groups) threads, at least
-        # _MIN_CHUNK_ROWS = 128 to a chunk
-        seen = []
+        # _MIN_CHUNK_ROWS = 128 to a chunk.  Groups may run in forked
+        # workers, so the calls are recorded in a file they all append to
+        log = tmp_path / "calls.txt"
 
         def recording(fn):
             def record(*args):
-                seen.append((fn.__name__, args[-1]))  # the chunk count, passed last
+                with open(log, "a") as fh:  # the chunk count, passed last
+                    fh.write(f"{fn.__name__} {args[-1]}\n")
                 return fn(*args)
             return record
 
@@ -521,6 +530,7 @@ class TestRunSmc:
                                  initial=diag_gaussian_initial([0.0], [2.0]))
         run_smc(seq, SmcConfig(n_particles=particles, mutation=MhConfig(0.5), n_groups=groups,
                                n_threads=threads), RandomSource(1))
+        seen = [(name, int(count)) for name, count in map(str.split, log.read_text().splitlines())]
         assert sorted(seen) == sorted([("_start_values", chunks),
                                        ("mutate_ensemble", chunks)] * (2 * groups))
 
@@ -576,6 +586,151 @@ class TestRunSmc:
                 np.testing.assert_array_equal(mutated.positions, history[t][0].positions)
                 np.testing.assert_array_equal(accepted, history[t][1])
             assert result.ensembles[j] is history[-1][0]
+
+
+@contextmanager
+def another_thread():
+    """A second Python thread, waiting on an Event, so run_smc keeps its groups on threads."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert not smc._can_fork()
+        yield
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def wait_until_fork_is_safe(timeout=10.0):
+    """Block until this process runs one thread, so run_smc forks its groups.
+
+    A thread that was just joined stays listed in /proc/self/task for a few
+    microseconds while it exits.
+    """
+    deadline = time.monotonic() + timeout
+    while not smc._can_fork():
+        assert time.monotonic() < deadline, "another thread keeps running"
+        time.sleep(0.001)
+
+
+def forked_and_threaded(seq, cfg, rng):
+    """run_smc's result with the groups in forked workers and with them on threads."""
+    with another_thread():
+        threaded = run_smc(seq, cfg, rng)
+    wait_until_fork_is_safe()
+    return run_smc(seq, cfg, rng), threaded
+
+
+def pid_recording(log):
+    """A flat 1-d target that appends the pid of each process calling it to ``log``."""
+
+    def log_f(pos):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return np.zeros(len(pos))
+
+    return TargetDensity(1, log_f, np.zeros_like)
+
+
+def assert_gone(pid):
+    # a child that exited but was not reaped is a zombie, which kill(pid, 0) still finds
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+class TestForkedGroups:
+    """Groups in forked workers: the same results and errors as on threads."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("groups", [2, 4])
+    def test_both_paths_give_the_same_bits(self, groups, threads):
+        # 300 particles a group: at 5 and 9 threads each cuts its rows into
+        # 2 chunks, in workers of 3 and 5 threads (2 groups) or 2 and 3 (4)
+        points = np.random.default_rng(12).standard_normal((400, 2))
+        seq = kde_blocks_sequence(points, 200, initial=INITIAL_2D)
+        cfg = SmcConfig(n_particles=300, n_groups=groups, mutation=HmcConfig(1.0, 5, 0.1),
+                        weight_mode="loo_kde_ratio", n_threads=threads)
+        forked, threaded = forked_and_threaded(seq, cfg, RandomSource(4))
+        for ha, hb in zip(forked.history, threaded.history, strict=True):
+            for (ea, fa), (eb, fb) in zip(ha, hb, strict=True):
+                assert not ea.positions.flags.writeable and not eb.positions.flags.writeable
+                np.testing.assert_array_equal(ea.positions, eb.positions)
+                np.testing.assert_array_equal(fa, fb)
+        assert forked.report.n_groups == threaded.report.n_groups == groups
+        for ra, rb in zip(forked.report.rows, threaded.report.rows, strict=True):
+            for field in fields(ra):
+                np.testing.assert_array_equal(getattr(ra, field.name), getattr(rb, field.name))
+
+    def test_groups_run_in_forked_workers(self, tmp_path):
+        # 4 groups on 2 threads: this process runs groups 0 and 2, one
+        # worker groups 1 and 3, and the worker is reaped before run_smc
+        # returns.  With a thread running, every group runs here
+        cfg = SmcConfig(n_particles=16, n_groups=4, mutation=MhConfig(0.5), n_threads=2)
+        seq = TargetSequence((pid_recording(tmp_path / "forked.txt"),), INITIAL_1D)
+        wait_until_fork_is_safe()
+        run_smc(seq, cfg, RandomSource(2))
+        pids = set(map(int, (tmp_path / "forked.txt").read_text().split()))
+        assert os.getpid() in pids and len(pids) == 2
+        for pid in pids - {os.getpid()}:
+            assert_gone(pid)
+        seq = TargetSequence((pid_recording(tmp_path / "threaded.txt"),), INITIAL_1D)
+        with another_thread():
+            run_smc(seq, cfg, RandomSource(2))
+        assert set(map(int, (tmp_path / "threaded.txt").read_text().split())) == {os.getpid()}
+
+    def test_lowest_failing_group_raises_on_both_paths(self):
+        # every particle starts on a point of f_1, where random-walk
+        # proposals are rejected, so each group keeps its initial draws.  f_2
+        # lives on group 0's draws only, so groups 1-3 die at stage 2; group
+        # 1, the lowest, runs in a worker on the forked path
+        init = uniform_box_initial([0.0], [1.0])
+        root = RandomSource(6)
+        draws = [init.sample(16, root.derive(j, INIT_STREAM, 0).generator())[:, 0]
+                 for j in range(4)]
+
+        def on(points):
+            return TargetDensity(1, lambda pos: np.where(np.isin(pos[:, 0], points), 0.0, -np.inf),
+                                 np.zeros_like)
+
+        seq = TargetSequence((on(np.concatenate(draws)), on(draws[0])), init)
+        cfg = SmcConfig(n_particles=16, n_groups=4, mutation=MhConfig(0.5), n_threads=2)
+        with another_thread():
+            with pytest.raises(DegenerateWeightsError) as threaded:
+                run_smc(seq, cfg, root)
+        wait_until_fork_is_safe()
+        with pytest.raises(DegenerateWeightsError) as forked:
+            run_smc(seq, cfg, root)
+        assert (str(forked.value), forked.value.stage) == (str(threaded.value), 2)
+        assert "degenerate weights at stage 2 of group 1:" in str(forked.value)
+
+    def test_worker_killed_by_a_signal_makes_the_parent_raise(self, tmp_path):
+        me = os.getpid()
+        log = tmp_path / "pids.txt"
+
+        def log_f(pos):
+            if os.getpid() != me:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return np.zeros(len(pos))
+
+        seq = TargetSequence((TargetDensity(1, log_f, np.zeros_like),), INITIAL_1D)
+        cfg = SmcConfig(n_particles=16, n_groups=4, mutation=MhConfig(0.5), n_threads=2)
+        wait_until_fork_is_safe()
+        with pytest.raises(RuntimeError, match=r"groups 1, 3 was killed by signal 9"):
+            run_smc(seq, cfg, RandomSource(3))
+        (pid,) = map(int, log.read_text().split())
+        assert_gone(pid)
+
+    def test_truncated_result_makes_the_parent_raise(self, monkeypatch):
+        dumps = smc.pickle.dumps
+        monkeypatch.setattr(smc.pickle, "dumps", lambda obj, *args: dumps(obj, *args)[:-20])
+        cfg = SmcConfig(n_particles=16, n_groups=3, mutation=MhConfig(0.5), n_threads=3)
+        wait_until_fork_is_safe()
+        with pytest.raises(RuntimeError, match=r"groups 1 sent a result that could not be read"):
+            run_smc(_noop_sequence(), cfg, RandomSource(3))
 
 
 def counting(target, counts, native=False):
