@@ -2,7 +2,7 @@
 
 import os
 
-# Parallel work runs on hsmc's own thread pool, and every KDE product is
+# Parallel work runs on hsmc's own workers, and every KDE product is
 # sized to stay on the calling thread (kde._BLOCK_TERMS), so OpenBLAS's
 # pool never gets work: its worker only busy-waits when numpy loads it.
 # OpenBLAS reads its thread count once, when numpy is first imported (by

@@ -22,15 +22,16 @@ between ``algorithm``/``seed`` and ``group_divergence``.
 
 Outputs contain no timestamps and floats are written with full
 round-trip precision, so identical configs and seeds produce
-byte-identical files regardless of ``--threads``.  ``--threads`` sets
-how many particle groups run at once: in forked worker processes where
-that is safe (see ``smc.run_smc``), on threads otherwise.  Each group
-cuts every stage's rows into chunks for the threads the groups leave
-over, once to evaluate the stage's target and once to mutate.  The grid
-is then evaluated on that many threads, in row chunks cut by the same
-rule.  An ``mh`` or ``hmc`` run steps its chains together as one
-batch, chain j on its own stream ``RandomSource(seed).derive(j)``, so a
-chain's states do not depend on how many chains run beside it.
+byte-identical files regardless of ``--threads``.  ``--threads`` T
+sets the workers of a run of G particle groups, P = min(G, T): worker p
+runs groups p, p + P, ... in order, in a forked process where that is
+safe (see ``smc.run_smc``) and on a thread otherwise.  Each group cuts
+every stage's rows into chunks for its worker's ceil(T / P) threads,
+once to evaluate the stage's target and once to mutate.  The grid is
+then evaluated on T threads, in row chunks cut by the same rule.  An
+``mh`` or ``hmc`` run steps its chains together as one batch, chain j
+on its own stream ``RandomSource(seed).derive(j)``, so a chain's states
+do not depend on how many chains run beside it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -49,7 +49,7 @@ import yaml
 
 from .core import (
     BoxConstraints, DegenerateWeightsError, Ensemble, RandomSource, TargetDensity, _as_count,
-    _as_reals, _chunk_count, _map_rows,
+    _as_reals, _map_rows,
 )
 from .kernels import HmcConfig, MhConfig, _chains, _stage_draws
 from .kernels import hmc_step, mh_step  # unused here; perfbench/child.py wraps them by name
@@ -422,10 +422,8 @@ def _write_particles(path: Path, group, iteration, particle_id, positions, accep
 
 
 def _grid_log_f(target: TargetDensity, points: np.ndarray, threads: int) -> np.ndarray:
-    """``target.log_f(points)`` in row chunks on ``threads`` threads, cut as a stage's are."""
-    chunks = _chunk_count(len(points), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _map_rows(lambda rows: (target.log_f(points[rows]),), len(points), chunks, pool)[0]
+    """``target.log_f(points)`` in row runs on ``threads`` threads, cut as a stage's are."""
+    return _map_rows(lambda rows: (target.log_f(points[rows]),), len(points), threads)[0]
 
 
 def _write_grid(path: Path, target: TargetDensity, lower, upper, resolution: int,
@@ -577,12 +575,13 @@ def main(argv=None) -> int:
     run_parser.add_argument("--record-all", action="store_true",
                             help="record every iteration's particles, not just the final ones")
     run_parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads (default: the usable cores); they run "
-                                 "the particle groups, in forked processes where that "
-                                 "is safe, each group's particle rows split over the "
-                                 "threads the groups leave over, and then evaluate the "
-                                 "grid (outputs are unaffected; beyond the usable "
-                                 "cores, threads cost a one-group run time)")
+                            help="threads (default: the usable cores); min(groups, "
+                                 "threads) workers run the particle groups in turn, "
+                                 "in forked processes where that is safe, each group's "
+                                 "particle rows split over its worker's share of the "
+                                 "threads, and then all threads evaluate the grid "
+                                 "(outputs are unaffected; beyond the usable cores, "
+                                 "threads cost a one-group run time)")
 
     gen_parser = sub.add_parser("gen-data", help="generate a benchmark dataset")
     gen_parser.add_argument("kind", choices=DATA_KINDS)

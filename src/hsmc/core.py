@@ -14,7 +14,7 @@ travel as RandomSources, not inside it.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import Executor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -259,32 +259,31 @@ _MIN_CHUNK_ROWS = 128
 def _chunk_count(n_rows: int, threads: int) -> int:
     """The chunks n_rows split into on ``threads`` threads.
 
-    One a thread, but never one under ``_MIN_CHUNK_ROWS`` rows: the one rule
-    of a stage's chunks and of the CLI's grid.
+    One a thread, but never one under ``_MIN_CHUNK_ROWS`` rows: the rule
+    :func:`_map_rows` cuts every row map by.
     """
     return max(1, min(threads, n_rows // _MIN_CHUNK_ROWS))
 
 
-def _map_rows(fn: Callable, n_rows: int, chunks: int, pool: Executor | None) -> list:
-    """``fn`` over n_rows rows cut into at most ``chunks`` runs, its results joined.
+def _map_rows(fn: Callable, n_rows: int, threads: int) -> list:
+    """``fn`` over n_rows rows cut into runs for ``threads`` threads, its results joined.
 
     ``fn(rows)`` takes a slice of the rows and returns a tuple of arrays
     with one entry per row; the result lists each of them concatenated
-    over the runs, in row order.  The runs are nearly equal, and every run
-    but the first is offered to ``pool``, which more than one chunk needs
-    (a ValueError without it).  The caller computes the first run and
-    then, in order, every run no worker has started yet, before it waits
-    for the runs the workers took.  No thread waits on a task that has not started, so a
-    task may itself map rows on the same bounded pool without deadlock.
+    over the runs, in row order.  The rows are cut into
+    ``_chunk_count(n_rows, threads)`` nearly equal runs.  The caller
+    computes the first run, and a pool of its own the others; a single
+    run starts no thread.
     """
-    if chunks > 1 and pool is None:
-        raise ValueError("more than one chunk needs a pool")
-    bounds = sorted({0, n_rows, *(round(i * n_rows / chunks) for i in range(1, chunks))})
+    chunks = _chunk_count(n_rows, threads)
+    bounds = [round(i * n_rows / chunks) for i in range(chunks + 1)]
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    futures = [pool.submit(fn, run) for run in runs[1:]]
-    first = fn(runs[0])
-    mine = [fn(run) if future.cancel() else None for run, future in zip(runs[1:], futures)]
-    parts = [first] + [r if f.cancelled() else f.result() for r, f in zip(mine, futures)]
+    if chunks == 1:
+        parts = [fn(runs[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=chunks - 1) as pool:
+            futures = [pool.submit(fn, run) for run in runs[1:]]
+            parts = [fn(runs[0])] + [future.result() for future in futures]
     return [np.concatenate(field) for field in zip(*parts)]
 
 

@@ -53,7 +53,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # bandwidth, shared or not, per particle.  OpenBLAS 0.3.31 keeps products
 # of up to 6 * 2^17 multiply-adds on the calling thread (it splits those
 # of 2^20), so for k <= 4 (k <= 3 for leave-one-out sums) and up to 2^17
-# points the group pool keeps the cores and the bits do not depend on the
+# points hsmc's own threads keep the cores and the bits do not depend on the
 # BLAS thread setting.  Since no product reaches OpenBLAS's pool, importing
 # hsmc caps that pool at one thread (see hsmc/__init__.py): its worker
 # accrued no CPU during whole smiley_hsmc and logit_hsmc runs, beyond its

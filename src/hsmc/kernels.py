@@ -12,11 +12,11 @@ One loop, ``_chains``, steps J rows as one ``(J, dim)`` batch of Markov
 chains through draws taken before its first step, and records every
 state.  It takes no kernel class: it steps the kernel it is handed, whose
 type its callers check.  ``mutate_ensemble`` runs it on a whole ensemble,
-each particle on its own derived stream, and can run it on pieces of the
-ensemble on a thread pool; the CLI runs its chains through it, chain j on
-stream j; and ``mh_step`` and ``hmc_step``, the single-position edge,
-check their kernel's type and run it on one row for one step, drawing
-from the caller's generator.  The streams are those
+each particle on its own derived stream, cut into pieces for the threads
+it is given, each of which runs one piece; the CLI runs its chains
+through it, chain j on stream j; and ``mh_step`` and ``hmc_step``, the
+single-position edge, check their kernel's type and run it on one row
+for one step, drawing from the caller's generator.  The streams are those
 of ``RandomSource.derive(i).generator()``, but no generator is built per
 row: all row keys come from one vectorized SeedSequence pass, and every
 step's draws from one reused Philox (``_stage_draws``).
@@ -26,7 +26,8 @@ it builds the random-walk or leapfrog proposal, evaluates log f once
 there and applies one Metropolis test.  The last leapfrog step takes log
 f and the gradient at the proposal in one call of the target's
 ``log_f_and_grad``, so a KDE target forms each proposal's kernel sums
-once; other targets compose it from the two separate calls.
+once and a logit target its utility; other targets compose it from the
+two separate calls.
 Steps carry each row's log f and gradient from one step to the next: a
 row ends where its proposal was accepted or where it started, and the
 last leapfrog gradient is the one at the proposal, so no point is
@@ -42,7 +43,6 @@ row depends on its batch.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -215,18 +215,18 @@ def _stage_draws(rng: RandomSource, n: int, dim: int, steps: int):
     return noise, np.log(u)
 
 
-def _start_values(target, kernel: KernelConfig, positions, pool: Executor | None, chunks: int):
+def _start_values(target, kernel: KernelConfig, positions, threads: int):
     """(log f, grad log f) at the rows, what a ``kernel`` step starts from.
 
     A Hamiltonian kernel takes both from ``target.log_f_and_grad``, one
     pass on a target with a native one; a random walk takes ``log_f``
-    alone, and its gradient is None.  The rows are evaluated in at most
-    ``chunks`` runs on ``pool`` (see :func:`core._map_rows`); no row
-    depends on its batch, so the cuts change no bit.
+    alone, and its gradient is None.  The rows are evaluated in runs on
+    ``threads`` threads (see :func:`core._map_rows`); no row depends on
+    its batch, so the cuts change no bit.
     """
     hmc = isinstance(kernel, HmcConfig)
     evaluate = target.log_f_and_grad if hmc else lambda pos: (target.log_f(pos),)
-    values = _map_rows(lambda rows: evaluate(positions[rows]), len(positions), chunks, pool)
+    values = _map_rows(lambda rows: evaluate(positions[rows]), len(positions), threads)
     return values[0], values[1] if hmc else None
 
 
@@ -279,7 +279,7 @@ def _chains(target, start, kernel, noise, log_u, lf=None, grad=None):
     probabilities.
     """
     if lf is None:
-        lf, grad = _start_values(target, kernel, start, None, 1)
+        lf, grad = _start_values(target, kernel, start, 1)
         if not np.all(np.isfinite(lf)):
             raise ValueError("starting position has non-finite log-density")
     states = np.empty((len(noise) + 1,) + start.shape)
@@ -342,8 +342,7 @@ def mutate_ensemble(
     rng: RandomSource,
     log_f: np.ndarray,
     grad_log_f: np.ndarray | None = None,
-    pool: Executor | None = None,
-    chunks: int = 1,
+    threads: int = 1,
 ) -> MutationResult:
     """Advance every particle by ``steps`` kernel steps.
 
@@ -365,13 +364,13 @@ def mutate_ensemble(
     particles.  Steps carry log f and the gradient, so the mutation
     evaluates no start value.
 
-    The rows are cut into at most ``chunks`` nearly equal runs, and each
-    run takes all ``steps`` steps as one task.  The caller steps the first
-    run, and the others too unless a worker of ``pool`` has started them;
-    more than one chunk needs a pool.  Every row keeps its own draws and
-    its own target values, so the result does not depend on ``chunks``.
+    The rows are cut into nearly equal runs for ``threads`` threads (see
+    :func:`core._map_rows`), and each run takes all ``steps`` steps as one
+    task.  Every row keeps its own draws and its own target values, so the
+    result does not depend on ``threads``.
     """
     steps = _as_count(steps, "steps", 1)
+    threads = _as_count(threads, "threads", 1)
     if not isinstance(rng, RandomSource):
         raise TypeError("mutate_ensemble needs a RandomSource to derive particle streams")
     if not isinstance(kernel, (HmcConfig, MhConfig)):
@@ -390,5 +389,5 @@ def mutate_ensemble(
             lf[rows], None if grad is None else grad[rows])
         return states[-1], final_lf, accepted[-1], accepted[1:].sum(axis=0)
 
-    positions, final_lf, accepted, counts = _map_rows(trajectory, len(lf), chunks, pool)
+    positions, final_lf, accepted, counts = _map_rows(trajectory, len(lf), threads)
     return MutationResult(Ensemble(positions), int(counts.sum()), accepted, final_lf)

@@ -11,11 +11,13 @@ the current particle cloud, with kernels widened for stragglers and the
 weights truncated.  :func:`correction_weights` computes either rule
 whole, exactly as a run applies it, from log-densities its caller
 evaluated, so a stage is one target evaluation and one call each to
-correction, selection and mutation.  Independent particle groups run in
-forked worker processes where forking is safe, and on a thread pool
-otherwise, and are compared afterwards as a convergence check; each
-group cuts its stages' target evaluations and mutations into row chunks
-for the threads the groups leave over.  Neither path changes a bit.
+correction, selection and mutation.  Independent particle groups are
+shared out over P = min(groups, threads) workers, forked processes where
+forking is safe and threads of one pool otherwise; worker p runs groups
+j = p (mod P) in order, and the groups are compared afterwards as a
+convergence check.  Each group cuts its stages' target evaluations and
+mutations into row chunks for its worker's share of the threads.
+Neither path changes a bit.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -37,8 +39,9 @@ import pickle
 import signal
 import sys
 import threading
+import time
 import traceback
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,7 +59,6 @@ from .core import (
     TargetDensity,
     _as_count,
     _as_reals,
-    _chunk_count,
     normalize_weights,
 )
 from .kde import _kth_neighbour_distance, kde_target, loo_log_density_all, silverman_bandwidth
@@ -161,18 +163,18 @@ class TargetSequence:
 class SmcConfig:
     """Engine parameters: ensemble sizes, mutation kernel and weight rule.
 
-    With P = min(n_groups, n_threads) of at least 2, :func:`run_smc` runs
-    the groups in P processes, the caller's and P - 1 it forks, as long as
-    forking is safe: on Linux, in a process that runs one thread.  Worker p
-    runs groups j = p (mod P) on a pool of ceil(n_threads / P) threads.
-    Otherwise the groups run on one pool of ``n_threads`` threads.  Either
-    way each group cuts its stages' rows into chunks for
-    ``ceil(n_threads / n_groups)`` threads.  ``n_threads`` defaults to 1
-    because the engine calls the stage targets from every thread of its
-    pool, and a caller's own target may not be thread-safe; the CLI builds
-    only built-in targets and defaults to the usable cores.  A target that
-    runs in a forked worker keeps its side effects, such as counters or
-    caches, in that worker.
+    :func:`run_smc` shares the groups out over P = min(n_groups,
+    n_threads) workers: worker p runs groups j = p (mod P) in order, and
+    each of its groups cuts its stages' rows into chunks for
+    ceil(n_threads / P) threads.  With P of at least 2 the workers are
+    processes, the caller's and P - 1 it forks, as long as forking is
+    safe: on Linux, in a process that runs one thread.  Otherwise they are
+    the threads of one pool.  ``n_threads`` defaults to 1 because the
+    engine calls the stage targets from several threads, and a caller's
+    own target may not be thread-safe; the CLI builds only built-in
+    targets and defaults to the usable cores.  A target that runs in a
+    forked worker keeps its side effects, such as counters or caches, in
+    that worker.
 
     Threads overlap only inside numpy calls that release the interpreter
     lock; in the KDE blocks those are exp, the row sums, the exponent
@@ -184,13 +186,14 @@ class SmcConfig:
     runs threads, where a fork can copy a lock another thread holds and
     Python 3.12+ warns.
 
-    The workers' pool threads are the only ones a run computes on.  Importing
-    hsmc sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
-    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; OpenBLAS reads it
-    when numpy is first imported.  OpenBLAS's pool had no work in the
-    shipped recipes: KDE products are sized to stay on the calling thread
-    (see ``kde._BLOCK_TERMS``), and its worker accrued no CPU during whole
-    smiley_hsmc and logit_hsmc runs beyond the busy wait it starts with.
+    The workers and their row-chunk threads are the only ones a run
+    computes on.  Importing hsmc sets ``OPENBLAS_NUM_THREADS=1`` unless
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+    is set; OpenBLAS reads it when numpy is first imported.  OpenBLAS's
+    pool had no work in the shipped recipes: KDE products are sized to
+    stay on the calling thread (see ``kde._BLOCK_TERMS``), and its worker
+    accrued no CPU during whole smiley_hsmc and logit_hsmc runs beyond the
+    busy wait it starts with.
     A caller whose own target makes large products can set one of those
     variables before the import; OpenBLAS's pool then keeps the groups on
     threads.
@@ -471,14 +474,13 @@ def _iteration_record(group: int, iteration: int, accepted: int, ensemble: Ensem
 
 
 def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
-               pool: Executor):
-    """Group ``group``'s whole run, each stage's rows cut into chunks on ``pool``.
+               threads: int):
+    """Group ``group``'s whole run, each stage's rows cut into runs for ``threads`` threads.
 
     A stage evaluates f_t at the corrected cloud once, with the gradient
     when the mutation is Hamiltonian; both follow each survivor through
     selection into the mutation.
     """
-    chunks = _chunk_count(config.n_particles, -(-config.n_threads // config.n_groups))
     group_rng = rng.derive(group)
     gen_init = group_rng.derive(INIT_STREAM, 0).generator()
     ens = Ensemble(sequence.initial.sample(config.n_particles, gen_init))
@@ -493,7 +495,7 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
     rows = []
     history = [(ens, np.ones(config.n_particles, dtype=bool))]
     for t, f_t in enumerate(sequence.stages, start=1):
-        log_next, grad = _start_values(f_t, config.mutation, ens.positions, pool, chunks)
+        log_next, grad = _start_values(f_t, config.mutation, ens.positions, threads)
         try:
             w = correction_weights(ens, log_next, log_prev, config.weight_mode, bandwidth_fallback)
         except DegenerateWeightsError as err:
@@ -505,48 +507,60 @@ def _run_group(group: int, sequence: TargetSequence, config: SmcConfig, rng: Ran
         ens, accepted_count, accepted, log_prev = mutate_ensemble(
             f_t, Ensemble(ens.positions[idx]), config.mutation, config.mutation_steps,
             group_rng.derive(MUTATION_STREAM, t), log_next[idx],
-            None if grad is None else grad[idx], pool, chunks,
+            None if grad is None else grad[idx], threads,
         )
         rows.append(_iteration_record(group, t, accepted_count, ens, w))
         history.append((ens, accepted))
     return rows, tuple(history)
 
 
+# How long a listed thread that Python does not run may take to leave
+# /proc/self/task before it counts as running.  A thread whose join has
+# returned stays listed while its OS thread exits: 10-50 us on a 2-core VM,
+# at most 0.7 ms in 2,000 pool shutdowns beside a busy test run.
+_THREAD_EXIT_S = 0.01
+
+
 def _can_fork() -> bool:
     """Whether ``os.fork`` is safe here: on Linux, in a process that runs one thread.
 
     ``threading.active_count`` sees Python's threads; ``/proc/self/task``
-    lists native ones too, such as the workers of a BLAS pool.
+    lists native ones too, such as the workers of a BLAS pool.  A native
+    thread that leaves within ``_THREAD_EXIT_S`` was exiting, as a thread
+    of a pool just shut down is, and does not count.
     """
-    if sys.platform != "linux" or threading.active_count() != 1:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+    deadline = time.monotonic() + _THREAD_EXIT_S
+    while sys.platform == "linux" and threading.active_count() == 1:
+        try:
+            if len(os.listdir("/proc/self/task")) == 1:
+                return True
+        except OSError:
+            return False
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(_THREAD_EXIT_S / 50)
+    return False
 
 
 def _run_groups(groups: range, sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
                 threads: int):
-    """Run ``groups`` one after another on a pool of ``threads`` threads.
+    """A worker's run: ``groups`` one after another, each on ``threads`` threads.
 
     Returns the ``(rows, history)`` of each group that finished and, for the
     first that raised, ``(group, exception)``, else None.  No later group
     runs: its index is higher, so its exception would not be the one raised.
     """
     done = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for j in groups:
-            try:
-                done.append(_run_group(j, sequence, config, rng, pool))
-            except Exception as err:
-                return done, (j, err)
+    for j in groups:
+        try:
+            done.append(_run_group(j, sequence, config, rng, threads))
+        except Exception as err:
+            return done, (j, err)
     return done, None
 
 
-def _worker(read: int, write: int, groups: range, sequence: TargetSequence, config: SmcConfig,
-            rng: RandomSource, threads: int):
-    """A forked worker's whole life: run ``groups``, pickle the outcome into ``write``, exit.
+def _worker(read: int, write: int, run: Callable[[range], tuple], share: range):
+    """A forked worker's whole life: ``run(share)``, pickle the outcome into ``write``, exit.
 
     It closes its copy of the pipe's ``read`` end, so a write to a parent
     that died fails instead of blocking.  It leaves by ``os._exit``, so no
@@ -556,8 +570,7 @@ def _worker(read: int, write: int, groups: range, sequence: TargetSequence, conf
     status = 1
     try:
         os.close(read)
-        payload = pickle.dumps(_run_groups(groups, sequence, config, rng, threads),
-                               pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(run(share), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -567,7 +580,7 @@ def _worker(read: int, write: int, groups: range, sequence: TargetSequence, conf
         os._exit(status)
 
 
-def _outcome(payload: bytes, status: int, groups: range):
+def _outcome(payload: bytes, status: int, share: range):
     """What a reaped worker sent, as :func:`_run_groups` returns it.
 
     A worker that died, or sent a pickle that cannot be read, becomes a
@@ -583,26 +596,21 @@ def _outcome(payload: bytes, status: int, groups: range):
             return pickle.loads(payload)
         except Exception:  # truncated, or an exception that cannot be rebuilt here
             problem = "sent a result that could not be read"
-    names = ", ".join(map(str, groups))
-    return [], (groups[0], RuntimeError(f"the worker process for groups {names} {problem}"))
+    names = ", ".join(map(str, share))
+    return [], (share[0], RuntimeError(f"the worker process for groups {names} {problem}"))
 
 
-def _forked_groups(sequence: TargetSequence, config: SmcConfig, rng: RandomSource,
-                   workers: int) -> list:
-    """Every group's ``(rows, history)``, the groups split over ``workers`` processes.
+def _forked(run: Callable[[range], tuple], shares: list[range]) -> list:
+    """``run`` of every share, share p in worker process p; this process is worker 0.
 
-    Worker p runs groups j = p (mod workers) in order, each cutting its rows
-    for a pool of ceil(n_threads / workers) threads.  This process is worker
-    0: it forks the others before it starts any thread.  Every pipe is read
+    It forks the others before it starts any thread.  Every pipe is read
     to EOF and every worker reaped before this returns or raises; on an
     exception of its own, such as an interrupt, this process kills the
-    workers first.  Raises the exception of the lowest failing group.
+    workers first.
     """
-    threads = -(-config.n_threads // workers)
-    shares = [range(p, config.n_groups, workers) for p in range(workers)]
     running = {}  # worker -> (pid, read end of its pipe), until reaped
     try:
-        for p in range(1, workers):
+        for p in range(1, len(shares)):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -611,11 +619,11 @@ def _forked_groups(sequence: TargetSequence, config: SmcConfig, rng: RandomSourc
                 os.close(write)
                 raise
             if pid == 0:
-                _worker(read, write, shares[p], sequence, config, rng, threads)
+                _worker(read, write, run, shares[p])
             os.close(write)
             running[p] = (pid, os.fdopen(read, "rb"))
-        outcomes = [_run_groups(shares[0], sequence, config, rng, threads)]
-        for p in range(1, workers):
+        outcomes = [run(shares[0])]
+        for p in range(1, len(shares)):
             pid, pipe = running[p]
             payload = pipe.read()
             pipe.close()
@@ -630,49 +638,49 @@ def _forked_groups(sequence: TargetSequence, config: SmcConfig, rng: RandomSourc
         for pid, pipe in running.values():
             pipe.close()
             os.waitpid(pid, 0)
-
-    results = [None] * config.n_groups
-    failures = []
-    for share, (done, failure) in zip(shares, outcomes):
-        for j, result in zip(share, done):
-            results[j] = result
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+    return outcomes
 
 
 def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> SmcRun:
     """Run correction / selection / mutation over the whole sequence.
 
     Each of the ``n_groups`` particle groups runs independently on its own
-    derived random stream.  With P = min(n_groups, n_threads) of at least
-    2, in a process where forking is safe (Linux, and one thread running),
-    the groups run in P forked worker processes, this one among them:
-    worker p runs groups j = p (mod P) in order, and a target's side
-    effects in the other workers do not reach the caller.  Otherwise they
-    run as tasks on a pool of ``n_threads`` threads.  Each group cuts every
-    stage's target evaluation and mutation into one chunk of rows for each
-    of its ``ceil(n_threads / n_groups)`` threads, fewer when a chunk would
-    get under ``core._MIN_CHUNK_ROWS`` rows, and hands the chunks after its
-    first to its pool.  Neither the thread count nor the path changes the
-    results.  The returned history keeps every stage's ensemble.  Raises
-    the exception of the lowest failing group: :class:`DegenerateWeightsError`
-    (carrying the stage index) when every particle dies under some stage,
-    and RuntimeError when a worker process dies.
+    derived random stream.  The groups are shared out over P =
+    min(n_groups, n_threads) workers: worker p runs groups j = p (mod P)
+    in order, and each of its groups cuts every stage's target evaluation
+    and mutation into one run of rows for each of ceil(n_threads / P)
+    threads, fewer when a run would get under ``core._MIN_CHUNK_ROWS``
+    rows.  With P of at least 2, in a process where forking is safe
+    (Linux, and one thread running), the workers are P processes, this one
+    and P - 1 it forks, and a target's side effects in the others do not
+    reach the caller; otherwise they are the threads of one pool.  Neither
+    the thread count nor the path changes the results.  The returned
+    history keeps every stage's ensemble.  Raises the exception of the
+    lowest failing group: :class:`DegenerateWeightsError` (carrying the
+    stage index) when every particle dies under some stage, and
+    RuntimeError when a worker process dies.
     """
     if not isinstance(rng, RandomSource):
         raise TypeError("run_smc needs a RandomSource")
 
     workers = min(config.n_groups, config.n_threads)
-    if workers >= 2 and _can_fork():
-        results = _forked_groups(sequence, config, rng, workers)
-    else:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            results = list(pool.map(lambda j: _run_group(j, sequence, config, rng, pool),
-                                    range(config.n_groups)))
+    shares = [range(p, config.n_groups, workers) for p in range(workers)]
 
+    def run(share):
+        return _run_groups(share, sequence, config, rng, -(-config.n_threads // workers))
+
+    if workers >= 2 and _can_fork():
+        outcomes = _forked(run, shares)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, shares))
+
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * config.n_groups
+    for p, (done, _) in enumerate(outcomes):
+        results[p::workers] = done
     report = RunReport(
         n_particles=config.n_particles,
         n_groups=config.n_groups,

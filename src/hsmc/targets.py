@@ -271,22 +271,26 @@ def _exp_neg_abs(v, out):
     return np.exp(out, out=out)
 
 
-def _log1pexp(v, scratch, out):
-    """log(1 + e^v) = max(v, 0) + log1p(e^-|v|) into ``out``, stable at extreme v."""
-    np.log1p(_exp_neg_abs(v, out=scratch), out=scratch)
+def _log1pexp(v, e, scratch, out):
+    """log(1 + e^v) = max(v, 0) + log1p(e) into ``out``, stable at extreme v.
+
+    ``e`` is e^-|v| (:func:`_exp_neg_abs`); log1p(e) goes into ``scratch``,
+    which may be ``e`` itself.
+    """
+    np.log1p(e, out=scratch)
     np.maximum(v, 0.0, out=out)
     out += scratch
     return out
 
 
-def _sigmoid(v, scratch):
-    """Overwrite ``v`` with e^v / (1 + e^v), stable at extreme v.
+def _sigmoid(v, e):
+    """Overwrite ``v`` with e^v / (1 + e^v), stable at extreme v, and ``e`` with 1 + e.
 
-    That is where(v >= 0, 1, e) / (1 + e) with e = e^-|v|; the numerator
-    is e^min(v, 0), which is exactly 1 for v >= 0 and exactly e otherwise,
-    and costs one more exp instead of a masked copy.
+    ``e`` is e^-|v| (:func:`_exp_neg_abs`).  That is where(v >= 0, 1, e) /
+    (1 + e); the numerator is e^min(v, 0), which is exactly 1 for v >= 0
+    and exactly e otherwise, and costs one more exp instead of a masked
+    copy.
     """
-    e = _exp_neg_abs(v, out=scratch)
     e += 1.0
     np.minimum(v, 0.0, out=v)
     np.exp(v, out=v)
@@ -302,7 +306,9 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
     log-likelihood and its gradient are summed over the observations
     block of rows by block of rows, so no (positions x observations)
     array is built; each row's sums match the unblocked formulas bit for
-    bit, whatever the batch and the row's place in it.
+    bit, whatever the batch and the row's place in it.  The native
+    ``log_f_and_grad`` forms V and e^-|V| once a block for both, with the
+    bits of the two separate calls.
     """
     if not isinstance(data, LogitData):
         raise ValueError("data must be a LogitData instance")
@@ -311,39 +317,56 @@ def nonlinear_logit_loglik(data: LogitData) -> TargetDensity:
     two_x = 2.0 * x
     n_obs = x.shape[1]
 
+    def log_f_rows(v, e, scratch):
+        """Each row's sum of c V - log(1 + e^V); ``scratch`` holds two arrays."""
+        log1pexp = _log1pexp(v, e, scratch[0], out=scratch[1])
+        terms = np.multiply(v, c, out=scratch[0])
+        terms -= log1pexp
+        return terms.sum(axis=1)
+
+    def grad_rows(utility, e, out):
+        """Write each row's gradient into ``out``; overwrites ``utility`` and ``e``."""
+        d, arg, two_sin, denom, v = utility
+        # resid = c - sigmoid(V)
+        resid = np.subtract(c, _sigmoid(v, e), out=v)
+        # dV/db1 = -2 sin(b2 x) (b1 - x) / denom^2
+        np.negative(two_sin, out=two_sin)
+        two_sin *= d
+        np.multiply(denom, denom, out=d)
+        two_sin /= d
+        two_sin *= resid
+        out[:, 0] = two_sin.sum(axis=1)
+        # dV/db2 = 2 x cos(b2 x) / denom
+        np.cos(arg, out=arg)
+        np.multiply(two_x, arg, out=arg)
+        arg /= denom
+        arg *= resid
+        out[:, 1] = arg.sum(axis=1)
+
     def batch_log_f(pos):
         out = np.empty(len(pos))
         for rows, buf in _row_blocks(len(pos), n_obs, _LOGIT_BLOCK_TERMS, (5,)):
-            _, arg, _, denom, v = _logit_utility(pos[rows], x, buf)
-            # c V - log(1 + e^V)
-            _log1pexp(v, arg, out=denom)
-            v *= c
-            v -= denom
-            out[rows] = v.sum(axis=1)
+            *_, v = _logit_utility(pos[rows], x, buf)
+            out[rows] = log_f_rows(v, _exp_neg_abs(v, buf[1]), buf[1:3])
         return out
 
     def batch_grad(pos):
         out = np.empty((len(pos), 2))
         for rows, buf in _row_blocks(len(pos), n_obs, _LOGIT_BLOCK_TERMS, (6,)):
-            d, arg, two_sin, denom, v = _logit_utility(pos[rows], x, buf)
-            # resid = c - sigmoid(V)
-            resid = np.subtract(c, _sigmoid(v, buf[5]), out=v)
-            # dV/db1 = -2 sin(b2 x) (b1 - x) / denom^2
-            np.negative(two_sin, out=two_sin)
-            two_sin *= d
-            np.multiply(denom, denom, out=d)
-            two_sin /= d
-            two_sin *= resid
-            out[rows, 0] = two_sin.sum(axis=1)
-            # dV/db2 = 2 x cos(b2 x) / denom
-            np.cos(arg, out=arg)
-            np.multiply(two_x, arg, out=arg)
-            arg /= denom
-            arg *= resid
-            out[rows, 1] = arg.sum(axis=1)
+            utility = _logit_utility(pos[rows], x, buf)
+            grad_rows(utility, _exp_neg_abs(utility[4], buf[5]), out[rows])
         return out
 
-    return _make_target(2, batch_log_f, batch_grad)
+    def batch_log_f_and_grad(pos):
+        log_f, grad = np.empty(len(pos)), np.empty((len(pos), 2))
+        for rows, buf in _row_blocks(len(pos), n_obs, _LOGIT_BLOCK_TERMS, (8,)):
+            utility = _logit_utility(pos[rows], x, buf)
+            e = _exp_neg_abs(utility[4], buf[5])
+            log_f[rows] = log_f_rows(utility[4], e, buf[6:8])
+            grad_rows(utility, e, grad[rows])
+        return log_f, grad
+
+    return _make_target(2, batch_log_f, batch_grad, batch_log_f_and_grad=batch_log_f_and_grad)
 
 
 def simulate_logit_data(n: int, beta: tuple[float, float], rng: RandomSource) -> LogitData:
@@ -353,7 +376,7 @@ def simulate_logit_data(n: int, beta: tuple[float, float], rng: RandomSource) ->
     offers = gen.uniform(-2.0, 8.0, size=n)
     buf = np.empty((6, 1, n))
     *_, v = _logit_utility(np.array([beta], dtype=float), offers[None, :], buf)
-    choices = (gen.uniform(size=n) < _sigmoid(v, buf[5])[0]).astype(float)
+    choices = (gen.uniform(size=n) < _sigmoid(v, _exp_neg_abs(v, buf[5]))[0]).astype(float)
     return LogitData(offers, choices)
 
 

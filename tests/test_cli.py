@@ -938,7 +938,7 @@ class TestInstalledEntryPoint:
         ({"OMP_NUM_THREADS": "3"}, None),
     ])
     def test_import_keeps_blas_on_the_calling_thread(self, env, blas_threads):
-        # hsmc's groups run on its own pool, so unless the user set a BLAS
+        # hsmc's groups run on its own workers, so unless the user set a BLAS
         # thread variable, importing hsmc before numpy caps OpenBLAS at the
         # calling thread and starts no worker thread
         proc = python_process(

@@ -1,13 +1,13 @@
 import pickle
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hsmc import core
 from hsmc.core import (
     BoxConstraints,
     DegenerateWeightsError,
@@ -174,87 +174,57 @@ class TestChildKeys:
             np.testing.assert_array_equal(keys[i], state["key"])
 
 
-def _finishes(call, timeout=30.0):
-    """Run ``call`` on a daemon thread; return (finished, its result, the thread's ident)."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(call()), daemon=True)
-    thread.start()
-    thread.join(timeout)
-    return not thread.is_alive(), out, thread.ident
-
-
 def _rows_and_thread(rows):
     """Each row's index, and the thread that computed it."""
     index = np.arange(rows.start, rows.stop)
     return index, np.full(len(index), threading.get_ident())
 
 
+@pytest.fixture
+def one_row_chunks(monkeypatch):
+    """Let a chunk take a single row, so a few rows cut into one chunk a thread."""
+    monkeypatch.setattr(core, "_MIN_CHUNK_ROWS", 1)
+
+
 class TestMapRows:
-    @pytest.mark.parametrize("chunks", [2, 3, 8])
-    def test_results_join_in_row_order(self, chunks):
-        # runs of a 5-row batch that rounds alike count once
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_results_join_in_row_order(self, one_row_chunks, threads):
+        # a 5-row batch on 2, 3 or 8 threads: 2, 3 or 5 runs
         def fn(rows):
             return np.arange(rows.start, rows.stop), -np.arange(rows.start, rows.stop)[:, None]
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            index, column = _map_rows(fn, 5, chunks, pool)
+        index, column = _map_rows(fn, 5, threads)
         np.testing.assert_array_equal(index, np.arange(5))
         np.testing.assert_array_equal(column, -np.arange(5)[:, None])
 
-    def test_one_chunk_needs_no_pool(self):
-        index, threads = _map_rows(_rows_and_thread, 7, 1, None)
-        np.testing.assert_array_equal(index, np.arange(7))
-        assert (threads == threading.get_ident()).all()
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # 255 rows make one chunk on any thread count: a chunk takes 128 rows
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single run started a pool")
 
-    def test_the_caller_runs_what_no_worker_started(self):
-        # the pool's only worker is held, so a helper that waited on a queued
-        # run would never return
-        started, release = threading.Event(), threading.Event()
+        monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
+        for n_rows, threads in ((7, 1), (255, 4)):
+            index, ran_on = _map_rows(_rows_and_thread, n_rows, threads)
+            np.testing.assert_array_equal(index, np.arange(n_rows))
+            assert (ran_on == threading.get_ident()).all()
 
-        def hold():
-            started.set()
-            release.wait()
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            try:
-                pool.submit(hold)
-                assert started.wait(30.0)
-                finished, out, caller = _finishes(lambda: _map_rows(_rows_and_thread, 4, 4, pool))
-            finally:
-                release.set()
-        assert finished, "_map_rows waited on a run no worker had started"
-        index, threads = out[0]
+    def test_the_caller_runs_the_first_run_and_its_pool_ends(self, one_row_chunks):
+        before = threading.active_count()
+        index, ran_on = _map_rows(_rows_and_thread, 4, 4)
         np.testing.assert_array_equal(index, np.arange(4))
-        assert (threads == caller).all()
-
-    def test_nested_maps_finish_on_one_worker(self):
-        # groups that map their own rows on the pool the groups run on
-        pool = ThreadPoolExecutor(max_workers=1)
-
-        def group(rows):
-            inner = _map_rows(lambda r: (np.arange(r.start, r.stop) + 10 * rows.start,),
-                              3, 3, pool)
-            return (inner[0][None, :],)
-
-        try:
-            finished, out, _ = _finishes(lambda: _map_rows(group, 4, 4, pool))
-        finally:
-            # cancelling what is queued frees a worker stuck on a queued run
-            pool.shutdown(cancel_futures=True)
-        assert finished, "nested maps deadlocked the pool"
-        np.testing.assert_array_equal(out[0][0], [[10 * g + c for c in range(3)]
-                                                  for g in range(4)])
+        assert ran_on[0] == threading.get_ident()
+        assert threading.get_ident() not in ran_on[1:]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", [0, 2])
-    def test_an_error_in_a_run_reaches_the_caller(self, failing):
+    def test_an_error_in_a_run_reaches_the_caller(self, one_row_chunks, failing):
         def fn(rows):
             if rows.start == failing:
                 raise ValueError(f"run {failing} failed")
             return (np.arange(rows.start, rows.stop),)
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match=f"run {failing} failed"):
-                _map_rows(fn, 4, 4, pool)
+        with pytest.raises(ValueError, match=f"run {failing} failed"):
+            _map_rows(fn, 4, 4)
 
 
 _F = rosenbrock()

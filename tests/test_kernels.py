@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from hsmc.core import (
     MUTATION_STREAM, BoxConstraints, Ensemble, RandomSource, TargetDensity, _chunk_count,
 )
 from hsmc.kernels import HmcConfig, MhConfig, hmc_step, mh_step, mutate_ensemble
-from hsmc import kde, kernels
+from hsmc import core, kde, kernels
 from hsmc.kde import kde_target
 from hsmc.kernels import _chains, _reflect_box, _stage_draws, _step
 from hsmc.targets import (
@@ -508,33 +506,36 @@ class TestMutateEnsemble:
 
     @pytest.mark.parametrize("kernel", [HmcConfig(1.0, 5, 0.05), MhConfig(0.05)],
                              ids=["hmc", "mh"])
-    def test_chunks_give_the_serial_bits_on_a_kde_target(self, rng, kernel):
-        # 1000 points make blocks of 128 rows, and halves and thirds of 300
-        # rows cut at 150, or at 100 and 200, on no block edge
+    def test_chunks_give_the_serial_bits_on_a_kde_target(self, monkeypatch, rng, kernel):
+        # 1000 points make blocks of 128 rows, and with chunks of at least
+        # 100 rows, 2 and 3 threads cut 300 rows at 150, or at 100 and 200,
+        # on no block edge
+        monkeypatch.setattr(core, "_MIN_CHUNK_ROWS", 100)
         target = kde_target(rng.standard_normal((1000, 2)), [0.3, 0.4])
         assert kde._block_height(1000) == 128
         ens = Ensemble(rng.standard_normal((300, 2)))
         start = target.log_f_and_grad(ens.positions)
         source = RandomSource(5).derive(MUTATION_STREAM, 2)
         serial = mutate_ensemble(target, ens, kernel, 3, source, *start)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for chunks in (2, 3):
-                split = mutate_ensemble(target, ens, kernel, 3, source, *start, pool, chunks)
-                np.testing.assert_array_equal(split.ensemble.positions, serial.ensemble.positions)
-                np.testing.assert_array_equal(split.log_f, serial.log_f)
-                np.testing.assert_array_equal(split.accepted, serial.accepted)
-                assert split.acceptance_count == serial.acceptance_count
+        for threads in (2, 3):
+            split = mutate_ensemble(target, ens, kernel, 3, source, *start, threads)
+            np.testing.assert_array_equal(split.ensemble.positions, serial.ensemble.positions)
+            np.testing.assert_array_equal(split.log_f, serial.log_f)
+            np.testing.assert_array_equal(split.accepted, serial.accepted)
+            assert split.acceptance_count == serial.acceptance_count
 
-    @pytest.mark.parametrize("n, chunks, bounds", [
+    @pytest.mark.parametrize("n, threads, bounds", [
         (512, 2, [0, 256, 512]),
         (300, 2, [0, 150, 300]),
         (300, 3, [0, 100, 200, 300]),
         (400, 3, [0, 133, 267, 400]),
         (512, 1, [0, 512]),
-        (5, 8, [0, 1, 2, 3, 4, 5]),  # cuts that round alike count once
+        (5, 8, [0, 1, 2, 3, 4, 5]),  # no more chunks than rows
     ])
-    def test_chunk_bounds_are_nearly_equal(self, monkeypatch, n, chunks, bounds):
-        # each run of rows steps as one batch; row i starts at (i, 0)
+    def test_chunk_bounds_are_nearly_equal(self, monkeypatch, n, threads, bounds):
+        # with chunks of a single row allowed, each thread steps one run of
+        # rows as one batch; row i starts at (i, 0)
+        monkeypatch.setattr(core, "_MIN_CHUNK_ROWS", 1)
         runs = []
 
         def recording(target, start, *args):
@@ -543,9 +544,8 @@ class TestMutateEnsemble:
 
         monkeypatch.setattr(kernels, "_chains", recording)
         ens = Ensemble(np.column_stack([np.arange(n), np.zeros(n)]))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            mutate_ensemble(flat_target(), ens, MhConfig(1.0), 1, RandomSource(1), np.zeros(n),
-                            None, pool, chunks)
+        mutate_ensemble(flat_target(), ens, MhConfig(1.0), 1, RandomSource(1), np.zeros(n),
+                        None, threads)
         assert sorted(runs) == list(zip(bounds, bounds[1:]))
 
     def test_hmc_needs_the_start_gradient(self, rng):
@@ -574,11 +574,12 @@ class TestMutateEnsemble:
                 mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), steps, RandomSource(1),
                                 np.zeros(4))
 
-    def test_chunks_need_a_pool(self, rng):
-        ens = Ensemble(rng.standard_normal((300, 2)))
-        with pytest.raises(ValueError, match="more than one chunk needs a pool"):
-            mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 1, RandomSource(1),
-                            rosenbrock().log_f(ens.positions), chunks=2)
+    def test_threads_follow_the_count_rule(self, rng):
+        ens = Ensemble(rng.standard_normal((4, 2)))
+        for threads, message in ((0, "at least 1"), (2.5, "an integer"), (True, "an integer")):
+            with pytest.raises(ValueError, match=f"threads must be {message}"):
+                mutate_ensemble(rosenbrock(), ens, MhConfig(1.0), 1, RandomSource(1),
+                                np.zeros(4), threads=threads)
 
     def test_requires_random_source(self, rng):
         ens = Ensemble(rng.standard_normal((4, 2)))

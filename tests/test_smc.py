@@ -1,7 +1,7 @@
 import os
 import signal
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
@@ -20,6 +20,7 @@ from hsmc.core import (
     Ensemble,
     RandomSource,
     TargetDensity,
+    _chunk_count,
 )
 from hsmc import kde, smc
 from hsmc.kernels import HmcConfig, MhConfig, mutate_ensemble
@@ -471,7 +472,7 @@ class TestRunSmc:
         # 400 particles a group and stages of 1200 and 2400 points, which
         # compute in blocks of 64 and 32 rows: at 3 and 5 threads every group
         # cuts its rows into 2 or 3 chunks, at 200 or at 133 and 267, on no
-        # block edge, and they run beside the other groups on one pool
+        # block edge, beside the groups of the other workers
         seq = kde_blocks_sequence(rng.standard_normal((2400, 2)), 1200,
                                   initial=diag_gaussian_initial([0.0, 0.0], [3.0, 3.0]))
         assert [kde._block_height(m) for m in (1200, 2400)] == [64, 32]
@@ -511,15 +512,16 @@ class TestRunSmc:
     ])
     def test_groups_cut_rows_for_their_share_of_threads(self, monkeypatch, tmp_path, groups,
                                                          threads, particles, chunks):
-        # each group cuts a stage's target evaluation and its mutation into
-        # one chunk for each of its ceil(threads / groups) threads, at least
-        # _MIN_CHUNK_ROWS = 128 to a chunk.  Groups may run in forked
-        # workers, so the calls are recorded in a file they all append to
+        # each group hands a stage's target evaluation and its mutation its
+        # worker's ceil(threads / min(groups, threads)) threads, which cut
+        # the rows into one chunk a thread, at least _MIN_CHUNK_ROWS = 128
+        # to a chunk.  Groups may run in forked workers, so the calls are
+        # recorded in a file they all append to
         log = tmp_path / "calls.txt"
 
         def recording(fn):
             def record(*args):
-                with open(log, "a") as fh:  # the chunk count, passed last
+                with open(log, "a") as fh:  # the thread count, passed last
                     fh.write(f"{fn.__name__} {args[-1]}\n")
                 return fn(*args)
             return record
@@ -531,8 +533,10 @@ class TestRunSmc:
         run_smc(seq, SmcConfig(n_particles=particles, mutation=MhConfig(0.5), n_groups=groups,
                                n_threads=threads), RandomSource(1))
         seen = [(name, int(count)) for name, count in map(str.split, log.read_text().splitlines())]
-        assert sorted(seen) == sorted([("_start_values", chunks),
-                                       ("mutate_ensemble", chunks)] * (2 * groups))
+        share = -(-threads // min(groups, threads))
+        assert _chunk_count(particles, share) == chunks
+        assert sorted(seen) == sorted([("_start_values", share),
+                                       ("mutate_ensemble", share)] * (2 * groups))
 
     def test_report_row_per_group_and_iteration(self, rng):
         points = rng.standard_normal((90, 2))
@@ -603,23 +607,10 @@ def another_thread():
         assert not thread.is_alive()
 
 
-def wait_until_fork_is_safe(timeout=10.0):
-    """Block until this process runs one thread, so run_smc forks its groups.
-
-    A thread that was just joined stays listed in /proc/self/task for a few
-    microseconds while it exits.
-    """
-    deadline = time.monotonic() + timeout
-    while not smc._can_fork():
-        assert time.monotonic() < deadline, "another thread keeps running"
-        time.sleep(0.001)
-
-
 def forked_and_threaded(seq, cfg, rng):
     """run_smc's result with the groups in forked workers and with them on threads."""
     with another_thread():
         threaded = run_smc(seq, cfg, rng)
-    wait_until_fork_is_safe()
     return run_smc(seq, cfg, rng), threaded
 
 
@@ -669,7 +660,6 @@ class TestForkedGroups:
         # returns.  With a thread running, every group runs here
         cfg = SmcConfig(n_particles=16, n_groups=4, mutation=MhConfig(0.5), n_threads=2)
         seq = TargetSequence((pid_recording(tmp_path / "forked.txt"),), INITIAL_1D)
-        wait_until_fork_is_safe()
         run_smc(seq, cfg, RandomSource(2))
         pids = set(map(int, (tmp_path / "forked.txt").read_text().split()))
         assert os.getpid() in pids and len(pids) == 2
@@ -679,6 +669,37 @@ class TestForkedGroups:
         with another_thread():
             run_smc(seq, cfg, RandomSource(2))
         assert set(map(int, (tmp_path / "threaded.txt").read_text().split())) == {os.getpid()}
+
+    def test_a_run_right_after_a_pool_forks(self, tmp_path):
+        # a thread whose join has returned stays listed in /proc/self/task
+        # while its OS thread exits; run_smc waits for it to leave
+        cfg = SmcConfig(n_particles=16, n_groups=2, mutation=MhConfig(0.5), n_threads=2)
+        for attempt in range(20):
+            log = tmp_path / f"{attempt}.txt"
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                list(pool.map(abs, range(4)))
+            run_smc(TargetSequence((pid_recording(log),), INITIAL_1D), cfg, RandomSource(2))
+            assert len(set(log.read_text().split())) == 2, f"attempt {attempt} ran on threads"
+
+    def test_thread_workers_run_groups_apart_by_the_worker_count(self, monkeypatch):
+        # 5 groups on 2 threads: one worker runs groups 0, 2 and 4 in order
+        # on one thread of the pool, the other groups 1 and 3.  A pool
+        # thread that finished one worker's share may take the other's too
+        ran = []
+
+        def recording(group, *args):
+            ran.append((threading.get_ident(), group))
+            return run_group(group, *args)
+
+        run_group = smc._run_group
+        monkeypatch.setattr(smc, "_run_group", recording)
+        cfg = SmcConfig(n_particles=16, n_groups=5, mutation=MhConfig(0.5), n_threads=2)
+        with another_thread():
+            run_smc(_noop_sequence(), cfg, RandomSource(2))
+        for share in ([0, 2, 4], [1, 3]):
+            (thread,) = {thread for thread, group in ran if group in share}
+            assert [group for t, group in ran if t == thread and group in share] == share
+            assert thread != threading.get_ident()
 
     def test_lowest_failing_group_raises_on_both_paths(self):
         # every particle starts on a point of f_1, where random-walk
@@ -699,7 +720,6 @@ class TestForkedGroups:
         with another_thread():
             with pytest.raises(DegenerateWeightsError) as threaded:
                 run_smc(seq, cfg, root)
-        wait_until_fork_is_safe()
         with pytest.raises(DegenerateWeightsError) as forked:
             run_smc(seq, cfg, root)
         assert (str(forked.value), forked.value.stage) == (str(threaded.value), 2)
@@ -718,7 +738,6 @@ class TestForkedGroups:
 
         seq = TargetSequence((TargetDensity(1, log_f, np.zeros_like),), INITIAL_1D)
         cfg = SmcConfig(n_particles=16, n_groups=4, mutation=MhConfig(0.5), n_threads=2)
-        wait_until_fork_is_safe()
         with pytest.raises(RuntimeError, match=r"groups 1, 3 was killed by signal 9"):
             run_smc(seq, cfg, RandomSource(3))
         (pid,) = map(int, log.read_text().split())
@@ -728,7 +747,6 @@ class TestForkedGroups:
         dumps = smc.pickle.dumps
         monkeypatch.setattr(smc.pickle, "dumps", lambda obj, *args: dumps(obj, *args)[:-20])
         cfg = SmcConfig(n_particles=16, n_groups=3, mutation=MhConfig(0.5), n_threads=3)
-        wait_until_fork_is_safe()
         with pytest.raises(RuntimeError, match=r"groups 1 sent a result that could not be read"):
             run_smc(_noop_sequence(), cfg, RandomSource(3))
 

@@ -194,9 +194,33 @@ class TestLogitLayerExact:
         v = np.array([0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300, 0.7, -0.7, 745.0, -745.0,
                       np.inf, -np.inf])
         scratch, out = np.empty_like(v), np.empty_like(v)
+        e = targets._exp_neg_abs(v, scratch)
         np.testing.assert_array_equal(
-            targets._log1pexp(v, scratch, out), _reference_log1pexp(v))
-        np.testing.assert_array_equal(targets._sigmoid(v.copy(), scratch), _reference_sigmoid(v))
+            targets._log1pexp(v, e, scratch, out), _reference_log1pexp(v))
+        e = targets._exp_neg_abs(v, scratch)
+        np.testing.assert_array_equal(targets._sigmoid(v.copy(), e), _reference_sigmoid(v))
+
+    @pytest.mark.parametrize("n_obs", [50, 400])
+    def test_native_fused_call_has_the_bits_of_both_calls(self, n_obs, rng):
+        target = nonlinear_logit_loglik(
+            simulate_logit_data(n_obs, (3.0, 3.0), RandomSource(n_obs)))
+        for n in (1, 41, 300, 512):
+            pos = rng.normal([2.0, 1.0], 4.0, size=(n, 2))
+            pos[0, 1] = 0.0  # V = 0 at every observation
+            assert_fused_call_matches(target, pos)
+
+    def test_native_fused_call_forms_the_utility_once_a_block(self, monkeypatch, rng):
+        # 400 observations make blocks of 40 rows, so 300 rows take 8 blocks
+        target = nonlinear_logit_loglik(simulate_logit_data(400, (3.0, 3.0), RandomSource(1)))
+        utility, calls = targets._logit_utility, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return utility(*args)
+
+        monkeypatch.setattr(targets, "_logit_utility", counted)
+        target.log_f_and_grad(rng.normal([2.0, 1.0], 4.0, size=(300, 2)))
+        assert calls == [40] * 7 + [20]
 
     def test_simulated_choices_use_the_same_probabilities(self):
         data = simulate_logit_data(300, (3.0, 3.0), RandomSource(4))

@@ -5,8 +5,13 @@ Usage, from anywhere::
     python tools/digests.py write   # run the set, record tools/digests.json
     python tools/digests.py check   # run the set, compare with tools/digests.json
 
+    # another checkout's outputs as the record, then this checkout's against them
+    python tools/digests.py write --src ../base/src --record /tmp/base.json
+    python tools/digests.py check --record /tmp/base.json
+
 The standard set is 58 files, made in a temporary directory by the hsmc
-package of this checkout (``src/``):
+package of this checkout's ``src/``, or of the ``--src`` directory, from
+this checkout's recipes:
 
 * the 3 README datasets (``hsmc gen-data``);
 * the 9 recipes under ``experiments/``, each run as shipped;
@@ -16,7 +21,8 @@ package of this checkout (``src/``):
 The bits depend on NumPy, its BLAS and the CPU features its dispatch
 found, so the file is keyed by them.  ``check`` under another key says
 so and exits 2 without running anything: it never reports a pass for a
-check it did not run.  A difference exits 1, a full match 0.
+check it did not run.  A difference exits 1, a full match 0.  ``--record``
+names the file to write or check in place of ``tools/digests.json``.
 """
 
 from __future__ import annotations
@@ -89,14 +95,14 @@ def compare(record: dict, root: Path) -> int:
     return 0
 
 
-def produce(root: Path) -> None:
+def produce(root: Path, src: Path) -> None:
     """Make the standard set under ``root``: ``root/data`` and ``root/out``.
 
-    Each command runs as its own ``python -m hsmc.cli`` process on this
-    checkout's ``src``, as the console script would.
+    Each command runs as its own ``python -m hsmc.cli`` process on the
+    ``hsmc`` package in ``src``, as the console script would.
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
     def hsmc(*argv):
         subprocess.run([sys.executable, "-m", "hsmc.cli", *map(str, argv)], env=env, check=True)
@@ -121,17 +127,23 @@ def produce(root: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write or check the standard set's digests.")
     parser.add_argument("mode", choices=("write", "check"))
-    mode = parser.parse_args(argv).mode
-    record = json.loads(DIGESTS.read_text()) if mode == "check" else None
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory holding the hsmc package to run (default: %(default)s)")
+    parser.add_argument("--record", type=Path, default=DIGESTS,
+                        help="the digests file to write or check (default: %(default)s)")
+    args = parser.parse_args(argv)
+    if not (args.src / "hsmc" / "cli.py").is_file():
+        parser.error(f"--src {args.src} holds no hsmc/cli.py")
+    record = json.loads(args.record.read_text()) if args.mode == "check" else None
     if record is not None and key_differs(record):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        produce(Path(tmp))
+        produce(Path(tmp), args.src.resolve())
         if record is not None:
             return compare(record, Path(tmp))
         files = digest_tree(Path(tmp))
-    DIGESTS.write_text(json.dumps({"key": environment_key(), "files": files}, indent=2) + "\n")
-    print(f"wrote {len(files)} digests to {DIGESTS}")
+    args.record.write_text(json.dumps({"key": environment_key(), "files": files}, indent=2) + "\n")
+    print(f"wrote {len(files)} digests to {args.record}")
     return 0
 
 
