@@ -23,12 +23,10 @@ between ``algorithm``/``seed`` and ``group_divergence``.
 Outputs contain no timestamps and floats are written with full
 round-trip precision, so identical configs and seeds produce
 byte-identical files regardless of ``--threads``.  ``--threads`` T
-sets the workers of a run of G particle groups, P = min(G, T): worker p
-runs groups p, p + P, ... in order, in a forked process where that is
-safe (see ``smc.run_smc``) and on a thread otherwise.  Each group cuts
-every stage's rows into chunks for its worker's ceil(T / P) threads,
-once to evaluate the stage's target and once to mutate.  The grid is
-then evaluated on T threads, in row chunks cut by the same rule.  An
+sets the workers of a run of G particle groups, P = min(G, T): the
+caller and P - 1 forked processes or threads, which share out the groups
+and their rows as ``smc.run_smc`` says.  The grid is then evaluated on
+T threads, in row chunks cut by the rule of ``core._map_rows``.  An
 ``mh`` or ``hmc`` run steps its chains together as one batch, chain j
 on its own stream ``RandomSource(seed).derive(j)``, so a chain's states
 do not depend on how many chains run beside it.
@@ -576,10 +574,9 @@ def main(argv=None) -> int:
                             help="record every iteration's particles, not just the final ones")
     run_parser.add_argument("--threads", type=int, default=None,
                             help="threads (default: the usable cores); min(groups, "
-                                 "threads) workers run the particle groups in turn, "
-                                 "in forked processes where that is safe, each group's "
-                                 "particle rows split over its worker's share of the "
-                                 "threads, and then all threads evaluate the grid "
+                                 "threads) workers, this process and the rest forked "
+                                 "processes or threads, run the particle groups and "
+                                 "their rows, and then all threads evaluate the grid "
                                  "(outputs are unaffected; beyond the usable cores, "
                                  "threads cost a one-group run time)")
 

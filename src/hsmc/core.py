@@ -265,26 +265,34 @@ def _chunk_count(n_rows: int, threads: int) -> int:
     return max(1, min(threads, n_rows // _MIN_CHUNK_ROWS))
 
 
+def _on_threads(fn: Callable, items: list) -> list:
+    """``fn`` of every item, in item order: item 0 on the calling thread.
+
+    Items 1, 2, ... run on a pool of ``len(items) - 1`` threads started for
+    this call, one item each, and ended before it returns or raises; a
+    single item starts no thread.  An exception of the caller's own item,
+    such as an interrupt, reaches the caller once the pool's items end.
+    """
+    if len(items) == 1:
+        return [fn(items[0])]
+    with ThreadPoolExecutor(max_workers=len(items) - 1) as pool:
+        futures = [pool.submit(fn, item) for item in items[1:]]
+        return [fn(items[0])] + [future.result() for future in futures]
+
+
 def _map_rows(fn: Callable, n_rows: int, threads: int) -> list:
     """``fn`` over n_rows rows cut into runs for ``threads`` threads, its results joined.
 
     ``fn(rows)`` takes a slice of the rows and returns a tuple of arrays
     with one entry per row; the result lists each of them concatenated
     over the runs, in row order.  The rows are cut into
-    ``_chunk_count(n_rows, threads)`` nearly equal runs.  The caller
-    computes the first run, and a pool of its own the others; a single
-    run starts no thread.
+    ``_chunk_count(n_rows, threads)`` nearly equal runs, which
+    :func:`_on_threads` computes.
     """
     chunks = _chunk_count(n_rows, threads)
     bounds = [round(i * n_rows / chunks) for i in range(chunks + 1)]
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    if chunks == 1:
-        parts = [fn(runs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=chunks - 1) as pool:
-            futures = [pool.submit(fn, run) for run in runs[1:]]
-            parts = [fn(runs[0])] + [future.result() for future in futures]
-    return [np.concatenate(field) for field in zip(*parts)]
+    return [np.concatenate(field) for field in zip(*_on_threads(fn, runs))]
 
 
 @dataclass(frozen=True)

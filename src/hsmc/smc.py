@@ -12,12 +12,9 @@ weights truncated.  :func:`correction_weights` computes either rule
 whole, exactly as a run applies it, from log-densities its caller
 evaluated, so a stage is one target evaluation and one call each to
 correction, selection and mutation.  Independent particle groups are
-shared out over P = min(groups, threads) workers, forked processes where
-forking is safe and threads of one pool otherwise; worker p runs groups
-j = p (mod P) in order, and the groups are compared afterwards as a
-convergence check.  Each group cuts its stages' target evaluations and
-mutations into row chunks for its worker's share of the threads.
-Neither path changes a bit.
+shared out over P = min(groups, threads) workers, the caller and P - 1
+forked processes or threads (see :func:`run_smc`), and compared
+afterwards as a convergence check.  Neither path changes a bit.
 
 Stage t of group j draws its selection from the stream
 (seed, j, SELECTION_STREAM, t) and its mutation of particle i from
@@ -41,7 +38,6 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,6 +55,7 @@ from .core import (
     TargetDensity,
     _as_count,
     _as_reals,
+    _on_threads,
     normalize_weights,
 )
 from .kde import _kth_neighbour_distance, kde_target, loo_log_density_all, silverman_bandwidth
@@ -164,12 +161,8 @@ class SmcConfig:
     """Engine parameters: ensemble sizes, mutation kernel and weight rule.
 
     :func:`run_smc` shares the groups out over P = min(n_groups,
-    n_threads) workers: worker p runs groups j = p (mod P) in order, and
-    each of its groups cuts its stages' rows into chunks for
-    ceil(n_threads / P) threads.  With P of at least 2 the workers are
-    processes, the caller's and P - 1 it forks, as long as forking is
-    safe: on Linux, in a process that runs one thread.  Otherwise they are
-    the threads of one pool.  ``n_threads`` defaults to 1 because the
+    n_threads) workers, the caller and P - 1 forked processes or threads;
+    its docstring gives the rule.  ``n_threads`` defaults to 1 because the
     engine calls the stage targets from several threads, and a caller's
     own target may not be thread-safe; the CLI builds only built-in
     targets and defaults to the usable cores.  A target that runs in a
@@ -650,15 +643,21 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     in order, and each of its groups cuts every stage's target evaluation
     and mutation into one run of rows for each of ceil(n_threads / P)
     threads, fewer when a run would get under ``core._MIN_CHUNK_ROWS``
-    rows.  With P of at least 2, in a process where forking is safe
-    (Linux, and one thread running), the workers are P processes, this one
-    and P - 1 it forks, and a target's side effects in the others do not
-    reach the caller; otherwise they are the threads of one pool.  Neither
-    the thread count nor the path changes the results.  The returned
-    history keeps every stage's ensemble.  Raises the exception of the
-    lowest failing group: :class:`DegenerateWeightsError` (carrying the
-    stage index) when every particle dies under some stage, and
-    RuntimeError when a worker process dies.
+    rows.  The caller is worker 0, and each row cut computes its first run
+    on the thread that cuts it and the others on threads started for it.
+    With P of at least 2, in a process where forking is safe (Linux, and
+    one thread running), workers 1 ... P - 1 are processes this one forks,
+    and a target's side effects there do not reach the caller; otherwise
+    they are threads started for the run.  Neither the thread count nor
+    the path changes the results.  The returned history keeps every
+    stage's ensemble.  Raises the exception of the lowest failing group:
+    :class:`DegenerateWeightsError` (carrying the stage index) when every
+    particle dies under some stage, and RuntimeError when a worker process
+    dies.
+
+    An interrupt (Ctrl-C) stops the caller's share within one row chunk.
+    Forked workers are then killed; worker threads cannot be, so on the
+    thread path it reaches the caller once they have run their groups.
     """
     if not isinstance(rng, RandomSource):
         raise TypeError("run_smc needs a RandomSource")
@@ -669,11 +668,7 @@ def run_smc(sequence: TargetSequence, config: SmcConfig, rng: RandomSource) -> S
     def run(share):
         return _run_groups(share, sequence, config, rng, -(-config.n_threads // workers))
 
-    if workers >= 2 and _can_fork():
-        outcomes = _forked(run, shares)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, shares))
+    outcomes = (_forked if workers >= 2 and _can_fork() else _on_threads)(run, shares)
 
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:

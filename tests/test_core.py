@@ -186,6 +186,23 @@ def one_row_chunks(monkeypatch):
     monkeypatch.setattr(core, "_MIN_CHUNK_ROWS", 1)
 
 
+class TestOnThreads:
+    def test_item_0_runs_on_the_caller_and_each_other_on_a_thread_of_its_own(self):
+        # the barrier lets no item return before all three run at once
+        barrier = threading.Barrier(3)
+        before = threading.active_count()
+
+        def fn(item):
+            barrier.wait(timeout=10)
+            return item, threading.get_ident()
+
+        results = core._on_threads(fn, ["a", "b", "c"])
+        assert [item for item, _ in results] == ["a", "b", "c"]
+        assert results[0][1] == threading.get_ident()
+        assert len({thread for _, thread in results}) == 3
+        assert threading.active_count() == before
+
+
 class TestMapRows:
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_results_join_in_row_order(self, one_row_chunks, threads):

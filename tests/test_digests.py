@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -62,8 +63,10 @@ def test_another_key_checks_nothing(tree, capsys):
 
 
 # a stand-in hsmc package: each command writes one small file where the real
-# one writes its outputs, naming the package and the arguments it was given
+# one writes its outputs, naming the package, the arguments it was given and
+# its OPENBLAS_NUM_THREADS
 FAKE_CLI = """
+import os
 import sys
 from pathlib import Path
 
@@ -78,7 +81,8 @@ else:
     (output,) = [line for line in recipe.read_text().splitlines() if line.startswith("output:")]
     out = recipe.parent / output.split()[1]
     out.mkdir(parents=True)
-    (out / "run.txt").write_text(" ".join([MARK, *args[1:]]) + "\\n")
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    (out / "run.txt").write_text(" ".join([MARK, *args[1:], f"blas={blas}"]) + "\\n")
 """
 
 
@@ -94,12 +98,17 @@ def test_src_and_record_write_and_check_another_file(tmp_path, capsys):
     src, record = fake_src(tmp_path / "base", "base"), tmp_path / "base.json"
     assert digests.main(["write", "--src", str(src), "--record", str(record)]) == 0
     files = json.loads(record.read_text())["files"]
-    # 3 datasets, 5 sequential recipes at 2 thread counts and 9 recipes as shipped
-    assert len(files) == 3 + 5 * 2 + 9
-    for name, text in (("out/smiley_hsmc/run.txt", "# base\n"),
+    # 3 datasets, 5 sequential recipes at 2 thread counts, the 2 of several
+    # groups under 2 BLAS threads, and 9 recipes as shipped
+    assert len(files) == 3 + 5 * 2 + 2 + 9
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    for name, text in (("out/smiley_hsmc/run.txt", f"# base blas={blas}\n"),
                        ("out/smiley_hsmc-record-all-threads-2/run.txt",
-                        "# base --record-all --threads 2\n")):
+                        f"# base --record-all --threads 2 blas={blas}\n"),
+                       ("out/dropwave_hsmc-record-all-threads-2-openblas-2/run.txt",
+                        "# base --record-all --threads 2 blas=2\n")):
         assert files[name] == hashlib.sha256(text.encode()).hexdigest()
+    assert "out/logit_hsmc-record-all-threads-2-openblas-2/run.txt" not in files
     # another package's outputs differ from the record in every run file
     head = fake_src(tmp_path / "head", "head")
     assert digests.main(["check", "--src", str(head), "--record", str(record)]) == 1

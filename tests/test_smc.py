@@ -632,7 +632,7 @@ def assert_gone(pid):
 
 
 class TestForkedGroups:
-    """Groups in forked workers: the same results and errors as on threads."""
+    """Groups shared out over workers, forked or on threads: the same results and errors."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("groups", [2, 4])
@@ -682,9 +682,8 @@ class TestForkedGroups:
             assert len(set(log.read_text().split())) == 2, f"attempt {attempt} ran on threads"
 
     def test_thread_workers_run_groups_apart_by_the_worker_count(self, monkeypatch):
-        # 5 groups on 2 threads: one worker runs groups 0, 2 and 4 in order
-        # on one thread of the pool, the other groups 1 and 3.  A pool
-        # thread that finished one worker's share may take the other's too
+        # 5 groups on 2 threads: the caller's own thread runs groups 0, 2
+        # and 4 in order, and one other thread groups 1 and 3
         ran = []
 
         def recording(group, *args):
@@ -696,10 +695,36 @@ class TestForkedGroups:
         cfg = SmcConfig(n_particles=16, n_groups=5, mutation=MhConfig(0.5), n_threads=2)
         with another_thread():
             run_smc(_noop_sequence(), cfg, RandomSource(2))
-        for share in ([0, 2, 4], [1, 3]):
-            (thread,) = {thread for thread, group in ran if group in share}
-            assert [group for t, group in ran if t == thread and group in share] == share
-            assert thread != threading.get_ident()
+        caller = threading.get_ident()
+        assert [group for thread, group in ran if thread == caller] == [0, 2, 4]
+        others = [(thread, group) for thread, group in ran if thread != caller]
+        assert [group for _, group in others] == [1, 3]
+        assert len({thread for thread, _ in others}) == 1
+
+    @pytest.mark.parametrize("groups, threads", [(1, 1), (3, 1), (1, 2)])
+    def test_one_worker_starts_no_pool(self, monkeypatch, groups, threads):
+        # one worker, P = min(groups, threads) = 1, is the caller, and 16
+        # particles make one row chunk: no thread pool is made
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a run of one worker made a pool")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_pool)
+        cfg = SmcConfig(n_particles=16, n_groups=groups, mutation=MhConfig(0.5),
+                        n_threads=threads)
+        assert len(run_smc(_noop_sequence(), cfg, RandomSource(2)).history) == groups
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_one_group_run_evaluates_its_target_on_the_calling_thread(self, threads):
+        ran_on = set()
+
+        def log_f(pos):
+            ran_on.add(threading.get_ident())
+            return np.zeros(len(pos))
+
+        seq = TargetSequence((TargetDensity(1, log_f, np.zeros_like),), INITIAL_1D)
+        cfg = SmcConfig(n_particles=16, mutation=MhConfig(0.5), n_threads=threads)
+        run_smc(seq, cfg, RandomSource(2))
+        assert ran_on == {threading.get_ident()}
 
     def test_lowest_failing_group_raises_on_both_paths(self):
         # every particle starts on a point of f_1, where random-walk

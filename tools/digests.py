@@ -9,14 +9,18 @@ Usage, from anywhere::
     python tools/digests.py write --src ../base/src --record /tmp/base.json
     python tools/digests.py check --record /tmp/base.json
 
-The standard set is 58 files, made in a temporary directory by the hsmc
+The standard set is 64 files, made in a temporary directory by the hsmc
 package of this checkout's ``src/``, or of the ``--src`` directory, from
 this checkout's recipes:
 
 * the 3 README datasets (``hsmc gen-data``);
 * the 9 recipes under ``experiments/``, each run as shipped;
 * the 5 sequential recipes again with ``--record-all``, at ``--threads 1``
-  and ``--threads 2``.
+  and ``--threads 2``;
+* the 2 sequential recipes of several groups, ``dropwave_hsmc`` and
+  ``smiley_hsmc``, once more with ``--record-all --threads 2`` under
+  ``OPENBLAS_NUM_THREADS=2``.  OpenBLAS's worker thread then keeps
+  ``run_smc`` from forking, so these runs take its thread path.
 
 The bits depend on NumPy, its BLAS and the CPU features its dispatch
 found, so the file is keyed by them.  ``check`` under another key says
@@ -104,8 +108,9 @@ def produce(root: Path, src: Path) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
-    def hsmc(*argv):
-        subprocess.run([sys.executable, "-m", "hsmc.cli", *map(str, argv)], env=env, check=True)
+    def hsmc(*argv, **extra_env):
+        subprocess.run([sys.executable, "-m", "hsmc.cli", *map(str, argv)],
+                       env=dict(env, **extra_env), check=True)
 
     shutil.copytree(ROOT / "experiments", root / "experiments")
     for kind, n, seed in DATASETS:
@@ -120,6 +125,9 @@ def produce(root: Path, src: Path) -> None:
         for threads in (1, 2):
             hsmc("run", recipe, "--record-all", "--threads", threads)
             output.rename(f"{output}-record-all-threads-{threads}")
+        if spec.get("groups", 1) > 1:
+            hsmc("run", recipe, "--record-all", "--threads", 2, OPENBLAS_NUM_THREADS="2")
+            output.rename(f"{output}-record-all-threads-2-openblas-2")
     for recipe in recipes:
         hsmc("run", recipe)
 
